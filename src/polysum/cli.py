@@ -18,7 +18,11 @@ from dataclasses import dataclass, field
 
 from . import catalog, descent
 from .polycore import SumDomain, parse_sum
-from .primepoly import PrimePolyQuery, exception_scan as prime_exception_scan
+from .primepoly import (
+    PrimePolyQuery,
+    decomposition_witness,
+    exception_scan as prime_exception_scan,
+)
 from .qform import (
     DiagonalTernaryForm,
     canonical_reduction,
@@ -221,6 +225,33 @@ def _cmd_verify_reduction(args) -> int:
     return status
 
 
+def _query_fields(query: PrimePolyQuery) -> dict:
+    prime_filter = query.prime_filter
+    return {
+        "a": query.coefficient, "shape": query.shape,
+        "order": query.order if query.order else "",
+        "universe": query.universe,
+        "prime-filter": (f"{prime_filter[0]}:{prime_filter[1]}"
+                         if prime_filter else "")}
+
+
+def _reverify_prime_exceptions(query: PrimePolyQuery, found: list[int],
+                               bound: int) -> int:
+    """Re-check each reported exception by a per-n witness search; write a
+    reverify-failed record to stderr for each one that has a decomposition.
+    Returns the exit status: 0 when all hold, 1 otherwise."""
+    failed = []
+    for n in found:
+        witness = decomposition_witness(query, n, bound)
+        if witness is not None:
+            failed.append(ReportRecord("reverify-failed", {
+                **_query_fields(query), "bound": bound, "n": n,
+                "p": witness[0], "x": witness[1]}))
+    if failed:
+        sys.stderr.write(emit_report(failed, "lines"))
+    return 1 if failed else 0
+
+
 def _cmd_prime_scan(args) -> int:
     prime_filter = None
     if args.prime_mod:
@@ -230,17 +261,12 @@ def _cmd_prime_scan(args) -> int:
         universe=args.universe, prime_filter=prime_filter)
     found = prime_exception_scan(query, args.bound)
     rec = ReportRecord("prime-scan", {
-        "a": args.a, "shape": args.shape,
-        "order": args.order if args.order else "",
-        "universe": args.universe,
-        "prime-filter": (f"{prime_filter[0]}:{prime_filter[1]}"
-                         if prime_filter else ""),
-        "bound": args.bound, "count": len(found),
+        **_query_fields(query), "bound": args.bound, "count": len(found),
         "max": found[-1] if found else "",
         "result": found if len(found) <= args.limit else found[: args.limit],
         "truncated": len(found) > args.limit})
     _print([rec], args.format)
-    return 0
+    return _reverify_prime_exceptions(query, found, args.bound)
 
 
 _DESCENT_OPS = {
@@ -328,6 +354,7 @@ def _conjecture_17(bound: int) -> tuple[list[ReportRecord], int]:
     records, status = [], 0
     for label, query, want_list, want_max in checks:
         found = prime_exception_scan(query, bound)
+        status |= _reverify_prime_exceptions(query, found, bound)
         if want_list is not None:
             ok = found == want_list
         else:
@@ -479,7 +506,7 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         status = args.fn(args)
-    except (UsageError, ValueError, KeyError) as exc:
+    except (UsageError, ValueError, catalog.UnknownIdentifierError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"elapsed: {time.perf_counter() - start:.3f}s", file=sys.stderr)

@@ -1,10 +1,12 @@
 """Prime sieving and exception scans for n = p + a*x^2 and n = p + a*p_m(x).
 
-The scan marks p + value into a bitmap over [0, B] (outer loop over the
-sparse term values, inner over the prime bitmap), which keeps the
-10^7-scale runs to a couple of seconds.  All outputs are complete up to the
-scanned bound and nothing more: finiteness of the exception sets is a
-conjecture, not an artifact claim.
+A scan eliminates candidates: every n of the universe starts alive, and each
+term value v, smallest first, kills the alive n for which n - v is a prime
+passing the query's filter.  While many n are alive this is one pass over
+the bitmap per value; once few are, the survivors move to an index array and
+each later value costs one gather over them, so the 10^7-scale runs take a
+fraction of a second.  All outputs are complete up to the scanned bound and nothing more:
+finiteness of the exception sets is a conjecture, not an artifact claim.
 """
 
 from __future__ import annotations
@@ -111,22 +113,45 @@ def sieve_primes(bound: int) -> PrimeSieve:
 
 
 def _prime_bits(query: PrimePolyQuery, bound: int) -> np.ndarray:
+    """Bitmap over [0, bound] of the primes that pass the query's filter."""
     bits = sieve_primes(bound).bits
     if query.prime_filter is None:
         return bits
     q, r = query.prime_filter
-    idx = np.arange(bound + 1, dtype=np.int64)
-    return bits & (idx % q == r)
+    kept = np.zeros(bound + 1, dtype=bool)
+    kept[r::q] = bits[r::q]
+    return kept
+
+
+def _prime_divisors(n: int) -> list[int]:
+    found, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            found.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return found + [n] if n > 1 else found
 
 
 def _universe_mask(query: PrimePolyQuery, bound: int) -> np.ndarray:
-    idx = np.arange(bound + 1, dtype=np.int64)
-    mask = idx > 1
+    """Bitmap over [0, bound] of the n >= 2 the query asks about."""
+    mask = np.zeros(bound + 1, dtype=bool)
     if query.universe == "odd":
-        mask &= idx % 2 == 1
-    elif query.universe == "coprime":
-        mask &= np.gcd(idx, query.coefficient) == 1
+        mask[3::2] = True
+    else:
+        mask[2:] = True
+    if query.universe == "coprime":
+        for d in _prime_divisors(query.coefficient):
+            mask[::d] = False
     return mask
+
+
+# The scan leaves whole-bitmap passes for a candidate array once at most
+# 1/_SPARSE_SHARE of [0, bound] is alive.  From there the int64 candidates
+# (a quarter byte per n at 1/32) are fewer bytes than the bool bitmap that
+# each pass would read and write.
+_SPARSE_SHARE = 32
 
 
 def exception_scan(query: PrimePolyQuery, bound: int) -> list[int]:
@@ -134,11 +159,25 @@ def exception_scan(query: PrimePolyQuery, bound: int) -> list[int]:
     n = p + term(x) where p passes the prime filter."""
     if bound < 2:
         raise ValueError("bound must be >= 2")
-    primes = _prime_bits(query, bound)
-    reach = np.zeros(bound + 1, dtype=bool)
-    for v in query.term_values(bound - 2):
-        reach[v:] |= primes[: bound + 1 - v]
-    return np.flatnonzero(_universe_mask(query, bound) & ~reach).tolist()
+    usable = _prime_bits(query, bound)
+    alive = _universe_mask(query, bound)
+    values = query.term_values(bound - 2)
+    rest = len(values)
+    for i, v in enumerate(values):
+        if np.count_nonzero(alive) * _SPARSE_SHARE <= bound + 1:
+            rest = i
+            break
+        # alive[v:] &= ~usable[:...] in place: for booleans a > b is a and not b
+        np.greater(alive[v:], usable[: bound + 1 - v], out=alive[v:])
+    alive = np.flatnonzero(alive)
+    for v in values[rest:]:
+        if not alive.size:
+            break
+        start = int(np.searchsorted(alive, v))
+        reached = usable[alive[start:] - v]
+        if reached.any():
+            alive = np.concatenate((alive[:start], alive[start:][~reached]))
+    return alive.tolist()
 
 
 def max_exception(query: PrimePolyQuery, bound: int) -> int | None:
@@ -149,20 +188,20 @@ def max_exception(query: PrimePolyQuery, bound: int) -> int | None:
 
 def decomposition_witness(query: PrimePolyQuery, n: int,
                           bound: int | None = None) -> tuple[int, int] | None:
-    """A concrete (p, x) with n = p + term(x), or None (exhaustive per n)."""
-    bound = bound if bound is not None else n
+    """A concrete (p, x) with n = p + term(x), or None (exhaustive per n).
+
+    The primes come from sieve_primes(bound), so bound must be at least n.
+    By default it is n rounded up to a power of two (at most
+    MAX_SIEVE_BOUND), so that checks of nearby n share one cached sieve.
+    """
+    if bound is None:
+        bound = max(n, min(1 << (n - 1).bit_length(), MAX_SIEVE_BOUND))
+    if bound < n:
+        raise ValueError(f"sieve bound {bound} below n = {n}")
     sieve = sieve_primes(max(bound, 2))
-    x = 0
-    while True:
-        v = (query.coefficient * x * x if query.shape == "square"
-             else query.coefficient * poly_value(query.order, x))
-        if v > n - 2:
-            return None
+    for x, v in enumerate(query.term_values(n - 2)):
         p = n - v
-        if p in sieve:
-            if query.prime_filter is None:
-                return p, x
-            q, r = query.prime_filter
-            if p % q == r:
-                return p, x
-        x += 1
+        if p in sieve and (query.prime_filter is None
+                           or p % query.prime_filter[0] == query.prime_filter[1]):
+            return p, x
+    return None

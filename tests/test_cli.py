@@ -133,3 +133,32 @@ def test_csv_round_trip(capsys):
     assert rows[0][0] == "kind"
     record = dict(zip(rows[0], rows[1]))
     assert record["result"] == "[31]"
+
+
+def test_unknown_catalog_id_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setitem(cli._CATALOG_FOR_PRESET, "liouville", "no-such-list")
+    status, _ = run(capsys, "screen", "--preset", "liouville")
+    assert status == 2
+
+
+def test_internal_key_error_is_not_usage_error(monkeypatch):
+    def broken(args):
+        return {}["missing"]
+
+    monkeypatch.setattr(cli, "_cmd_descent_check", broken)
+    with pytest.raises(KeyError):
+        cli.main(["descent-check", "--op", "split2n", "--args", "11"])
+
+
+def test_prime_scan_reverify_failure(capsys, monkeypatch):
+    real_scan = cli.prime_exception_scan
+    monkeypatch.setattr(cli, "prime_exception_scan",
+                        lambda query, bound: real_scan(query, bound) + [9999])
+    status = cli.main(["prime-scan", "--a", "2", "--bound", "10000"])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert "kind=prime-scan" in captured.out
+    assert "kind=reverify-failed" in captured.err and "n=9999" in captured.err
+    status = cli.main(["conjecture", "--preset", "1.7", "--bound", "10000"])
+    assert status == 1
+    assert "kind=reverify-failed" in capsys.readouterr().err

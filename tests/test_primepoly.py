@@ -1,7 +1,12 @@
+import math
 import random
+import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from polysum import primepoly
 from polysum.primepoly import (
     PrimePolyQuery,
     decomposition_witness,
@@ -84,3 +89,61 @@ def test_scan_soundness():
 def test_empty_scan():
     query = PrimePolyQuery(6, "square", universe="coprime")
     assert max_exception(query, 100_000) is None
+
+
+_FILTERS = st.none() | st.integers(1, 12).flatmap(
+    lambda q: st.tuples(st.just(q), st.integers(0, q - 1)))
+
+
+@st.composite
+def _queries(draw):
+    coefficient = draw(st.sampled_from([4, 12, 18, 24, 29, 30])
+                       | st.integers(1, 40))
+    order = draw(st.none() | st.integers(3, 8))
+    return PrimePolyQuery(
+        coefficient, "square" if order is None else "polygonal", order,
+        draw(st.sampled_from(["all", "odd", "coprime"])), draw(_FILTERS))
+
+
+def _in_universe(query, n):
+    if query.universe == "odd":
+        return n % 2 == 1
+    if query.universe == "coprime":
+        return math.gcd(n, query.coefficient) == 1
+    return True
+
+
+# The share decides when the scan leaves whole-bitmap passes for a candidate
+# array: 1 switches before the first term value, 2**40 never switches.
+@settings(max_examples=100, deadline=None)
+@given(_queries(), st.integers(2, 3000),
+       st.sampled_from([1, primepoly._SPARSE_SHARE, 1 << 40]))
+def test_scan_equals_witness_sweep(query, bound, share):
+    brute = [n for n in range(2, bound + 1)
+             if _in_universe(query, n)
+             and decomposition_witness(query, n, bound) is None]
+    with mock.patch.object(primepoly, "_SPARSE_SHARE", share):
+        assert exception_scan(query, bound) == brute
+
+
+def test_scan_memory_per_integer():
+    # one int64 index array over [0, bound] alone would be 8 bytes per integer
+    bound = 2_000_000
+    sieve_primes(bound)
+    tracemalloc.start()
+    try:
+        exception_scan(PrimePolyQuery(2, universe="coprime"), bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * bound
+
+
+def test_witness_default_bound_shares_sieve():
+    query = PrimePolyQuery(3, universe="coprime")
+    sieve_primes.cache_clear()
+    for n in range(2, 302):
+        decomposition_witness(query, n)
+    assert sieve_primes.cache_info().misses <= 9  # one per power of two
+    with pytest.raises(ValueError):
+        decomposition_witness(query, 1000, 999)
