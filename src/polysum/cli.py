@@ -2,9 +2,9 @@
 
 Every subcommand prints deterministic, self-describing records to stdout
 (timings go to stderr) so runs are scriptable and diffable.  Exit status:
-0 success, 1 verification mismatch, 2 usage error.  The worker count for
-sieve chunking comes from the POLYSUM_WORKERS environment variable (default:
-available parallelism); record bodies never depend on it.
+0 success, 1 verification mismatch, 2 usage error.  A reported exception
+that fails its independent re-check writes a ``kind=reverify-failed`` record
+to stderr and exits with status 1.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .screening import (
     screen,
     unique_exception_scan,
 )
-from .sumset import exceptions, offset_universal_check
+from .sumset import ReverificationError, exceptions, offset_universal_check
 
 _CATALOG_FOR_PRESET = {
     "liouville": "liouville-7",
@@ -509,6 +509,11 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError, catalog.UnknownIdentifierError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ReverificationError as exc:
+        sys.stderr.write(emit_report([ReportRecord("reverify-failed", {
+            "sum": str(exc.sum), "domain": exc.sum.domain.value,
+            "n": exc.n})], "lines"))
+        return 1
     print(f"elapsed: {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return status
 

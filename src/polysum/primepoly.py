@@ -1,12 +1,11 @@
 """Prime sieving and exception scans for n = p + a*x^2 and n = p + a*p_m(x).
 
-A scan eliminates candidates: every n of the universe starts alive, and each
-term value v, smallest first, kills the alive n for which n - v is a prime
-passing the query's filter.  While many n are alive this is one pass over
-the bitmap per value; once few are, the survivors move to an index array and
-each later value costs one gather over them, so the 10^7-scale runs take a
-fraction of a second.  All outputs are complete up to the scanned bound and nothing more:
-finiteness of the exception sets is a conjecture, not an artifact claim.
+A scan eliminates candidates (``sumset.eliminate``): every n of the universe
+starts alive, and each term value v, smallest first, kills the alive n for
+which n - v is a prime passing the query's filter, so the 10^7-scale runs
+take a fraction of a second.  All outputs are complete up to the scanned
+bound and nothing more: finiteness of the exception sets is a conjecture,
+not an artifact claim.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .polycore import poly_value
+from .sumset import eliminate
 
 _SEGMENT = 1 << 20
 MAX_SIEVE_BOUND = 12_000_000
@@ -147,37 +147,13 @@ def _universe_mask(query: PrimePolyQuery, bound: int) -> np.ndarray:
     return mask
 
 
-# The scan leaves whole-bitmap passes for a candidate array once at most
-# 1/_SPARSE_SHARE of [0, bound] is alive.  From there the int64 candidates
-# (a quarter byte per n at 1/32) are fewer bytes than the bool bitmap that
-# each pass would read and write.
-_SPARSE_SHARE = 32
-
-
 def exception_scan(query: PrimePolyQuery, bound: int) -> list[int]:
     """All n in the universe, 2 <= n <= bound, with no decomposition
     n = p + term(x) where p passes the prime filter."""
     if bound < 2:
         raise ValueError("bound must be >= 2")
-    usable = _prime_bits(query, bound)
-    alive = _universe_mask(query, bound)
-    values = query.term_values(bound - 2)
-    rest = len(values)
-    for i, v in enumerate(values):
-        if np.count_nonzero(alive) * _SPARSE_SHARE <= bound + 1:
-            rest = i
-            break
-        # alive[v:] &= ~usable[:...] in place: for booleans a > b is a and not b
-        np.greater(alive[v:], usable[: bound + 1 - v], out=alive[v:])
-    alive = np.flatnonzero(alive)
-    for v in values[rest:]:
-        if not alive.size:
-            break
-        start = int(np.searchsorted(alive, v))
-        reached = usable[alive[start:] - v]
-        if reached.any():
-            alive = np.concatenate((alive[:start], alive[start:][~reached]))
-    return alive.tolist()
+    return eliminate(_universe_mask(query, bound), _prime_bits(query, bound),
+                     query.term_values(bound - 2)).tolist()
 
 
 def max_exception(query: PrimePolyQuery, bound: int) -> int | None:

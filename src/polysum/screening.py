@@ -28,10 +28,12 @@ stated condition, never against an external table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .polycore import SumDomain, Term, TripleSum, poly_values_upto
-from .sumset import member_with_witness, range_sieve
+from .sumset import eliminate, member_with_witness, range_sieve
 
 DEFAULT_SEARCH_BOUND = 2000
 DEFAULT_SCAN_BOUND = 100_000
@@ -122,29 +124,34 @@ def _assignment_gaps_ok(fixed_sets: list, open_count: int, bound: int,
     return rec(0, fixed_sets)
 
 
-def _parametric_threshold_ok(fixed: Sequence[Term], closed_slots: int,
-                             parametric_orders: Sequence[int], domain: SumDomain,
-                             check_bound: int, threshold: int,
-                             gap_count: int) -> bool:
-    """For every coefficient assignment to the parametric sibling slots the
-    sum of fixed streams and sibling streams misses ``gap_count`` values not
-    above ``threshold`` (so closed slots with coefficient > threshold cannot
-    fill them)."""
-    base = [poly_values_upto(t, domain, check_bound) for t in fixed]
+def _sibling_gaps(fixed: Sequence[Term], sibling_orders: Sequence[int],
+                  domain: SumDomain, bound: int,
+                  gap_count: int) -> list[int] | None:
+    """Over every coefficient assignment (1..bound, or slot absent) to the
+    sibling slots of the given orders, the first ``gap_count`` gaps on
+    [0, bound] of the fixed plus sibling streams whose last gap is largest;
+    None when some assignment leaves fewer gaps."""
+    worst: list[int] = []
 
     def rec(i: int, sets: list) -> bool:
-        if i == len(parametric_orders):
-            found = _gaps_of_sets(sets, check_bound, gap_count)
-            return len(found) == gap_count and found[-1] <= threshold
-        for a in list(range(1, check_bound + 1)) + [None]:
+        nonlocal worst
+        if i == len(sibling_orders):
+            found = _gaps_of_sets(sets, bound, gap_count)
+            if len(found) < gap_count:
+                return False
+            if not worst or found[-1] > worst[-1]:
+                worst = found
+            return True
+        for a in list(range(1, bound + 1)) + [None]:
             extra = ([] if a is None else
-                     [poly_values_upto(Term(a, parametric_orders[i]), domain,
-                                       check_bound)])
+                     [poly_values_upto(Term(a, sibling_orders[i]), domain,
+                                       bound)])
             if not rec(i + 1, sets + extra):
                 return False
         return True
 
-    return rec(0, list(base))
+    base = [poly_values_upto(t, domain, bound) for t in fixed]
+    return worst if rec(0, base) else None
 
 
 def verify_certificate(cert: EliminationCertificate) -> bool:
@@ -180,10 +187,11 @@ def verify_certificate(cert: EliminationCertificate) -> bool:
         return _assignment_gaps_ok(base, cert.open_count, cert.check_bound,
                                    cert.gap_count, cert.coefficient_cap)
     if cert.kind == "parametric-tail":
-        return _parametric_threshold_ok(fixed_terms, cert.open_count,
-                                        cert.parametric_orders, domain,
-                                        cert.check_bound, cert.threshold,
-                                        cert.gap_count)
+        # every sibling assignment leaves its gaps at or below the threshold,
+        # which closed slots with a larger coefficient cannot fill
+        gaps = _sibling_gaps(fixed_terms, cert.parametric_orders, domain,
+                             cert.check_bound, cert.gap_count)
+        return gaps is not None and gaps[-1] <= cert.threshold
     raise ValueError(f"unknown certificate kind {cert.kind!r}")
 
 
@@ -202,16 +210,13 @@ def order_tail_cutoff(fixed_terms: Sequence[Term], third_coefficient: int,
     """
     if third_coefficient < 1:
         raise ValueError("coefficient must be >= 1")
-    pair = range_sieve(fixed_terms, domain, search_bound)
+    pair = range_sieve(fixed_terms, domain, search_bound).bits
     c = third_coefficient
-    found = []
-    for n in range(search_bound + 1):
-        if n in pair or (n >= c and (n - c) in pair):
-            continue
-        found.append(n)
-        if len(found) == gap_count:
-            return found, found[-1] // c + 3
-    return None
+    found = eliminate(~pair, pair, [c] if c <= search_bound else [])
+    found = found[:gap_count].tolist()
+    if len(found) < gap_count:
+        return None
+    return found, found[-1] // c + 3
 
 
 def coefficient_tail_cutoff(fixed_terms: Sequence[Term], domain: SumDomain,
@@ -307,6 +312,15 @@ class ScreenReport:
     eliminations: tuple[EliminationCertificate, ...]
     derived_bounds: dict = field(default_factory=dict, compare=False)
     unique_exceptions: tuple[tuple[tuple[TermKey, ...], int], ...] = ()
+
+    @cached_property
+    def eliminations_by_fixed(self) -> dict[tuple[TermKey, ...],
+                                            list[EliminationCertificate]]:
+        """The certificates keyed by their sorted ``fixed`` multiset."""
+        index: dict = {}
+        for cert in self.eliminations:
+            index.setdefault(tuple(sorted(cert.fixed)), []).append(cert)
+        return index
 
 
 def canonical_triple(terms: Iterable[TermKey]) -> tuple[TermKey, ...]:
@@ -446,32 +460,9 @@ def _close_coefficient_slot(fixed: Sequence[Term], para_orders: list[int],
     """
     limit = 4
     while limit <= search_bound:
-        worst = 0
-        ok = True
-        base = [poly_values_upto(t, domain, limit) for t in fixed]
-
-        def rec(i: int, sets: list) -> None:
-            nonlocal worst, ok
-            if not ok:
-                return
-            if i == len(para_orders):
-                found = _gaps_of_sets(sets, limit, gap_count)
-                if len(found) < gap_count:
-                    ok = False
-                else:
-                    worst = max(worst, found[-1])
-                return
-            for a in list(range(1, limit + 1)) + [None]:
-                extra = ([] if a is None else
-                         [poly_values_upto(Term(a, para_orders[i]), domain, limit)])
-                rec(i + 1, sets + extra)
-
-        rec(0, list(base))
-        if ok:
-            if not para_orders:
-                witnesses = _gaps_of_sets(base, limit, gap_count)
-                return witnesses, witnesses[-1], limit
-            return [worst], worst, limit
+        gaps = _sibling_gaps(fixed, para_orders, domain, limit, gap_count)
+        if gaps is not None:
+            return (gaps if not para_orders else [gaps[-1]]), gaps[-1], limit
         limit *= 2
     return None
 
@@ -688,4 +679,10 @@ def report_covers(report: ScreenReport, triple: Sequence[TermKey]) -> bool:
         return True
     if any(t == triple for t, _ in report.unique_exceptions):
         return True
-    return any(certificate_covers(c, triple) for c in report.eliminations)
+    # a certificate can only cover the triple when its fixed terms are a
+    # sub-multiset of it
+    index = report.eliminations_by_fixed
+    keys = {tuple(sorted(sub)) for size in range(len(triple) + 1)
+            for sub in combinations(triple, size)}
+    return any(certificate_covers(c, triple)
+               for key in keys for c in index.get(key, ()))

@@ -1,18 +1,20 @@
 """Range sieves and membership tests for sums of weighted polygonal terms.
 
-Bitmaps are plain Python ints (bit n = membership of n), so the sieve is a
-sequence of shift-and-or passes: exact, allocation-free, and fast enough
-for bounds up to a few million.  Every exception list is re-verified at
-construction through an independent set-based enumeration; downstream
-elimination certificates rely on that.
+A range sieve builds a numpy bool bitmap over [0, bound] in two steps.  The
+sums of the two longest value streams are scattered into the bitmap in
+chunked outer products.  Each further stream is folded in by candidate
+elimination (``eliminate``): the n not yet reached start alive, and each
+value v kills the alive n with n - v already reached.  Every exception list
+is re-verified at construction through an independent set-based
+enumeration; downstream elimination certificates rely on that.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .polycore import (
     SumDomain,
@@ -24,14 +26,61 @@ from .polycore import (
     term_argument,
 )
 
-WORKERS_ENV = "POLYSUM_WORKERS"
+# Largest bound a range sieve takes; its two bool bitmaps then hold 200 MB.
+MAX_RANGE_BOUND = 100_000_000
+
+# Most pair sums one outer product of the pair step holds (int64, 512 KiB).
+_PAIR_CHUNK = 1 << 16
+
+# Elimination leaves whole-bitmap passes for a candidate array once at most
+# 1/_SPARSE_SHARE of [0, bound] is alive.  From there the int64 candidates
+# (a quarter byte per n at 1/32) are fewer bytes than the bool bitmap that
+# each pass would read and write.  Bitmaps shorter than _DENSE_ONLY_BELOW
+# stay dense and are never counted: there one pass plus its count costs
+# less than the half-dozen numpy calls of one gather.
+_SPARSE_SHARE = 32
+_DENSE_ONLY_BELOW = 1 << 15
 
 
-def default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "")
-    if raw.strip():
-        return max(1, int(raw))
-    return os.cpu_count() or 1
+class ReverificationError(RuntimeError):
+    """A reported exception n turned out to be representable."""
+
+    def __init__(self, sum_: TripleSum, n: int):
+        super().__init__(f"exception re-verification failed: {n} is "
+                         f"representable by {sum_}")
+        self.sum = sum_
+        self.n = n
+
+
+def eliminate(alive: np.ndarray, hit: np.ndarray,
+              values: Sequence[int]) -> np.ndarray:
+    """Sorted int64 indices n of ``alive`` with no v in ``values`` such that
+    hit[n - v] is set.
+
+    ``alive`` and ``hit`` are bool bitmaps of one length; every value lies
+    in [0, len - 1].  ``alive`` is overwritten, and the caller should hold no
+    other reference to it, so that its memory is freed when the scan turns
+    sparse.  While many n are alive, each value costs one pass over the
+    bitmap; once few are, each costs one gather over the survivors.
+    """
+    size = alive.size
+    rest = len(values)
+    for i, v in enumerate(values):
+        if (size >= _DENSE_ONLY_BELOW
+                and np.count_nonzero(alive) * _SPARSE_SHARE <= size):
+            rest = i
+            break
+        # alive[v:] &= ~hit[:...] in place: for booleans a > b is a and not b
+        np.greater(alive[v:], hit[: size - v], out=alive[v:])
+    alive = np.flatnonzero(alive)
+    for v in values[rest:]:
+        if not alive.size:
+            break
+        start = int(np.searchsorted(alive, v))
+        reached = hit[alive[start:] - v]
+        if reached.any():
+            alive = np.concatenate((alive[:start], alive[start:][~reached]))
+    return alive
 
 
 @dataclass(frozen=True)
@@ -39,34 +88,20 @@ class RangeBitset:
     """Membership bitmap of a sumset restricted to [0, bound]."""
 
     bound: int
-    bits: int
+    bits: np.ndarray
 
     def __contains__(self, n: int) -> bool:
-        return 0 <= n <= self.bound and bool((self.bits >> n) & 1)
+        return 0 <= n <= self.bound and bool(self.bits[n])
 
     def count(self) -> int:
-        return self.bits.bit_count()
+        return int(np.count_nonzero(self.bits))
 
     def missing(self) -> list[int]:
         """Sorted positions in [0, bound] with the bit unset."""
-        mask = (1 << (self.bound + 1)) - 1
-        gaps = ~self.bits & mask
-        out = []
-        while gaps:
-            low = gaps & -gaps
-            out.append(low.bit_length() - 1)
-            gaps ^= low
-        return out
+        return np.flatnonzero(~self.bits).tolist()
 
     def first_missing(self, count: int = 1) -> list[int]:
-        mask = (1 << (self.bound + 1)) - 1
-        gaps = ~self.bits & mask
-        out = []
-        while gaps and len(out) < count:
-            low = gaps & -gaps
-            out.append(low.bit_length() - 1)
-            gaps ^= low
-        return out
+        return np.flatnonzero(~self.bits)[:count].tolist()
 
 
 @dataclass(frozen=True)
@@ -79,49 +114,39 @@ class ExceptionReport:
     offsets: tuple[int, ...] = field(default=(0,))
 
 
-def _shift_or(base: int, shifts: Sequence[int], mask: int, workers: int) -> int:
-    """OR of (base << v) over shifts, truncated by mask.
-
-    Chunking the shift list and or-merging chunk results is associative and
-    commutative, so the outcome never depends on the chunk layout.
-    """
-    if workers > 1 and len(shifts) >= 64:
-        chunks = [shifts[i::workers] for i in range(workers)]
-
-        def one(chunk: Sequence[int]) -> int:
-            acc = 0
-            for v in chunk:
-                acc |= base << v
-            return acc & mask
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, chunks))
-        out = 0
-        for part in parts:
-            out |= part
-        return out
-    out = 0
-    for v in shifts:
-        out |= base << v
-    return out & mask
+def _pair_bits(first: Sequence[int], second: Sequence[int],
+               bound: int) -> np.ndarray:
+    """Bitmap over [0, bound] of first + second, one outer product of at
+    most _PAIR_CHUNK sums per chunk of ``second``."""
+    bits = np.zeros(bound + 1, dtype=bool)
+    row = np.asarray(first, dtype=np.int64)
+    step = max(1, _PAIR_CHUNK // row.size)
+    for i in range(0, len(second), step):
+        col = np.asarray(second[i : i + step], dtype=np.int64)
+        # the chunk's smallest value decides which of ``first`` can fit
+        cut = row[: np.searchsorted(row, bound - col[0], side="right")]
+        sums = (col[:, None] + cut).ravel()
+        bits[sums[sums <= bound]] = True
+    return bits
 
 
-def range_sieve(terms: Sequence[Term], domain: SumDomain, bound: int,
-                workers: int | None = None) -> RangeBitset:
+def range_sieve(terms: Sequence[Term], domain: SumDomain,
+                bound: int) -> RangeBitset:
     """Exact membership bitmap of {sum of one value per term} on [0, bound]."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
+    if bound > MAX_RANGE_BOUND:
+        raise ValueError(f"bound {bound} above supported {MAX_RANGE_BOUND}")
     if not 1 <= len(terms) <= 4:
         raise ValueError("range_sieve takes 1..4 terms")
-    workers = workers if workers else default_workers()
-    mask = (1 << (bound + 1)) - 1
     streams = sorted((poly_values_upto(t, domain, bound) for t in terms),
                      key=len, reverse=True)
-    bits = 0
-    for v in streams[0]:
-        bits |= 1 << v
-    for stream in streams[1:]:
-        bits = _shift_or(bits, stream, mask, workers)
+    bits = _pair_bits(streams[0], streams[1] if len(streams) > 1 else [0],
+                      bound)
+    for stream in streams[2:]:
+        survivors = eliminate(~bits, bits, stream)
+        bits.fill(True)
+        bits[survivors] = False
     return RangeBitset(bound, bits)
 
 
@@ -157,14 +182,12 @@ def _verify_non_representable(terms: Sequence[Term], domain: SumDomain,
                 if v > m:
                     break
                 if (m - v) in pair:
-                    raise AssertionError(
-                        f"exception re-verification failed: {n} is representable")
+                    raise ReverificationError(TripleSum(terms, domain), n)
 
 
-def exceptions(sum_: TripleSum, bound: int,
-               workers: int | None = None) -> ExceptionReport:
+def exceptions(sum_: TripleSum, bound: int) -> ExceptionReport:
     """Exact list of non-representable n <= bound, mandatory re-verified."""
-    bitset = range_sieve(sum_.terms, sum_.domain, bound, workers)
+    bitset = range_sieve(sum_.terms, sum_.domain, bound)
     missing = tuple(bitset.missing())
     _verify_non_representable(sum_.terms, sum_.domain, missing)
     return ExceptionReport(sum_, bound, missing)
@@ -209,18 +232,15 @@ def member_with_witness(sum_: TripleSum, n: int) -> Witness | None:
 
 
 def offset_universal_check(terms: Sequence[Term], domain: SumDomain,
-                           offsets: Iterable[int], bound: int,
-                           workers: int | None = None) -> ExceptionReport:
+                           offsets: Iterable[int],
+                           bound: int) -> ExceptionReport:
     """Exceptions of union over r in offsets of (sumset + r) on [0, bound]."""
     offsets = tuple(sorted(set(offsets)))
     if not offsets or min(offsets) < 0:
         raise ValueError("offsets must be a nonempty set of integers >= 0")
-    base = range_sieve(terms, domain, bound, workers)
-    mask = (1 << (bound + 1)) - 1
-    bits = 0
-    for r in offsets:
-        bits |= base.bits << r
-    bitset = RangeBitset(bound, bits & mask)
-    missing = tuple(bitset.missing())
+    base = range_sieve(terms, domain, bound).bits
+    # the offsets are one more value stream over the sumset bitmap
+    missing = tuple(eliminate(np.ones(bound + 1, dtype=bool), base,
+                              [r for r in offsets if r <= bound]).tolist())
     _verify_non_representable(terms, domain, missing, offsets)
     return ExceptionReport(TripleSum(terms, domain), bound, missing, offsets)

@@ -235,7 +235,7 @@ def test_criterion_11_property_suites():
         for k in (5, 12):
             lhs = range_sieve(parse_sum(f"p3+p3+{c}p{k}", N).terms, N, 10_000)
             rhs = range_sieve(parse_sum(f"2p3+p4+{c}p{k}", N).terms, N, 10_000)
-            assert lhs.bits == rhs.bits
+            assert (lhs.bits == rhs.bits).all()
     for n in range(10_001):
         from polysum.polycore import is_generalized_polygonal
         assert (is_generalized_polygonal(6, n) is not None) == \

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from polysum import catalog, cli
+from polysum import catalog, cli, sumset
 
 
 def run(capsys, *argv):
@@ -162,3 +163,23 @@ def test_prime_scan_reverify_failure(capsys, monkeypatch):
     status = cli.main(["conjecture", "--preset", "1.7", "--bound", "10000"])
     assert status == 1
     assert "kind=reverify-failed" in capsys.readouterr().err
+
+
+def test_sum_reverify_failure(capsys, monkeypatch):
+    # a kernel that drops the representable 20 from the sumset of p4+p5+p8
+    real_eliminate = sumset.eliminate
+    monkeypatch.setattr(sumset, "eliminate", lambda alive, hit, values:
+                        np.union1d(real_eliminate(alive, hit, values), [20]))
+    status = cli.main(["except", "--sum", "p4+p5+p8", "--bound", "10000"])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert captured.err.startswith("kind=reverify-failed ")
+    assert "n=20" in captured.err and "sum=p4+p5+p8" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_bound_above_sieve_limit_is_usage_error(capsys):
+    status, out = run(capsys, "except", "--sum", "p4+p5+p8",
+                      "--bound", str(sumset.MAX_RANGE_BOUND + 1))
+    assert status == 2 and out == ""

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polysum import primepoly
+from polysum import sumset
 from polysum.primepoly import (
     PrimePolyQuery,
     decomposition_witness,
@@ -113,16 +113,18 @@ def _in_universe(query, n):
     return True
 
 
-# The share decides when the scan leaves whole-bitmap passes for a candidate
-# array: 1 switches before the first term value, 2**40 never switches.
+# With no dense-only size, the share decides when the scan leaves whole-bitmap
+# passes for a candidate array: 1 switches before the first term value,
+# 2**40 never switches.
 @settings(max_examples=100, deadline=None)
 @given(_queries(), st.integers(2, 3000),
-       st.sampled_from([1, primepoly._SPARSE_SHARE, 1 << 40]))
+       st.sampled_from([1, sumset._SPARSE_SHARE, 1 << 40]))
 def test_scan_equals_witness_sweep(query, bound, share):
     brute = [n for n in range(2, bound + 1)
              if _in_universe(query, n)
              and decomposition_witness(query, n, bound) is None]
-    with mock.patch.object(primepoly, "_SPARSE_SHARE", share):
+    with mock.patch.object(sumset, "_SPARSE_SHARE", share), \
+            mock.patch.object(sumset, "_DENSE_ONLY_BELOW", 0):
         assert exception_scan(query, bound) == brute
 
 

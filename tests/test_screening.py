@@ -1,14 +1,19 @@
+import dataclasses
+
 import pytest
 
 from polysum import catalog
 from polysum.polycore import SumDomain, Term
 from polysum.screening import (
     PRESETS,
+    EliminationCertificate,
     canonical_triple,
+    certificate_covers,
     coefficient_tail_cutoff,
     compare_with_catalog,
     format_triple,
     order_tail_cutoff,
+    report_covers,
     screen,
     unique_exception_scan,
     verify_certificate,
@@ -26,6 +31,9 @@ def test_order_tail_cutoff_examples():
     wit, _ = order_tail_cutoff([Term(1, 3), Term(1, 4)], 1, N)
     assert wit == [34]
     assert order_tail_cutoff([Term(1, 3), Term(1, 3)], 1, N, search_bound=3) is None
+    # a coefficient above the search bound leaves the pair's own gaps
+    assert order_tail_cutoff([Term(1, 3), Term(1, 3)], 5000, N,
+                             gap_count=2) == ([5, 8], 3)
 
 
 def test_coefficient_tail_cutoff_examples():
@@ -154,3 +162,102 @@ def test_space_membership():
     assert space.contains(((1, 3), (1, 3), (2, 5)))
     assert not space.contains(((1, 3), (1, 3), (1, 5)))  # no coefficient > 1
     assert not space.contains(((1, 3), (2, 3), (2, 4)))  # max order < 5
+
+
+@pytest.fixture(scope="module")
+def thm14_report():
+    return screen("thm-1.4")
+
+
+def _thm14_box(q):
+    """Every thm-1.4 triple whose terms all have coefficient * order <= q."""
+    terms = [(a, m) for a in range(1, q // 3 + 1) for m in range(3, q // a + 1)]
+    triples = {canonical_triple((t1, t2, t3)) for t1 in terms for t2 in terms
+               for t3 in terms}
+    return sorted(t for t in triples if PRESETS["thm-1.4"].contains(t))
+
+
+def _covered_linearly(report, triple):
+    return (triple in report.survivors
+            or any(certificate_covers(c, triple) for c in report.eliminations))
+
+
+def test_report_covers_matches_linear_scan(thm14_report):
+    box = _thm14_box(12)
+    assert len(box) == 669
+    for triple in box:
+        assert report_covers(thm14_report, triple) == \
+            _covered_linearly(thm14_report, triple)
+
+
+def test_report_covers_without_the_only_covering_certificate(thm14_report):
+    for triple in _thm14_box(12):
+        covering = [c for c in thm14_report.eliminations
+                    if certificate_covers(c, triple)]
+        if len(covering) == 1 and triple not in thm14_report.survivors:
+            break
+    else:
+        pytest.fail("no box triple is covered by exactly one certificate")
+    assert report_covers(thm14_report, triple)
+    pruned = dataclasses.replace(thm14_report, eliminations=tuple(
+        c for c in thm14_report.eliminations if c is not covering[0]))
+    assert not report_covers(pruned, triple)
+
+
+def _cert(kind, fixed, **fields):
+    return EliminationCertificate(kind=kind, domain=N, fixed=fixed, **fields)
+
+
+def test_certificate_covers_direct():
+    cert = _cert("direct", ((1, 3), (1, 3), (1, 9)), witnesses=(33,))
+    assert certificate_covers(cert, ((1, 9), (1, 3), (1, 3)))
+    assert not certificate_covers(cert, ((1, 3), (1, 3), (2, 9)))
+    assert not certificate_covers(cert, ((1, 3), (1, 9), (1, 9)))
+
+
+def test_certificate_covers_order_tail():
+    cert = _cert("order-tail", ((1, 3), (1, 5)), witnesses=(40,),
+                 open_coefficient=2, threshold=10)
+    assert certificate_covers(cert, ((2, 11), (1, 5), (1, 3)))
+    assert certificate_covers(cert, ((1, 3), (1, 5), (2, 500)))
+    assert not certificate_covers(cert, ((1, 3), (1, 5), (2, 10)))
+    assert not certificate_covers(cert, ((1, 3), (1, 5), (3, 11)))
+    assert not certificate_covers(cert, ((1, 3), (1, 4), (2, 11)))
+
+
+def test_certificate_covers_coefficient_tail():
+    one = _cert("coefficient-tail", ((1, 3), (1, 4)), witnesses=(7,),
+                open_count=1, threshold=7)
+    assert certificate_covers(one, ((1, 3), (1, 4), (8, 5)))
+    assert certificate_covers(one, ((1, 3), (1, 4), (8, 300)))
+    assert not certificate_covers(one, ((1, 3), (1, 4), (7, 5)))
+    two = _cert("coefficient-tail", ((1, 3),), witnesses=(2,), open_count=2,
+                threshold=7)
+    assert certificate_covers(two, ((1, 3), (8, 4), (9, 5)))
+    assert not certificate_covers(two, ((1, 3), (8, 4), (7, 5)))
+
+
+def test_certificate_covers_frontier_tail():
+    free = _cert("frontier-tail", ((1, 3),), open_count=2, threshold=32,
+                 check_bound=31)
+    assert certificate_covers(free, ((1, 3), (1, 32), (2, 16)))
+    assert not certificate_covers(free, ((1, 3), (1, 31), (2, 16)))
+    assert not certificate_covers(free, ((1, 4), (1, 32), (2, 16)))
+    capped = dataclasses.replace(free, coefficient_cap=1)
+    assert certificate_covers(capped, ((1, 3), (1, 32), (1, 40)))
+    assert not certificate_covers(capped, ((1, 3), (1, 32), (2, 16)))
+    level0 = _cert("frontier-tail", (), open_count=3, threshold=9,
+                   check_bound=8)
+    assert certificate_covers(level0, ((3, 3), (2, 5), (1, 9)))
+    assert not certificate_covers(level0, ((3, 3), (2, 4), (1, 9)))
+
+
+def test_certificate_covers_parametric_tail():
+    cert = _cert("parametric-tail", ((1, 3),), witnesses=(10,), open_count=1,
+                 threshold=10, parametric_orders=(4,))
+    assert certificate_covers(cert, ((1, 3), (5, 4), (11, 3)))
+    # either order-4 term may fill the sibling slot
+    assert certificate_covers(cert, ((1, 3), (11, 4), (5, 4)))
+    assert not certificate_covers(cert, ((1, 3), (5, 4), (10, 3)))
+    assert not certificate_covers(cert, ((1, 3), (5, 5), (11, 3)))
+    assert not certificate_covers(cert, ((1, 4), (5, 4), (11, 3)))

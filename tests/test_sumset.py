@@ -1,9 +1,16 @@
 import random
+import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from polysum.polycore import SumDomain, parse_sum
+from polysum import sumset
+from polysum.polycore import SumDomain, Term, parse_sum, poly_value
 from polysum.sumset import (
+    MAX_RANGE_BOUND,
+    ReverificationError,
+    _verify_non_representable,
     exceptions,
     member_with_witness,
     offset_universal_check,
@@ -93,7 +100,7 @@ def test_domain_monotonicity():
     for text in ["p3+p5+p7", "p5+2p5+4p5", "p3+p4+p17"]:
         nat = range_sieve(terms(text), N, 3000)
         integ = range_sieve(terms(text), Z, 3000)
-        assert nat.bits & ~integ.bits == 0
+        assert not (nat.bits & ~integ.bits).any()
 
 
 def test_pair_identity_sumsets_match():
@@ -108,4 +115,81 @@ def test_pair_identity_sumsets_match():
 def test_hexagonal_triangular_sumset_over_z():
     lhs = range_sieve(terms("p6+p6+p6"), Z, 10_000)
     rhs = range_sieve(terms("p3+p3+p3"), Z, 10_000)
-    assert lhs.bits == rhs.bits
+    assert (lhs.bits == rhs.bits).all()
+
+
+def _brute_sumset(terms_, domain, bound):
+    """Set sumset of the terms' values over [0, bound], argument by argument."""
+    sums = {0}
+    for t in terms_:
+        values = set()
+        for sign in ((1, -1) if domain is Z else (1,)):
+            x = 0
+            while (v := t.coefficient * poly_value(t.order, sign * x)) <= bound:
+                values.add(v)
+                x += 1
+        sums = {s + v for s in sums for v in values if s + v <= bound}
+    return sums
+
+
+_TERMS = st.lists(st.builds(Term, st.integers(1, 30), st.integers(3, 40)),
+                  min_size=1, max_size=4)
+
+
+# With no dense-only size, the share decides when elimination leaves
+# whole-bitmap passes for a candidate array: 1 switches before the first
+# value, 2**40 never switches.
+# A pair chunk of 1 sum scatters one row per value.
+@settings(max_examples=100, deadline=None)
+@given(_TERMS, st.sampled_from([N, Z]), st.integers(0, 3000),
+       st.sets(st.integers(0, 40) | st.integers(0, 3500), min_size=1,
+               max_size=4),
+       st.sampled_from([1, sumset._SPARSE_SHARE, 1 << 40]),
+       st.sampled_from([1, 64, sumset._PAIR_CHUNK]))
+def test_kernel_equals_brute_sumset(terms_, domain, bound, offsets, share,
+                                    chunk):
+    sums = _brute_sumset(terms_, domain, bound)
+    missing = [n for n in range(bound + 1) if n not in sums]
+    offset_missing = tuple(n for n in range(bound + 1)
+                           if all(n - r not in sums for r in offsets))
+    with mock.patch.object(sumset, "_SPARSE_SHARE", share), \
+            mock.patch.object(sumset, "_DENSE_ONLY_BELOW", 0), \
+            mock.patch.object(sumset, "_PAIR_CHUNK", chunk):
+        bits = range_sieve(terms_, domain, bound)
+        report = offset_universal_check(terms_, domain, offsets, bound)
+    assert bits.bits.shape == (bound + 1,)
+    assert bits.missing() == missing
+    assert bits.first_missing(2) == missing[:2]
+    assert bits.count() == len(sums)
+    assert report.exceptions == offset_missing
+
+
+def test_sieve_memory_per_integer():
+    # an unchunked p3 x p4 outer product alone would be 11 bytes per integer
+    bound = 2_000_000
+    sum_ = parse_sum("p3+p4+p5", N)
+    tracemalloc.start()
+    try:
+        range_sieve(sum_.terms, N, bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * bound
+
+
+def test_bound_above_limit_is_refused_before_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="above supported"):
+            range_sieve(terms("p4+p5+p8"), N, MAX_RANGE_BOUND + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_reverification_error_carries_n():
+    with pytest.raises(ReverificationError) as exc:
+        _verify_non_representable(terms("p4+p5+p8"), N, [19, 20])
+    assert exc.value.n == 20
+    assert str(exc.value.sum) == "p4+p5+p8"
