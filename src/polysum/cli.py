@@ -27,6 +27,7 @@ from .qform import (
     DiagonalTernaryForm,
     canonical_reduction,
     qf_exception_set,
+    qf_represents,
     verify_catalog_form,
     verify_reduction,
 )
@@ -156,10 +157,17 @@ def _parse_form(text: str) -> DiagonalTernaryForm:
 def _cmd_qform_except(args) -> int:
     form = _parse_form(args.form)
     found = qf_exception_set(form, args.bound)
+    listed = found[: args.limit]
+    # each listed exception is re-checked by the exhaustive per-n search
+    failed = [ReportRecord("reverify-failed", {
+        "form": str(form), "bound": args.bound, "n": n})
+        for n in listed if qf_represents(form, n) is not None]
+    if failed:
+        sys.stderr.write(emit_report(failed, "lines"))
+        return 1
     rec = ReportRecord("qform-except", {
         "form": str(form), "bound": args.bound, "count": len(found),
-        "result": found if len(found) <= args.limit else found[: args.limit],
-        "truncated": len(found) > args.limit})
+        "result": listed, "truncated": len(found) > args.limit})
     _print([rec], args.format)
     return 0
 

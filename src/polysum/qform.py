@@ -1,10 +1,14 @@
 """Diagonal ternary quadratic forms with per-variable congruence conditions.
 
 Exception sets are computed by explicit value-grid sieves (numpy), never by
-local or genus reasoning; geometric-arithmetic family sets give the closed
-descriptions they are compared against.  The reduction machinery converts
-polygonal sums into arithmetic progressions represented by a conditioned
-form, via the square completion of each term.
+local or genus reasoning.  The sums of the two sparsest variables are
+scattered into a bool bitmap in chunks; the third variable is folded in by a
+bit-packed shift-or, one pass over top/8 bytes per value.  A value grid
+refuses a top above ``sumset.MAX_RANGE_BOUND`` before allocating.
+Geometric-arithmetic family sets give the closed descriptions the sieves are
+compared against, as bitmaps built from strided slices.  The reduction
+machinery converts polygonal sums into arithmetic progressions represented
+by a conditioned form, via the square completion of each term.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .polycore import SumDomain, TripleSum, square_completion
-from .sumset import range_sieve
+from .sumset import MAX_RANGE_BOUND, _pair_bits, range_sieve
 
 
 class ConstructionCheckError(AssertionError):
@@ -103,23 +107,7 @@ class Family:
             m //= self.ratio
 
     def members_upto(self, bound: int) -> list[int]:
-        out = []
-        if self.residue == 0 and bound >= 0:
-            out.append(0)
-        base = self.scale
-        while base <= bound:
-            l = 0
-            while True:
-                v = base * (self.modulus * l + self.residue)
-                if v > bound:
-                    break
-                if v:
-                    out.append(v)
-                l += 1
-            if self.ratio == 1:
-                break
-            base *= self.ratio
-        return sorted(set(out))
+        return FamilySet((self,)).members_upto(bound)
 
 
 @dataclass(frozen=True)
@@ -129,11 +117,23 @@ class FamilySet:
     def contains(self, n: int) -> bool:
         return any(f.contains(n) for f in self.families)
 
-    def members_upto(self, bound: int) -> list[int]:
-        out: set[int] = set()
+    def bitmap(self, bound: int) -> np.ndarray:
+        """Bool bitmap over [0, bound] of the members of any family: one
+        strided slice per family and per power of its ratio."""
+        bits = np.zeros(max(bound + 1, 0), dtype=bool)
         for f in self.families:
-            out.update(f.members_upto(bound))
-        return sorted(out)
+            if f.residue == 0 and bound >= 0:
+                bits[0] = True  # k = l = 0, also when scale > bound
+            base = f.scale
+            while base <= bound:
+                bits[base * f.residue :: base * f.modulus] = True
+                if f.ratio == 1:
+                    break
+                base *= f.ratio
+        return bits
+
+    def members_upto(self, bound: int) -> list[int]:
+        return np.flatnonzero(self.bitmap(bound)).tolist()
 
 
 @dataclass(frozen=True)
@@ -166,19 +166,43 @@ def _variable_values(coef: int, cond: CongruenceCondition | None,
     return np.unique(vals[vals <= top])
 
 
+def _check_top(top: int) -> None:
+    """Refuse a value grid over [0, top] before anything is allocated."""
+    if top < 0:
+        raise ValueError("bound must be >= 0")
+    if top > MAX_RANGE_BOUND:
+        raise ValueError(f"form value grid top {top} above supported "
+                         f"{MAX_RANGE_BOUND}")
+
+
 def _reachable(form: DiagonalTernaryForm, top: int) -> np.ndarray:
-    """Boolean bitmap over [0, top] of values represented by the form."""
+    """Boolean bitmap over [0, top] of values represented by the form.
+
+    The pair sums of the two largest coefficients go into a bool bitmap,
+    which is then packed eight values to a byte (little bit order).  Each
+    third value v ORs that packed bitmap, shifted up by v % 8 bits, into a
+    packed accumulator at byte offset v // 8; the shift is made once per
+    residue, so every pass is a plain byte-aligned OR over top/8 bytes.
+    """
+    _check_top(top)
     order = sorted(range(3), key=lambda i: -form.coefficients[i])
     s = [_variable_values(form.coefficients[i], form.conditions[i], top)
          for i in order]
-    pair = (s[0][:, None] + s[1][None, :]).ravel()
-    pair = pair[pair <= top]
-    bitmap = np.zeros(top + 1, dtype=bool)
-    bitmap[pair] = True
-    out = np.zeros(top + 1, dtype=bool)
-    for v in s[2].tolist():
-        out[v:] |= bitmap[: top + 1 - v]
-    return out
+    if min(v.size for v in s) == 0:
+        return np.zeros(top + 1, dtype=bool)
+    packed = np.packbits(_pair_bits(s[1], s[0], top), bitorder="little")
+    size = packed.size
+    acc = np.zeros(size, dtype=np.uint8)
+    third = s[2]
+    for r in np.unique(third % 8).tolist():
+        shifted = packed
+        if r:
+            # in little bit order the top r bits of a byte move to the next
+            shifted = packed << r
+            shifted[1:] |= packed[:-1] >> (8 - r)
+        for q in (third[third % 8 == r] // 8).tolist():
+            acc[q:] |= shifted[: size - q]
+    return np.unpackbits(acc, count=top + 1, bitorder="little").view(bool)
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +244,7 @@ def qf_represents(form: DiagonalTernaryForm, n: int) -> tuple[int, int, int] | N
 
 def qf_exception_set(form: DiagonalTernaryForm, bound: int) -> list[int]:
     """Exact list of n <= bound not represented by the form."""
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
     return np.flatnonzero(~_reachable(form, bound)).tolist()
-
-
-def family_enumerate(families: FamilySet, bound: int) -> list[int]:
-    return families.members_upto(bound)
-
-
-def family_contains(families: FamilySet, n: int) -> bool:
-    return families.contains(n)
 
 
 def verify_catalog_form(form: DiagonalTernaryForm, families: FamilySet,
@@ -239,10 +253,11 @@ def verify_catalog_form(form: DiagonalTernaryForm, families: FamilySet,
 
     Returns (equal, sieve-only, family-only).
     """
-    sieved = qf_exception_set(form, bound)
-    listed = families.members_upto(bound)
-    s, t = set(sieved), set(listed)
-    return s == t, sorted(s - t), sorted(t - s)
+    missed = ~_reachable(form, bound)
+    listed = families.bitmap(bound)
+    sieve_only = np.flatnonzero(missed & ~listed).tolist()
+    family_only = np.flatnonzero(listed & ~missed).tolist()
+    return not sieve_only and not family_only, sieve_only, family_only
 
 
 def three_square_excluded(n: int) -> bool:
@@ -306,16 +321,23 @@ def _progression_bitmap(form: DiagonalTernaryForm, multiplier: int,
                         constant: int, bound: int) -> np.ndarray:
     """bitmap[n] = (multiplier*n + constant is represented by the form)."""
     top = multiplier * bound + constant
+    _check_top(top)
     idx = sorted(range(3), key=lambda i: -form.coefficients[i])
     s = [_variable_values(form.coefficients[i], form.conditions[i], top)
          for i in idx]
     pair = (s[0][:, None] + s[1][None, :]).ravel()
     pair = pair[pair <= top]
     out = np.zeros(bound + 1, dtype=bool)
+    # pair sums bucketed by residue: each third value w takes the bucket
+    # (constant - w) % multiplier as one slice
     residues = pair % multiplier
-    for w in s[2].tolist():
-        need = (constant - w) % multiplier
-        hits = pair[residues == need]
+    by_residue = np.argsort(residues, kind="stable")
+    pair, residues = pair[by_residue], residues[by_residue]
+    needs = (constant - s[2]) % multiplier
+    starts = np.searchsorted(residues, needs, side="left").tolist()
+    ends = np.searchsorted(residues, needs, side="right").tolist()
+    for w, lo, hi in zip(s[2].tolist(), starts, ends):
+        hits = pair[lo:hi]
         ns = (hits + (w - constant)) // multiplier
         ns = ns[(ns >= 0) & (ns <= bound)]
         out[ns] = True
@@ -325,11 +347,9 @@ def _progression_bitmap(form: DiagonalTernaryForm, multiplier: int,
 def verify_reduction(entry: ReductionEntry, bound: int
                      ) -> tuple[bool, int | None]:
     """Check both directions of the equivalence for all n <= bound."""
-    sums = range_sieve(entry.source.terms, entry.source.domain, bound)
-    left = np.ones(bound + 1, dtype=bool)
-    left[sums.missing()] = False
     right = _progression_bitmap(entry.form, entry.multiplier, entry.constant,
                                 bound)
+    left = range_sieve(entry.source.terms, entry.source.domain, bound).bits
     diff = np.flatnonzero(left != right)
     if len(diff) == 0:
         return True, None

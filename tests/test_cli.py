@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polysum import catalog, cli, sumset
+from polysum import catalog, cli, qform, sumset
 
 
 def run(capsys, *argv):
@@ -182,4 +182,30 @@ def test_sum_reverify_failure(capsys, monkeypatch):
 def test_bound_above_sieve_limit_is_usage_error(capsys):
     status, out = run(capsys, "except", "--sum", "p4+p5+p8",
                       "--bound", str(sumset.MAX_RANGE_BOUND + 1))
+    assert status == 2 and out == ""
+
+
+def test_qform_except_reverify_failure(capsys, monkeypatch):
+    # a value grid that drops the representable 3 = 1 + 1 + 1
+    real_reachable = qform._reachable
+
+    def dropped(form, top):
+        bits = real_reachable(form, top)
+        bits[3] = False
+        return bits
+
+    monkeypatch.setattr(qform, "_reachable", dropped)
+    status = cli.main(["qform-except", "--form", "1,1,1", "--bound", "1000"])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert captured.err.startswith("kind=reverify-failed ")
+    assert "n=3" in captured.err and "form=1,1,1" in captured.err
+    assert "bound=1000" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_qform_bound_above_grid_limit_is_usage_error(capsys):
+    status, out = run(capsys, "qform-except", "--form", "1,1,1",
+                      "--bound", "1000000000")
     assert status == 2 and out == ""

@@ -1,6 +1,12 @@
-import pytest
+import tracemalloc
+from math import isqrt
+from unittest import mock
 
-from polysum import catalog
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from polysum import catalog, sumset
 from polysum.polycore import SumDomain, parse_sum
 from polysum.qform import (
     CongruenceCondition,
@@ -8,9 +14,9 @@ from polysum.qform import (
     Family,
     FamilySet,
     ReductionEntry,
+    _progression_bitmap,
+    _reachable,
     canonical_reduction,
-    family_contains,
-    family_enumerate,
     mapped_exception_scan,
     qf_exception_set,
     qf_represents,
@@ -53,18 +59,140 @@ def test_qf_exception_set(coeffs, bound, expected):
 
 def test_family_examples():
     fam = FamilySet((Family(1, 9, 3, 2),))
-    assert family_enumerate(fam, 30) == [2, 5, 8, 11, 14, 17, 18, 20, 23, 26, 29]
+    assert fam.members_upto(30) == [2, 5, 8, 11, 14, 17, 18, 20, 23, 26, 29]
     gauss = FamilySet((Family(1, 4, 8, 7),))
-    assert family_contains(gauss, 28)
-    assert not family_contains(gauss, 24)
-    assert not family_contains(FamilySet(()), 7)
+    assert gauss.contains(28)
+    assert not gauss.contains(24)
+    assert not FamilySet(()).contains(7)
 
 
 def test_family_enumerate_matches_contains():
     fam = FamilySet((Family(1, 4, 16, 10), Family(1, 1, 3, 2)))
-    members = set(family_enumerate(fam, 500))
+    members = set(fam.members_upto(500))
     for n in range(501):
-        assert (n in members) == family_contains(fam, n)
+        assert (n in members) == fam.contains(n)
+
+
+_FAMILY = st.integers(1, 40).flatmap(lambda modulus: st.builds(
+    Family, st.integers(1, 60), st.sampled_from([1, 4, 9, 16, 25]),
+    st.just(modulus), st.integers(0, modulus - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_FAMILY, max_size=3), st.integers(0, 3000))
+def test_family_bitmap_equals_contains(families, bound):
+    fam = FamilySet(tuple(families))
+    bits = fam.bitmap(bound)
+    assert bits.shape == (bound + 1,)
+    assert bits.tolist() == [fam.contains(n) for n in range(bound + 1)]
+    for f in families:
+        assert f.members_upto(bound) == [
+            n for n in range(bound + 1) if f.contains(n)]
+
+
+@pytest.mark.parametrize("family,bound,expected", [
+    (Family(7, 4, 3, 0), 6, [0]),        # scale above the bound, residue 0
+    (Family(7, 4, 3, 1), 6, []),         # scale above the bound
+    (Family(1, 25, 5, 0), 0, [0]),       # bound 0
+    (Family(3, 1, 5, 2), 0, []),
+    (Family(2, 9, 3, 0), 20, [0, 6, 12, 18]),
+    (Family(1, 16, 16, 14), 300, [14, 30, 46, 62, 78, 94, 110, 126, 142, 158,
+                                  174, 190, 206, 222, 224, 238, 254, 270,
+                                  286]),
+])
+def test_family_members_edge_cases(family, bound, expected):
+    assert family.members_upto(bound) == expected
+    assert FamilySet((family,)).members_upto(bound) == expected
+    assert expected == [n for n in range(bound + 1) if family.contains(n)]
+
+
+def _brute_values(coef, cond, top):
+    r = isqrt(top // coef)
+    ys = range(0, r + 1) if cond is None else \
+        [y for y in range(-r, r + 1) if cond.allows(y)]
+    return {coef * y * y for y in ys}
+
+
+def _brute_reachable(form, top):
+    first, second, third = (_brute_values(c, cond, top) for c, cond in
+                            zip(form.coefficients, form.conditions))
+    pairs = {a + b for a in first for b in second if a + b <= top}
+    return sorted({p + c for p in pairs for c in third if p + c <= top})
+
+
+@st.composite
+def _conditions(draw):
+    if draw(st.booleans()):
+        return None
+    modulus = draw(st.integers(1, 9))
+    residues = draw(st.sets(st.integers(0, modulus - 1), max_size=modulus))
+    if draw(st.booleans()):
+        # symmetric, as over Z: residues closed under negation
+        residues |= {-r % modulus for r in residues}
+        return CongruenceCondition(modulus, tuple(sorted(residues)))
+    return CongruenceCondition(modulus, tuple(sorted(residues)),
+                               lower=draw(st.integers(-60, 5)))
+
+
+# The third value is the one with the smallest coefficient; across
+# coefficients 1-30 its values fall in every residue class mod 8, and the
+# tops in every class too.  A pair chunk of 1 sum scatters one row per value.
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(*[st.integers(1, 30)] * 3), st.tuples(*[_conditions()] * 3),
+       st.integers(0, 3000), st.sampled_from([1, 64, sumset._PAIR_CHUNK]))
+def test_reachable_equals_brute_sumset(coeffs, conds, top, chunk):
+    form = DiagonalTernaryForm(coeffs, conds)
+    with mock.patch.object(sumset, "_PAIR_CHUNK", chunk):
+        bits = _reachable(form, top)
+    assert bits.dtype == bool and bits.shape == (top + 1,)
+    assert np.flatnonzero(bits).tolist() == _brute_reachable(form, top)
+
+
+def test_reachable_every_shift_and_top_residue():
+    shifts = set()
+    for c in range(1, 8):
+        form = DiagonalTernaryForm((30, 17, c))
+        shifts |= {c * y * y % 8 for y in range(8)}
+        for top in range(1200, 1208):
+            assert np.flatnonzero(_reachable(form, top)).tolist() == \
+                _brute_reachable(form, top), (c, top)
+    assert shifts == set(range(8))
+
+
+def test_reachable_memory_per_integer():
+    # the packed accumulator and shifted copy are top/8 bytes each; the bool
+    # pair bitmap and the unpacked result are never held together
+    top = 2_000_000
+    tracemalloc.start()
+    try:
+        _reachable(DiagonalTernaryForm((1, 1, 1)), top)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * top
+
+
+def test_value_grid_above_limit_is_refused_before_allocation():
+    form = DiagonalTernaryForm((1, 1, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="above supported"):
+            _reachable(form, sumset.MAX_RANGE_BOUND + 1)
+        with pytest.raises(ValueError, match="above supported"):
+            _progression_bitmap(form, 8880, 3,
+                                sumset.MAX_RANGE_BOUND // 8880 + 1)
+        with pytest.raises(ValueError, match="above supported"):
+            qf_exception_set(form, 10 ** 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_default_reduction_bound_fits_the_value_grid():
+    for _, entry in catalog.explicit_reductions():
+        assert entry.multiplier * 10_000 + entry.constant <= \
+            sumset.MAX_RANGE_BOUND, entry.source
 
 
 def test_catalog_forms_at_small_bound():
