@@ -3,8 +3,10 @@
 Exception sets are computed by explicit value-grid sieves (numpy), never by
 local or genus reasoning.  The sums of the two sparsest variables are
 scattered into a bool bitmap in chunks; the third variable is folded in by a
-bit-packed shift-or, one pass over top/8 bytes per value.  A value grid
-refuses a top above ``sumset.MAX_RANGE_BOUND`` before allocating.
+bit-packed shift-or, one pass over top/8 bytes per value.  A bitmap over
+[0, top] is refused before allocating when top exceeds
+``sumset.MAX_RANGE_BOUND``, and so is a progression's int64 pair grid of
+more than ``_MAX_PAIR_CELLS`` sums.
 Geometric-arithmetic family sets give the closed descriptions the sieves are
 compared against, as bitmaps built from strided slices.  The reduction
 machinery converts polygonal sums into arithmetic progressions represented
@@ -20,7 +22,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .polycore import SumDomain, TripleSum, square_completion
-from .sumset import MAX_RANGE_BOUND, _pair_bits, range_sieve
+from .sumset import MAX_RANGE_BOUND, _pair_bits, check_bound, range_sieve
+
+# Most sums the int64 pair grid of a progression may hold: as many bytes as
+# the largest supported bitmap.
+_MAX_PAIR_CELLS = MAX_RANGE_BOUND // 8
 
 
 class ConstructionCheckError(AssertionError):
@@ -106,9 +112,6 @@ class Family:
                 return False
             m //= self.ratio
 
-    def members_upto(self, bound: int) -> list[int]:
-        return FamilySet((self,)).members_upto(bound)
-
 
 @dataclass(frozen=True)
 class FamilySet:
@@ -131,9 +134,6 @@ class FamilySet:
                     break
                 base *= f.ratio
         return bits
-
-    def members_upto(self, bound: int) -> list[int]:
-        return np.flatnonzero(self.bitmap(bound)).tolist()
 
 
 @dataclass(frozen=True)
@@ -166,15 +166,6 @@ def _variable_values(coef: int, cond: CongruenceCondition | None,
     return np.unique(vals[vals <= top])
 
 
-def _check_top(top: int) -> None:
-    """Refuse a value grid over [0, top] before anything is allocated."""
-    if top < 0:
-        raise ValueError("bound must be >= 0")
-    if top > MAX_RANGE_BOUND:
-        raise ValueError(f"form value grid top {top} above supported "
-                         f"{MAX_RANGE_BOUND}")
-
-
 def _reachable(form: DiagonalTernaryForm, top: int) -> np.ndarray:
     """Boolean bitmap over [0, top] of values represented by the form.
 
@@ -184,7 +175,7 @@ def _reachable(form: DiagonalTernaryForm, top: int) -> np.ndarray:
     packed accumulator at byte offset v // 8; the shift is made once per
     residue, so every pass is a plain byte-aligned OR over top/8 bytes.
     """
-    _check_top(top)
+    check_bound(top)
     order = sorted(range(3), key=lambda i: -form.coefficients[i])
     s = [_variable_values(form.coefficients[i], form.conditions[i], top)
          for i in order]
@@ -245,6 +236,34 @@ def qf_represents(form: DiagonalTernaryForm, n: int) -> tuple[int, int, int] | N
 def qf_exception_set(form: DiagonalTernaryForm, bound: int) -> list[int]:
     """Exact list of n <= bound not represented by the form."""
     return np.flatnonzero(~_reachable(form, bound)).tolist()
+
+
+def represented_among(form: DiagonalTernaryForm, ns: Iterable[int]
+                      ) -> list[int]:
+    """The n in ns that the form represents, sorted.
+
+    Independent of ``_reachable``: the values of the two smaller
+    coefficients are scattered row by row into a bool bitmap up to max(ns),
+    and the values of the largest are walked one by one, each testing every
+    n at once, so each n costs one lookup per value up to n.
+    """
+    ns = np.unique(np.asarray(list(ns), dtype=np.int64))
+    if ns.size == 0:
+        return []
+    top = int(ns[-1])
+    check_bound(top)
+    idx = sorted(range(3), key=lambda i: -form.coefficients[i])
+    walked, rows, cols = (
+        _variable_values(form.coefficients[i], form.conditions[i], top)
+        for i in idx)
+    pair = np.zeros(top + 1, dtype=bool)
+    for v in rows.tolist():
+        pair[v + cols[: np.searchsorted(cols, top - v, side="right")]] = True
+    hit = np.zeros(ns.size, dtype=bool)
+    for w in walked.tolist():
+        lo = int(np.searchsorted(ns, w))
+        hit[lo:] |= pair[ns[lo:] - w]
+    return ns[hit].tolist()
 
 
 def verify_catalog_form(form: DiagonalTernaryForm, families: FamilySet,
@@ -320,19 +339,23 @@ def canonical_reduction(sum_: TripleSum, check_bound: int = 500) -> ReductionEnt
 def _progression_bitmap(form: DiagonalTernaryForm, multiplier: int,
                         constant: int, bound: int) -> np.ndarray:
     """bitmap[n] = (multiplier*n + constant is represented by the form)."""
+    check_bound(bound)
     top = multiplier * bound + constant
-    _check_top(top)
     idx = sorted(range(3), key=lambda i: -form.coefficients[i])
     s = [_variable_values(form.coefficients[i], form.conditions[i], top)
          for i in idx]
+    cells = s[0].size * s[1].size
+    if cells > _MAX_PAIR_CELLS:
+        raise ValueError(f"pair grid of {cells} sums above supported "
+                         f"{_MAX_PAIR_CELLS}")
     pair = (s[0][:, None] + s[1][None, :]).ravel()
     pair = pair[pair <= top]
-    out = np.zeros(bound + 1, dtype=bool)
     # pair sums bucketed by residue: each third value w takes the bucket
-    # (constant - w) % multiplier as one slice
+    # (constant - w) % multiplier as one slice.  Order within a bucket does
+    # not matter; the stable sort is only faster on these many-duplicate keys
+    pair = pair[np.argsort(pair % multiplier, kind="stable")]
     residues = pair % multiplier
-    by_residue = np.argsort(residues, kind="stable")
-    pair, residues = pair[by_residue], residues[by_residue]
+    out = np.zeros(bound + 1, dtype=bool)
     needs = (constant - s[2]) % multiplier
     starts = np.searchsorted(residues, needs, side="left").tolist()
     ends = np.searchsorted(residues, needs, side="right").tolist()

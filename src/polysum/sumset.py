@@ -114,6 +114,14 @@ class ExceptionReport:
     offsets: tuple[int, ...] = field(default=(0,))
 
 
+def check_bound(bound: int) -> None:
+    """Refuse a bitmap over [0, bound] before anything is allocated."""
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    if bound > MAX_RANGE_BOUND:
+        raise ValueError(f"bound {bound} above supported {MAX_RANGE_BOUND}")
+
+
 def _pair_bits(first: Sequence[int], second: Sequence[int],
                bound: int) -> np.ndarray:
     """Bitmap over [0, bound] of first + second, one outer product of at
@@ -133,10 +141,7 @@ def _pair_bits(first: Sequence[int], second: Sequence[int],
 def range_sieve(terms: Sequence[Term], domain: SumDomain,
                 bound: int) -> RangeBitset:
     """Exact membership bitmap of {sum of one value per term} on [0, bound]."""
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    if bound > MAX_RANGE_BOUND:
-        raise ValueError(f"bound {bound} above supported {MAX_RANGE_BOUND}")
+    check_bound(bound)
     if not 1 <= len(terms) <= 4:
         raise ValueError("range_sieve takes 1..4 terms")
     streams = sorted((poly_values_upto(t, domain, bound) for t in terms),

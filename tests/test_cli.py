@@ -205,6 +205,24 @@ def test_qform_except_reverify_failure(capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+def test_qform_except_rechecks_a_large_limit(capsys):
+    status, out = run(capsys, "qform-except", "--form", "1,1,1",
+                      "--bound", "100000", "--limit", "1000000")
+    assert status == 0 and "truncated=false" in out and "count=16664 " in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-reduction", "--sum", "p11+p13+p19", "--domain", "Z"],
+    ["reduce", "--sum", "p31+p33+p39"],
+])
+def test_large_multiplier_reductions_run(capsys, argv):
+    # multipliers 13464 and 266104 put multiplier*bound + constant above
+    # the bitmap limit, but only bound + 1 bools and small pair grids are
+    # allocated
+    status, out = run(capsys, *argv)
+    assert status == 0 and "holds=false" not in out
+
+
 def test_qform_bound_above_grid_limit_is_usage_error(capsys):
     status, out = run(capsys, "qform-except", "--form", "1,1,1",
                       "--bound", "1000000000")

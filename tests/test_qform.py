@@ -20,6 +20,7 @@ from polysum.qform import (
     mapped_exception_scan,
     qf_exception_set,
     qf_represents,
+    represented_among,
     rep_count_constrained,
     three_square_excluded,
     verify_catalog_form,
@@ -27,6 +28,10 @@ from polysum.qform import (
 )
 
 N, Z = SumDomain.NATURALS, SumDomain.INTEGERS
+
+
+def _members(families, bound):
+    return np.flatnonzero(FamilySet(tuple(families)).bitmap(bound)).tolist()
 
 
 def test_qf_represents_examples():
@@ -59,7 +64,7 @@ def test_qf_exception_set(coeffs, bound, expected):
 
 def test_family_examples():
     fam = FamilySet((Family(1, 9, 3, 2),))
-    assert fam.members_upto(30) == [2, 5, 8, 11, 14, 17, 18, 20, 23, 26, 29]
+    assert _members(fam.families, 30) == [2, 5, 8, 11, 14, 17, 18, 20, 23, 26, 29]
     gauss = FamilySet((Family(1, 4, 8, 7),))
     assert gauss.contains(28)
     assert not gauss.contains(24)
@@ -68,7 +73,7 @@ def test_family_examples():
 
 def test_family_enumerate_matches_contains():
     fam = FamilySet((Family(1, 4, 16, 10), Family(1, 1, 3, 2)))
-    members = set(fam.members_upto(500))
+    members = set(_members(fam.families, 500))
     for n in range(501):
         assert (n in members) == fam.contains(n)
 
@@ -86,7 +91,7 @@ def test_family_bitmap_equals_contains(families, bound):
     assert bits.shape == (bound + 1,)
     assert bits.tolist() == [fam.contains(n) for n in range(bound + 1)]
     for f in families:
-        assert f.members_upto(bound) == [
+        assert _members([f], bound) == [
             n for n in range(bound + 1) if f.contains(n)]
 
 
@@ -101,8 +106,7 @@ def test_family_bitmap_equals_contains(families, bound):
                                   286]),
 ])
 def test_family_members_edge_cases(family, bound, expected):
-    assert family.members_upto(bound) == expected
-    assert FamilySet((family,)).members_upto(bound) == expected
+    assert _members([family], bound) == expected
     assert expected == [n for n in range(bound + 1) if family.contains(n)]
 
 
@@ -183,16 +187,47 @@ def test_value_grid_above_limit_is_refused_before_allocation():
                                 sumset.MAX_RANGE_BOUND // 8880 + 1)
         with pytest.raises(ValueError, match="above supported"):
             qf_exception_set(form, 10 ** 9)
+        # top 8.88e7 fits a bitmap, but the unconditioned pair grid would
+        # hold 8.88e7 int64 sums
+        with pytest.raises(ValueError, match="pair grid .* above supported"):
+            _progression_bitmap(form, 8880, 3, 10_000)
+        # a tiny pair grid, but bound + 1 bools above the limit
+        with pytest.raises(ValueError, match="bound .* above supported"):
+            _progression_bitmap(DiagonalTernaryForm((10 ** 7,) * 3), 1, 0,
+                                sumset.MAX_RANGE_BOUND + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
 
 
-def test_default_reduction_bound_fits_the_value_grid():
-    for _, entry in catalog.explicit_reductions():
-        assert entry.multiplier * 10_000 + entry.constant <= \
-            sumset.MAX_RANGE_BOUND, entry.source
+def test_default_reduction_bound_is_accepted():
+    # the progression check allocates bound + 1 bools and the pair grid of
+    # two coefficients, never a bitmap over [0, multiplier*bound + constant]:
+    # 4440n+2657 reaches 4.4e7 and p31+p33+p39 (multiplier 266104) 2.7e8
+    for display, entry in catalog.explicit_reductions():
+        assert verify_reduction(entry, 10_000) == (True, None), display
+    entry = canonical_reduction(parse_sum("p31+p33+p39", Z))
+    assert entry.multiplier * 1000 + entry.constant > sumset.MAX_RANGE_BOUND
+    assert verify_reduction(entry, 1000) == (True, None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(*[st.integers(1, 12)] * 3), st.tuples(*[_conditions()] * 3),
+       st.lists(st.integers(0, 400), max_size=12))
+def test_represented_among_equals_per_n_search(coeffs, conds, ns):
+    form = DiagonalTernaryForm(coeffs, conds)
+    assert represented_among(form, ns) == sorted(
+        {n for n in ns if qf_represents(form, n) is not None})
+
+
+def test_represented_among_legendre_exceptions():
+    form = DiagonalTernaryForm((1, 1, 1))
+    legendre = [n for n in range(20_001) if three_square_excluded(n)]
+    assert represented_among(form, legendre) == []
+    assert represented_among(form, range(20)) == [
+        n for n in range(20) if not three_square_excluded(n)]
+    assert represented_among(form, []) == []
 
 
 def test_catalog_forms_at_small_bound():
