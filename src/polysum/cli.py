@@ -157,7 +157,7 @@ def _parse_form(text: str) -> DiagonalTernaryForm:
 def _cmd_qform_except(args) -> int:
     form = _parse_form(args.form)
     found = qf_exception_set(form, args.bound)
-    listed = found[: args.limit]
+    listed = found[: args.limit].tolist()
     # each listed exception is re-checked apart from the value-grid sieve
     failed = [ReportRecord("reverify-failed", {
         "form": str(form), "bound": args.bound, "n": n})
@@ -166,8 +166,8 @@ def _cmd_qform_except(args) -> int:
         sys.stderr.write(emit_report(failed, "lines"))
         return 1
     rec = ReportRecord("qform-except", {
-        "form": str(form), "bound": args.bound, "count": len(found),
-        "result": listed, "truncated": len(found) > args.limit})
+        "form": str(form), "bound": args.bound, "count": found.size,
+        "result": listed, "truncated": found.size > args.limit})
     _print([rec], args.format)
     return 0
 

@@ -233,9 +233,9 @@ def qf_represents(form: DiagonalTernaryForm, n: int) -> tuple[int, int, int] | N
     return None
 
 
-def qf_exception_set(form: DiagonalTernaryForm, bound: int) -> list[int]:
-    """Exact list of n <= bound not represented by the form."""
-    return np.flatnonzero(~_reachable(form, bound)).tolist()
+def qf_exception_set(form: DiagonalTernaryForm, bound: int) -> np.ndarray:
+    """Sorted int64 array of the n <= bound not represented by the form."""
+    return np.flatnonzero(~_reachable(form, bound))
 
 
 def represented_among(form: DiagonalTernaryForm, ns: Iterable[int]

@@ -4,9 +4,14 @@ A range sieve builds a numpy bool bitmap over [0, bound] in two steps.  The
 sums of the two longest value streams are scattered into the bitmap in
 chunked outer products.  Each further stream is folded in by candidate
 elimination (``eliminate``): the n not yet reached start alive, and each
-value v kills the alive n with n - v already reached.  Every exception list
-is re-verified at construction through an independent set-based
-enumeration; downstream elimination certificates rely on that.
+value v kills the alive n with n - v already reached.
+
+Every exception list is re-verified at construction, and downstream
+elimination certificates rely on that.  The re-check shares no code with
+the sieve: the sums of all terms but the last come from an explicit set
+enumeration (``_pair_value_set``) written into a bool lookup table, and
+each value of the last term is then subtracted from every listed n at once
+in one gather from that table.
 """
 
 from __future__ import annotations
@@ -37,9 +42,12 @@ _PAIR_CHUNK = 1 << 16
 # (a quarter byte per n at 1/32) are fewer bytes than the bool bitmap that
 # each pass would read and write.  Bitmaps shorter than _DENSE_ONLY_BELOW
 # stay dense and are never counted: there one pass plus its count costs
-# less than the half-dozen numpy calls of one gather.
+# less than the half-dozen numpy calls of one gather.  A count costs about
+# as much as a dense pass, so the bitmap is counted before the first pass
+# and then only before every _COUNT_EVERY-th.
 _SPARSE_SHARE = 32
 _DENSE_ONLY_BELOW = 1 << 15
+_COUNT_EVERY = 8
 
 
 class ReverificationError(RuntimeError):
@@ -66,7 +74,7 @@ def eliminate(alive: np.ndarray, hit: np.ndarray,
     size = alive.size
     rest = len(values)
     for i, v in enumerate(values):
-        if (size >= _DENSE_ONLY_BELOW
+        if (size >= _DENSE_ONLY_BELOW and i % _COUNT_EVERY == 0
                 and np.count_nonzero(alive) * _SPARSE_SHARE <= size):
             rest = i
             break
@@ -166,28 +174,32 @@ def _pair_value_set(terms: Sequence[Term], domain: SumDomain, bound: int) -> set
 def _verify_non_representable(terms: Sequence[Term], domain: SumDomain,
                               ns: Iterable[int],
                               offsets: Sequence[int] = (0,)) -> None:
-    """Exhaustively re-check that no n in ns is (value sum + offset).
+    """Exhaustively re-check that no n in ns is (value sum + offset), for
+    offsets >= 0; raise ReverificationError naming the smallest n that is.
 
-    Independent of the bitmap path: the first len-1 terms are expanded into
-    an explicit pair set, the last term is walked value by value.
+    The sums of all terms but the last are enumerated into an explicit set
+    and written into a bool table over [0, max ns].  The last term's values
+    are walked one by one: for each value v and offset r, every listed
+    n >= v + r gathers table[n - v - r] into one mask over the sorted ns.
+    The check deliberately calls neither ``_pair_bits`` nor ``eliminate``,
+    so that a fault in the sieve kernel cannot hide in its own re-check.
     """
-    ns = list(ns)
-    if not ns:
+    ns = np.sort(np.fromiter(ns, dtype=np.int64))
+    if not ns.size:
         return
-    top = max(ns)
+    top = int(ns[-1])
     head, last = terms[:-1], terms[-1]
     pair = _pair_value_set(head, domain, top)
-    last_vals = poly_values_upto(last, domain, top)
-    for n in ns:
+    table = np.zeros(top + 1, dtype=bool)
+    table[np.fromiter(pair, dtype=np.int64, count=len(pair))] = True
+    reached = np.zeros(ns.size, dtype=bool)
+    for v in poly_values_upto(last, domain, top):
         for r in offsets:
-            m = n - r
-            if m < 0:
-                continue
-            for v in last_vals:
-                if v > m:
-                    break
-                if (m - v) in pair:
-                    raise ReverificationError(TripleSum(terms, domain), n)
+            start = int(np.searchsorted(ns, v + r))
+            reached[start:] |= table[ns[start:] - (v + r)]
+    if reached.any():
+        raise ReverificationError(TripleSum(terms, domain),
+                                  int(ns[np.argmax(reached)]))
 
 
 def exceptions(sum_: TripleSum, bound: int) -> ExceptionReport:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,21 @@ def test_qform_except_reverify_failure(capsys, monkeypatch):
     assert "n=3" in captured.err and "form=1,1,1" in captured.err
     assert "bound=1000" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_qform_except_memory_per_integer(capsys):
+    # the 333331 exceptions of x^2+y^2+z^2 as a list of Python ints would
+    # take 8.6 bytes per integer; the bitmaps and the int64 array take 2.9
+    bound = 2_000_000
+    tracemalloc.start()
+    try:
+        status, out = run(capsys, "qform-except", "--form", "1,1,1",
+                          "--bound", str(bound))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0 and "count=333331 " in out
+    assert peak < 4 * bound
 
 
 def test_qform_except_rechecks_a_large_limit(capsys):

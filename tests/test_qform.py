@@ -59,7 +59,8 @@ def test_qf_represents_honors_conditions():
     ((1, 1, 1), 0, []),
 ])
 def test_qf_exception_set(coeffs, bound, expected):
-    assert qf_exception_set(DiagonalTernaryForm(coeffs), bound) == expected
+    found = qf_exception_set(DiagonalTernaryForm(coeffs), bound)
+    assert found.tolist() == expected
 
 
 def test_family_examples():

@@ -193,3 +193,61 @@ def test_reverification_error_carries_n():
         _verify_non_representable(terms("p4+p5+p8"), N, [19, 20])
     assert exc.value.n == 20
     assert str(exc.value.sum) == "p4+p5+p8"
+
+
+# The re-check against the brute sumset: the true exception list passes,
+# and a list with representable n injected raises naming the smallest of
+# them, also when the list comes in descending order.
+@settings(max_examples=100, deadline=None)
+@given(_TERMS, st.sampled_from([N, Z]), st.integers(0, 3000),
+       st.sets(st.integers(0, 40) | st.integers(0, 3500), min_size=1,
+               max_size=4),
+       st.data())
+def test_reverification_equals_brute_sumset(terms_, domain, bound, offsets,
+                                            data):
+    sums = _brute_sumset(terms_, domain, bound)
+    covered = {n for n in range(bound + 1)
+               if any(n - r in sums for r in offsets)}
+    missing = [n for n in range(bound + 1) if n not in covered]
+    offsets = sorted(offsets)
+    _verify_non_representable(terms_, domain, missing, offsets)
+    if not covered:
+        return
+    injected = data.draw(st.sets(st.sampled_from(sorted(covered)),
+                                 min_size=1, max_size=3))
+    listed = sorted(set(missing) | injected, reverse=True)
+    with pytest.raises(ReverificationError) as exc:
+        _verify_non_representable(terms_, domain, listed, offsets)
+    assert exc.value.n == min(injected)
+
+
+@pytest.mark.parametrize("text,ns,offsets,raised", [
+    ("p4+p5+p8", [], (0,), None),
+    ("p4+p5+p8", [0], (0,), 0),
+    ("p4+p5+p8", [0, 1, 2], (3,), None),
+    ("p3+p3+p3", [5, 6], (7, 9), None),
+    ("p3+p3+p3", [5, 9], (7, 9), 9),
+    ("p4", [2, 3, 5], (0,), None),
+    ("p4", [2, 3, 4, 9], (0,), 4),
+    ("p4", [7, 6], (1, 2), 6),
+])
+def test_reverification_edge_cases(text, ns, offsets, raised):
+    if raised is None:
+        _verify_non_representable(terms(text), N, ns, offsets)
+        return
+    with pytest.raises(ReverificationError) as exc:
+        _verify_non_representable(terms(text), N, ns, offsets)
+    assert exc.value.n == raised
+
+
+def test_reverification_calls_no_kernel_function():
+    def refuse(*args, **kwargs):
+        raise AssertionError("re-verification reached the sieve kernel")
+
+    missing = range_sieve(terms("p4+p4+p4"), N, 5000).missing()
+    with mock.patch.object(sumset, "_pair_bits", refuse), \
+            mock.patch.object(sumset, "eliminate", refuse), \
+            mock.patch.object(sumset, "range_sieve", refuse):
+        _verify_non_representable(terms("p4+p4+p4"), N, missing)
+        with pytest.raises(ReverificationError):
+            _verify_non_representable(terms("p4+p4+p4"), N, missing + [5000])
