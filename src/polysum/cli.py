@@ -20,6 +20,7 @@ from . import catalog, descent
 from .polycore import SumDomain, parse_sum
 from .primepoly import (
     PrimePolyQuery,
+    decomposed_among,
     decomposition_witness,
     exception_scan as prime_exception_scan,
 )
@@ -155,6 +156,8 @@ def _parse_form(text: str) -> DiagonalTernaryForm:
 
 
 def _cmd_qform_except(args) -> int:
+    if args.limit < 0:
+        raise UsageError(f"--limit must be >= 0, got {args.limit}")
     form = _parse_form(args.form)
     found = qf_exception_set(form, args.bound)
     listed = found[: args.limit].tolist()
@@ -245,22 +248,22 @@ def _query_fields(query: PrimePolyQuery) -> dict:
 
 def _reverify_prime_exceptions(query: PrimePolyQuery, found: list[int],
                                bound: int) -> int:
-    """Re-check each reported exception by a per-n witness search; write a
-    reverify-failed record to stderr for each one that has a decomposition.
-    Returns the exit status: 0 when all hold, 1 otherwise."""
+    """Re-check the reported exceptions with ``decomposed_among``; write a
+    reverify-failed record, with a witness, to stderr for each one that has
+    a decomposition.  Returns the exit status: 0 when all hold, 1 otherwise."""
     failed = []
-    for n in found:
-        witness = decomposition_witness(query, n, bound)
-        if witness is not None:
-            failed.append(ReportRecord("reverify-failed", {
-                **_query_fields(query), "bound": bound, "n": n,
-                "p": witness[0], "x": witness[1]}))
+    for n in decomposed_among(query, found, bound):
+        p, x = decomposition_witness(query, n, bound)
+        failed.append(ReportRecord("reverify-failed", {
+            **_query_fields(query), "bound": bound, "n": n, "p": p, "x": x}))
     if failed:
         sys.stderr.write(emit_report(failed, "lines"))
     return 1 if failed else 0
 
 
 def _cmd_prime_scan(args) -> int:
+    if args.limit < 0:
+        raise UsageError(f"--limit must be >= 0, got {args.limit}")
     prime_filter = None
     if args.prime_mod:
         prime_filter = (args.prime_mod, args.prime_residue)

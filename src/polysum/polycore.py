@@ -132,26 +132,25 @@ def poly_value(spec: PolygonalSpec | int, x: int) -> int:
     return ((m - 2) * x * x - (m - 4) * x) // 2
 
 
+def _first_arguments(coefficient: int, order: int, domain: SumDomain,
+                     bound: int) -> dict[int, int]:
+    """Each value <= bound, mapped to its first x in the order 0, 1, -1, 2,
+    -2, ...; each direction stops at the first value above the bound."""
+    seen: dict[int, int] = {}
+    # x >= 0 first agrees with that order: two arguments share a value only
+    # as x, -x (m = 4) or x, -1 - x (m = 3)
+    for step in (1, -1) if domain is SumDomain.INTEGERS else (1,):
+        x = 0
+        while (v := coefficient * poly_value(order, x)) <= bound:
+            seen.setdefault(v, x)
+            x += step
+    return seen
+
+
 @lru_cache(maxsize=65536)
 def _values_upto(coefficient: int, order: int, domain: SumDomain,
                  bound: int) -> tuple[int, ...]:
-    vals = set()
-    x = 0
-    while True:
-        v = coefficient * poly_value(order, x)
-        if v > bound:
-            break
-        vals.add(v)
-        x += 1
-    if domain is SumDomain.INTEGERS:
-        x = -1
-        while True:
-            v = coefficient * poly_value(order, x)
-            if v > bound:
-                break
-            vals.add(v)
-            x -= 1
-    return tuple(sorted(vals))
+    return tuple(sorted(_first_arguments(coefficient, order, domain, bound)))
 
 
 def poly_values_upto(term: Term, domain: SumDomain, bound: int) -> list[int]:
@@ -169,22 +168,8 @@ def poly_values_upto(term: Term, domain: SumDomain, bound: int) -> list[int]:
 def _values_with_args(coefficient: int, order: int, domain: SumDomain,
                       bound: int) -> tuple[tuple[int, int], ...]:
     """(value, x) pairs sorted by value; first x in enumeration order wins."""
-    seen: dict[int, int] = {}
-    xs: list[int] = []
-    x = 0
-    while coefficient * poly_value(order, x) <= bound:
-        xs.append(x)
-        x += 1
-    if domain is SumDomain.INTEGERS:
-        x = -1
-        while coefficient * poly_value(order, x) <= bound:
-            xs.append(x)
-            x -= 1
-    xs.sort(key=lambda t: (abs(t), t < 0))  # 0, 1, -1, 2, -2, ...
-    for x in xs:
-        v = coefficient * poly_value(order, x)
-        seen.setdefault(v, x)
-    return tuple(sorted(seen.items()))
+    return tuple(sorted(
+        _first_arguments(coefficient, order, domain, bound).items()))
 
 
 def poly_values_with_args(term: Term, domain: SumDomain,

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
 from .polycore import poly_value
-from .sumset import eliminate
+from .sumset import eliminate, reached, sorted_distinct
 
 _SEGMENT = 1 << 20
 MAX_SIEVE_BOUND = 12_000_000
@@ -181,3 +182,24 @@ def decomposition_witness(query: PrimePolyQuery, n: int,
                            or p % query.prime_filter[0] == query.prime_filter[1]):
             return p, x
     return None
+
+
+def decomposed_among(query: PrimePolyQuery, ns: Iterable[int],
+                     bound: int) -> list[int]:
+    """The n <= bound in ns that have a decomposition, sorted and distinct.
+
+    Independent of the scan: the table is the unfiltered sieve_primes(bound),
+    and for the n of each class c mod q only the term values v = c - r
+    (mod q) are walked, so that p = n - v passes a prime filter (q, r)."""
+    ns = sorted_distinct(np.fromiter(ns, dtype=np.int64))
+    if ns.size and ns[-1] > bound:
+        raise ValueError(f"sieve bound {bound} below n = {ns[-1]}")
+    table = sieve_primes(bound).bits
+    values = np.asarray(query.term_values(bound - 2), dtype=np.int64)
+    q, r = query.prime_filter or (1, 0)
+    hit = np.zeros(ns.size, dtype=bool)
+    for c in range(q):
+        in_class = ns % q == c
+        walked = values[(c - r - values) % q == 0]
+        hit[in_class] = reached(table, ns[in_class], walked.tolist())
+    return ns[hit].tolist()

@@ -22,7 +22,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .polycore import SumDomain, TripleSum, square_completion
-from .sumset import MAX_RANGE_BOUND, _pair_bits, check_bound, range_sieve
+from .sumset import (MAX_RANGE_BOUND, _pair_bits, check_bound, range_sieve,
+                     reached, sorted_distinct, sum_table)
 
 # Most sums the int64 pair grid of a progression may hold: as many bytes as
 # the largest supported bitmap.
@@ -156,14 +157,13 @@ def _variable_values(coef: int, cond: CongruenceCondition | None,
     if top < 0:
         return np.empty(0, dtype=np.int64)
     ymax = isqrt(top // coef)
-    if cond is None:
-        ys = np.arange(0, ymax + 1, dtype=np.int64)
-    else:
-        lo = -ymax if cond.lower is None else max(cond.lower, -ymax)
-        ys = np.arange(lo, ymax + 1, dtype=np.int64)
-        ys = ys[np.isin(np.mod(ys, cond.modulus), cond.residues)]
-    vals = coef * ys * ys
-    return np.unique(vals[vals <= top])
+    ys = np.arange(-ymax, ymax + 1, dtype=np.int64)
+    if cond is not None:
+        lo = -ymax if cond.lower is None else cond.lower
+        ys = ys[(ys >= lo) & np.isin(np.mod(ys, cond.modulus), cond.residues)]
+    mark = np.zeros(ymax + 1, dtype=bool)
+    mark[np.abs(ys)] = True  # flatnonzero is then sorted and distinct
+    return coef * np.flatnonzero(mark) ** 2
 
 
 def _reachable(form: DiagonalTernaryForm, top: int) -> np.ndarray:
@@ -185,7 +185,7 @@ def _reachable(form: DiagonalTernaryForm, top: int) -> np.ndarray:
     size = packed.size
     acc = np.zeros(size, dtype=np.uint8)
     third = s[2]
-    for r in np.unique(third % 8).tolist():
+    for r in np.flatnonzero(np.bincount(third % 8, minlength=8)).tolist():
         shifted = packed
         if r:
             # in little bit order the top r bits of a byte move to the next
@@ -240,30 +240,22 @@ def qf_exception_set(form: DiagonalTernaryForm, bound: int) -> np.ndarray:
 
 def represented_among(form: DiagonalTernaryForm, ns: Iterable[int]
                       ) -> list[int]:
-    """The n in ns that the form represents, sorted.
+    """The n in ns that the form represents, sorted and distinct.
 
     Independent of ``_reachable``: the values of the two smaller
-    coefficients are scattered row by row into a bool bitmap up to max(ns),
-    and the values of the largest are walked one by one, each testing every
-    n at once, so each n costs one lookup per value up to n.
+    coefficients go into a ``sum_table`` up to max(ns), and the values of
+    the largest are walked against it by ``reached``.
     """
-    ns = np.unique(np.asarray(list(ns), dtype=np.int64))
+    ns = sorted_distinct(np.fromiter(ns, dtype=np.int64))
     if ns.size == 0:
         return []
     top = int(ns[-1])
     check_bound(top)
     idx = sorted(range(3), key=lambda i: -form.coefficients[i])
-    walked, rows, cols = (
+    walked, *head = (
         _variable_values(form.coefficients[i], form.conditions[i], top)
         for i in idx)
-    pair = np.zeros(top + 1, dtype=bool)
-    for v in rows.tolist():
-        pair[v + cols[: np.searchsorted(cols, top - v, side="right")]] = True
-    hit = np.zeros(ns.size, dtype=bool)
-    for w in walked.tolist():
-        lo = int(np.searchsorted(ns, w))
-        hit[lo:] |= pair[ns[lo:] - w]
-    return ns[hit].tolist()
+    return ns[reached(sum_table(head, top), ns, walked.tolist())].tolist()
 
 
 def verify_catalog_form(form: DiagonalTernaryForm, families: FamilySet,

@@ -8,10 +8,10 @@ value v kills the alive n with n - v already reached.
 
 Every exception list is re-verified at construction, and downstream
 elimination certificates rely on that.  The re-check shares no code with
-the sieve: the sums of all terms but the last come from an explicit set
-enumeration (``_pair_value_set``) written into a bool lookup table, and
-each value of the last term is then subtracted from every listed n at once
-in one gather from that table.
+the sieve, and the form and prime re-checks use it too: ``sum_table``
+scatters the sums of some value streams into a bool table row by row, and
+``reached`` subtracts each walked value from every listed n at once in one
+gather from that table.
 """
 
 from __future__ import annotations
@@ -58,6 +58,47 @@ class ReverificationError(RuntimeError):
                          f"representable by {sum_}")
         self.sum = sum_
         self.n = n
+
+
+def sum_table(streams: Sequence[Sequence[int]], top: int) -> np.ndarray:
+    """Bool table over [0, top] of the sums of one value from each sorted
+    stream of values in [0, top]: the longest stream is scattered at once,
+    then each value v of a later stream adds the row v + (sums so far)."""
+    streams = sorted(streams, key=len, reverse=True)
+    table = np.zeros(top + 1, dtype=bool)
+    table[np.asarray(streams[0], dtype=np.int64)] = True
+    for stream in streams[1:]:
+        sums = np.flatnonzero(table)
+        table.fill(False)
+        for v in stream:
+            table[v + sums[: np.searchsorted(sums, top - v, side="right")]] = True
+    return table
+
+
+def reached(table: np.ndarray, ns: np.ndarray, walked: Iterable[int]
+            ) -> np.ndarray:
+    """Mask over the sorted int64 ``ns``, all covered by ``table``, of the n
+    with table[n - w] set for some w in the sorted ``walked``: one gather
+    over the n >= w per w, up to the largest n."""
+    hit = np.zeros(ns.size, dtype=bool)
+    for w in walked:
+        start = int(np.searchsorted(ns, w))
+        if start == ns.size:
+            break
+        hit[start:] |= table[ns[start:] - w]
+    return hit
+
+
+def sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``a``, sorted in place.  ``np.unique`` would
+    import ``numpy.ma``, and an increasing ``a``, such as a sieve's exception
+    list, skips the sort, whose first call costs about 0.3 MB of RSS."""
+    if not (a[1:] > a[:-1]).all():
+        a.sort()
+        keep = np.ones(a.size, dtype=bool)
+        keep[1:] = a[1:] != a[:-1]
+        a = a[keep]
+    return a
 
 
 def eliminate(alive: np.ndarray, hit: np.ndarray,
@@ -163,43 +204,29 @@ def range_sieve(terms: Sequence[Term], domain: SumDomain,
     return RangeBitset(bound, bits)
 
 
-def _pair_value_set(terms: Sequence[Term], domain: SumDomain, bound: int) -> set[int]:
-    sums = {0}
-    for t in terms:
-        vs = poly_values_upto(t, domain, bound)
-        sums = {s + v for s in sums for v in vs if s + v <= bound}
-    return sums
-
-
 def _verify_non_representable(terms: Sequence[Term], domain: SumDomain,
                               ns: Iterable[int],
                               offsets: Sequence[int] = (0,)) -> None:
     """Exhaustively re-check that no n in ns is (value sum + offset), for
     offsets >= 0; raise ReverificationError naming the smallest n that is.
 
-    The sums of all terms but the last are enumerated into an explicit set
-    and written into a bool table over [0, max ns].  The last term's values
-    are walked one by one: for each value v and offset r, every listed
-    n >= v + r gathers table[n - v - r] into one mask over the sorted ns.
-    The check deliberately calls neither ``_pair_bits`` nor ``eliminate``,
-    so that a fault in the sieve kernel cannot hide in its own re-check.
+    The sums of all terms but the last go into a ``sum_table`` over
+    [0, max ns], and every v + r over the last term's values v and the
+    offsets r is walked against it by ``reached``.  The check deliberately
+    calls neither ``_pair_bits`` nor ``eliminate``, so that a fault in the
+    sieve kernel cannot hide in its own re-check.
     """
-    ns = np.sort(np.fromiter(ns, dtype=np.int64))
+    ns = sorted_distinct(np.fromiter(ns, dtype=np.int64))
     if not ns.size:
         return
     top = int(ns[-1])
-    head, last = terms[:-1], terms[-1]
-    pair = _pair_value_set(head, domain, top)
-    table = np.zeros(top + 1, dtype=bool)
-    table[np.fromiter(pair, dtype=np.int64, count=len(pair))] = True
-    reached = np.zeros(ns.size, dtype=bool)
-    for v in poly_values_upto(last, domain, top):
-        for r in offsets:
-            start = int(np.searchsorted(ns, v + r))
-            reached[start:] |= table[ns[start:] - (v + r)]
-    if reached.any():
+    head = [poly_values_upto(t, domain, top) for t in terms[:-1]] or [[0]]
+    walked = np.add.outer(poly_values_upto(terms[-1], domain, top),
+                          np.asarray(offsets, dtype=np.int64)).ravel()
+    hit = reached(sum_table(head, top), ns, sorted_distinct(walked).tolist())
+    if hit.any():
         raise ReverificationError(TripleSum(terms, domain),
-                                  int(ns[np.argmax(reached)]))
+                                  int(ns[np.argmax(hit)]))
 
 
 def exceptions(sum_: TripleSum, bound: int) -> ExceptionReport:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,3 +248,42 @@ def test_qform_bound_above_grid_limit_is_usage_error(capsys):
     status, out = run(capsys, "qform-except", "--form", "1,1,1",
                       "--bound", "1000000000")
     assert status == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["qform-except", "--form", "1,1,1", "--bound", "30", "--limit", "-2"],
+    ["prime-scan", "--a", "2", "--bound", "1000", "--limit", "-3"],
+])
+def test_negative_limit_is_usage_error(capsys, argv):
+    status, out = run(capsys, *argv)
+    assert status == 2 and out == ""
+
+
+def test_clean_prime_scan_runs_no_witness_search(capsys, monkeypatch):
+    # a witness is only looked up for an n the batched re-check found
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-n witness search on a clean scan")
+
+    monkeypatch.setattr(cli, "decomposition_witness", refuse)
+    status, out = run(capsys, "prime-scan", "--a", "2", "--universe", "all",
+                      "--bound", "100000")
+    assert status == 0 and "count=49778 " in out
+    status, out = run(capsys, "conjecture", "--preset", "1.7",
+                      "--bound", "100000")
+    assert status == 0 and "holds=false" not in out
+
+
+def test_form_commands_do_not_import_numpy_ma():
+    code = ("import sys\n"
+            "from polysum import cli\n"
+            "assert cli.main(['qform-except', '--form', '1,1,1',"
+            " '--bound', '10000']) == 0\n"
+            "assert cli.main(['verify-reduction']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

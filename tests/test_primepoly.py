@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from polysum import sumset
 from polysum.primepoly import (
     PrimePolyQuery,
+    decomposed_among,
     decomposition_witness,
     exception_scan,
     max_exception,
@@ -96,13 +97,13 @@ _FILTERS = st.none() | st.integers(1, 12).flatmap(
 
 
 @st.composite
-def _queries(draw):
+def _queries(draw, filters=_FILTERS):
     coefficient = draw(st.sampled_from([4, 12, 18, 24, 29, 30])
                        | st.integers(1, 40))
     order = draw(st.none() | st.integers(3, 8))
     return PrimePolyQuery(
         coefficient, "square" if order is None else "polygonal", order,
-        draw(st.sampled_from(["all", "odd", "coprime"])), draw(_FILTERS))
+        draw(st.sampled_from(["all", "odd", "coprime"])), draw(filters))
 
 
 def _in_universe(query, n):
@@ -126,6 +127,27 @@ def test_scan_equals_witness_sweep(query, bound, share):
     with mock.patch.object(sumset, "_SPARSE_SHARE", share), \
             mock.patch.object(sumset, "_DENSE_ONLY_BELOW", 0):
         assert exception_scan(query, bound) == brute
+
+
+# The re-check against a per-n witness sweep over the scan's own list with
+# some n injected, in any order and with repeats.
+@settings(max_examples=100, deadline=None)
+@given(_queries(_FILTERS | st.sampled_from([4, 6]).flatmap(
+           lambda q: st.tuples(st.just(q), st.integers(0, q - 1)))),
+       st.integers(2, 3000), st.data())
+def test_decomposed_among_equals_witness_sweep(query, bound, data):
+    listed = exception_scan(query, bound) + data.draw(
+        st.lists(st.integers(0, bound), max_size=20))
+    data.draw(st.randoms()).shuffle(listed)
+    assert decomposed_among(query, listed, bound) == [
+        n for n in sorted(set(listed))
+        if decomposition_witness(query, n, bound) is not None]
+
+
+def test_decomposed_among_refuses_n_above_bound():
+    with pytest.raises(ValueError):
+        decomposed_among(PrimePolyQuery(2), [1001], 1000)
+    assert decomposed_among(PrimePolyQuery(2), [], 1000) == []
 
 
 def test_scan_memory_per_integer():

@@ -1,3 +1,4 @@
+import contextlib
 import random
 import tracemalloc
 from unittest import mock
@@ -5,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polysum import sumset
+from polysum import primepoly, qform, sumset
 from polysum.polycore import SumDomain, Term, parse_sum, poly_value
 from polysum.sumset import (
     MAX_RANGE_BOUND,
@@ -251,3 +252,51 @@ def test_reverification_calls_no_kernel_function():
         _verify_non_representable(terms("p4+p4+p4"), N, missing)
         with pytest.raises(ReverificationError):
             _verify_non_representable(terms("p4+p4+p4"), N, missing + [5000])
+
+
+def test_rechecks_call_no_kernel_function():
+    # the sum, form and prime re-checks all pass their true lists and catch
+    # an injected representable n with every sieve kernel refusing to run
+    def refuse(*args, **kwargs):
+        raise AssertionError("a re-check reached a sieve kernel")
+
+    sum_terms = terms("p4+p5+p8")
+    sum_missing = range_sieve(sum_terms, N, 5000).missing()
+    form = qform.DiagonalTernaryForm((1, 1, 1))
+    form_missing = qform.qf_exception_set(form, 5000).tolist()
+    query = primepoly.PrimePolyQuery(2, "polygonal", 5, "odd", (4, 1))
+    prime_missing = primepoly.exception_scan(query, 5000)
+    prime_hit = next(n for n in range(3, 5000, 2)
+                     if primepoly.decomposition_witness(query, n, 5000))
+    kernels = [(sumset, "_pair_bits"), (sumset, "eliminate"),
+               (sumset, "range_sieve"), (qform, "_pair_bits"),
+               (qform, "_reachable"), (qform, "range_sieve"),
+               (primepoly, "eliminate"), (primepoly, "_prime_bits"),
+               (primepoly, "_universe_mask")]
+    with contextlib.ExitStack() as stack:
+        for module, name in kernels:
+            stack.enter_context(mock.patch.object(module, name, refuse))
+        _verify_non_representable(sum_terms, N, sum_missing)
+        with pytest.raises(ReverificationError) as exc:
+            _verify_non_representable(sum_terms, N, sum_missing + [20])
+        assert exc.value.n == 20
+        assert qform.represented_among(form, form_missing) == []
+        assert qform.represented_among(form, form_missing + [3]) == [3]
+        assert primepoly.decomposed_among(query, prime_missing, 5000) == []
+        assert primepoly.decomposed_among(
+            query, prime_missing + [prime_hit], 5000) == [prime_hit]
+
+
+def test_reverification_memory_per_integer():
+    # the 333331 exceptions of p4+p4+p4 at 2*10^6 against a bool table of
+    # the head sums; a Python set of those sums took 19 bytes per integer
+    bound = 2_000_000
+    missing = range_sieve(terms("p4+p4+p4"), N, bound).missing()
+    tracemalloc.start()
+    try:
+        _verify_non_representable(terms("p4+p4+p4"), N, missing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(missing) == 333331
+    assert peak < 5 * bound
