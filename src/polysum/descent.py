@@ -118,18 +118,54 @@ def descent_7_odd(x: int, y: int) -> tuple[int, int]:
     return x, y
 
 
+def _is_sum_of_two_squares(r: int) -> bool:
+    """Exact test that r >= 0 is u^2 + v^2: every prime 3 (mod 4) divides
+    r to an even power.
+
+    With the factors of 2 gone, an odd part 3 (mod 4) has such a prime to
+    an odd power.  Otherwise each d = 3 (mod 4) with d^2 <= r is divided
+    out, refusing r if it went an odd number of times; a composite d
+    divides nothing, its smaller prime factors 3 (mod 4) being gone.
+    What is left could hold a prime 3 (mod 4) only above its square root,
+    to the first power, which would make it 3 (mod 4); dividing out even
+    powers keeps it 1 (mod 4), so it holds none.  Integer arithmetic only.
+    """
+    if r == 0:
+        return True
+    while r % 2 == 0:
+        r //= 2
+    if r % 4 == 3:
+        return False
+    d = 3
+    while d * d <= r:
+        odd = False
+        while r % d == 0:
+            r //= d
+            odd = not odd
+        if odd:
+            return False
+        d += 4
+    return True
+
+
 def _three_squares_with_multiple_of_3(n: int) -> tuple[int, int, int] | None:
-    """(u, v, w) with n = u^2+v^2+w^2 and 3 | w, by exhaustive search."""
+    """(u, v, w) with n = u^2+v^2+w^2 and 3 | w, by exhaustive search.
+
+    w runs up over the multiples of 3 and, for each, u runs up from 0.  A
+    rest n - w^2 that is not a sum of two squares is skipped without the
+    u search; the first hit, and so the triple, is unchanged.
+    """
     w = 0
     while w * w <= n:
         rest = n - w * w
-        u = 0
-        while 2 * u * u <= rest:
-            v2 = rest - u * u
-            v = isqrt(v2)
-            if v * v == v2:
-                return u, v, w
-            u += 1
+        if _is_sum_of_two_squares(rest):
+            u = 0
+            while 2 * u * u <= rest:
+                v2 = rest - u * u
+                v = isqrt(v2)
+                if v * v == v2:
+                    return u, v, w
+                u += 1
         w += 3
     return None
 

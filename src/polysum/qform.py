@@ -6,7 +6,11 @@ scattered into a bool bitmap in chunks; the third variable is folded in by a
 bit-packed shift-or, one pass over top/8 bytes per value.  A bitmap over
 [0, top] is refused before allocating when top exceeds
 ``sumset.MAX_RANGE_BOUND``, and so is a progression's int64 pair grid of
-more than ``_MAX_PAIR_CELLS`` sums.
+more than ``_MAX_PAIR_CELLS`` sums.  A progression M*n + C is checked
+without a bitmap over [0, M*bound + C]: the pair sums are bucketed by
+residue mod M, each needed residue scatters its quotients by M into one
+bool bitmap, and each third value ORs that bitmap, shifted, into the
+bound + 1 results.
 Geometric-arithmetic family sets give the closed descriptions the sieves are
 compared against, as bitmaps built from strided slices.  The reduction
 machinery converts polygonal sums into arithmetic progressions represented
@@ -330,9 +334,21 @@ def canonical_reduction(sum_: TripleSum, check_bound: int = 500) -> ReductionEnt
 
 def _progression_bitmap(form: DiagonalTernaryForm, multiplier: int,
                         constant: int, bound: int) -> np.ndarray:
-    """bitmap[n] = (multiplier*n + constant is represented by the form)."""
+    """bitmap[n] = (multiplier*n + constant is represented by the form).
+
+    With M = multiplier and C = constant, a pair sum p = M*k + rho of the
+    two largest coefficients and a third value w reach n = k + d, where
+    d = (rho + w - C) / M, exactly when rho = (C - w) mod M.  The pair sums
+    are bucketed by residue; each residue rho that some w needs scatters
+    its quotients k into one bool bitmap over [0, top // M], and every w
+    needing rho ORs that bitmap into the result shifted by d: one slice-OR
+    of at most bound + 1 bytes per third value.
+    """
     check_bound(bound)
     top = multiplier * bound + constant
+    if top // multiplier > MAX_RANGE_BOUND:
+        raise ValueError(f"quotient bitmap over [0, {top // multiplier}] "
+                         f"above supported {MAX_RANGE_BOUND}")
     idx = sorted(range(3), key=lambda i: -form.coefficients[i])
     s = [_variable_values(form.coefficients[i], form.conditions[i], top)
          for i in idx]
@@ -342,20 +358,31 @@ def _progression_bitmap(form: DiagonalTernaryForm, multiplier: int,
                          f"{_MAX_PAIR_CELLS}")
     pair = (s[0][:, None] + s[1][None, :]).ravel()
     pair = pair[pair <= top]
-    # pair sums bucketed by residue: each third value w takes the bucket
-    # (constant - w) % multiplier as one slice.  Order within a bucket does
-    # not matter; the stable sort is only faster on these many-duplicate keys
+    # pair sums bucketed by residue.  Order within a bucket does not
+    # matter; the stable sort is only faster on these many-duplicate keys
     pair = pair[np.argsort(pair % multiplier, kind="stable")]
-    residues = pair % multiplier
+    quotients, residues = np.divmod(pair, multiplier)
+    # third values grouped by the residue they need
+    groups: dict[int, list[int]] = {}
+    for w in s[2].tolist():
+        groups.setdefault((constant - w) % multiplier, []).append(w)
+    rhos = np.fromiter(groups, dtype=np.int64, count=len(groups))
+    starts = np.searchsorted(residues, rhos, side="left").tolist()
+    ends = np.searchsorted(residues, rhos, side="right").tolist()
+    width = top // multiplier + 1
     out = np.zeros(bound + 1, dtype=bool)
-    needs = (constant - s[2]) % multiplier
-    starts = np.searchsorted(residues, needs, side="left").tolist()
-    ends = np.searchsorted(residues, needs, side="right").tolist()
-    for w, lo, hi in zip(s[2].tolist(), starts, ends):
-        hits = pair[lo:hi]
-        ns = (hits + (w - constant)) // multiplier
-        ns = ns[(ns >= 0) & (ns <= bound)]
-        out[ns] = True
+    hit = np.zeros(width, dtype=bool)
+    for (rho, ws), lo, hi in zip(groups.items(), starts, ends):
+        if lo == hi:
+            continue
+        ks = quotients[lo:hi]
+        hit[ks] = True
+        for w in ws:
+            d = (rho + w - constant) // multiplier
+            n0, n1 = max(d, 0), min(bound + 1, width + d)
+            if n0 < n1:
+                out[n0:n1] |= hit[n0 - d : n1 - d]
+        hit[ks] = False
     return out
 
 

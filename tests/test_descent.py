@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from polysum.descent import (
     PreconditionError,
     ZeroInputError,
+    _is_sum_of_two_squares,
     descent_7_odd,
     descent_mod3,
     descent_mod5,
@@ -137,6 +138,45 @@ def test_split_two_n_sweep():
             continue
         x, y, z = split_two_n(n)
         assert x * x + 9 * y * y + 18 * z * z == 2 * n
+
+
+def _reference_three_squares(n):
+    # the w-then-u search without the two-square skip
+    w = 0
+    while w * w <= n:
+        rest = n - w * w
+        u = 0
+        while 2 * u * u <= rest:
+            v2 = rest - u * u
+            v = isqrt(v2)
+            if v * v == v2:
+                return u, v, w
+            u += 1
+        w += 3
+    return None
+
+
+def _reference_split_two_n(n):
+    u, v, w = _reference_three_squares(n)
+    if (u - v) % 3 == 0:
+        x, three_y = u + v, u - v
+    else:
+        x, three_y = u - v, u + v
+    return x, three_y // 3, w // 3
+
+
+def test_split_two_n_equals_unskipped_search():
+    for n in range(2, 20_001, 3):
+        if not three_square_excluded(n):
+            assert split_two_n(n) == _reference_split_two_n(n), n
+
+
+def test_two_square_test_equals_brute_force():
+    top = 10_000
+    sums = {a * a + b * b for a in range(isqrt(top) + 1)
+            for b in range(a, isqrt(top - a * a) + 1)}
+    assert [r for r in range(top + 1) if _is_sum_of_two_squares(r)] == \
+        sorted(sums)
 
 
 def _random_descent_inputs(count, seed):

@@ -196,6 +196,11 @@ def test_value_grid_above_limit_is_refused_before_allocation():
         with pytest.raises(ValueError, match="bound .* above supported"):
             _progression_bitmap(DiagonalTernaryForm((10 ** 7,) * 3), 1, 0,
                                 sumset.MAX_RANGE_BOUND + 1)
+        # a tiny pair grid and bound, but the quotient bitmap over
+        # [0, top // multiplier] would hold 10^9 bools
+        with pytest.raises(ValueError, match="above supported"):
+            _progression_bitmap(DiagonalTernaryForm((10 ** 7,) * 3), 1,
+                                10 ** 9, 10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -220,6 +225,21 @@ def test_represented_among_equals_per_n_search(coeffs, conds, ns):
     form = DiagonalTernaryForm(coeffs, conds)
     assert represented_among(form, ns) == sorted(
         {n for n in ns if qf_represents(form, n) is not None})
+
+
+# Constants up to 2000 against multipliers down to 1 and bounds down to 0
+# give shifts d = (rho + w - C) / M below zero and C / M above the bound.
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(*[st.integers(1, 12)] * 3), st.tuples(*[_conditions()] * 3),
+       st.integers(1, 60), st.integers(0, 2000), st.integers(0, 300))
+def test_progression_bitmap_equals_per_n_search(coeffs, conds, multiplier,
+                                                constant, bound):
+    form = DiagonalTernaryForm(coeffs, conds)
+    bits = _progression_bitmap(form, multiplier, constant, bound)
+    assert bits.dtype == bool and bits.shape == (bound + 1,)
+    assert bits.tolist() == [
+        qf_represents(form, multiplier * n + constant) is not None
+        for n in range(bound + 1)]
 
 
 def test_represented_among_legendre_exceptions():
