@@ -34,6 +34,7 @@ from .qform import (
 )
 from .screening import (
     PRESETS,
+    SpaceNotClosable,
     compare_with_catalog,
     format_triple,
     screen,
@@ -120,7 +121,8 @@ def _cmd_screen(args) -> int:
         raise UsageError(f"unknown preset {args.preset!r}; "
                          f"choose from {sorted(PRESETS)}")
     if args.preset == "unique-29":
-        found = unique_exception_scan(args.preset, args.bound)
+        found = unique_exception_scan(args.preset, args.bound,
+                                      args.search_bound)
         rec = ReportRecord("screen", {
             "preset": args.preset,
             "bound": args.bound or PRESETS[args.preset].scan_bound,
@@ -309,20 +311,6 @@ def _cmd_descent_check(args) -> int:
     return 0
 
 
-def _conjecture_11(bound: int) -> tuple[list[ReportRecord], int]:
-    records, status = [], 0
-    for triple in catalog.load("conj-1.1-3").entries:
-        sum_ = parse_sum("+".join(f"{a}p{m}" if a > 1 else f"p{m}"
-                                  for a, m in triple), SumDomain.NATURALS)
-        report = exceptions(sum_, bound)
-        ok = not report.exceptions
-        records.append(ReportRecord("conjecture", {
-            "preset": "1.1", "sum": str(sum_), "bound": bound, "holds": ok,
-            "result": list(report.exceptions[:10])}))
-        status |= 0 if ok else 1
-    return records, status
-
-
 def _conjecture_12(bound: int) -> tuple[list[ReportRecord], int]:
     records, status = [], 0
     for m in range(3, 11):
@@ -394,30 +382,26 @@ def _conjecture_18_spot(bound: int) -> tuple[list[ReportRecord], int]:
     return records, status
 
 
-_CONJECTURE_DEFAULT_BOUNDS = {
-    "1.1": 1_000_000, "1.2": 500_000, "1.3": 10_000, "1.4": 10_000,
-    "1.7": 1_000_000, "1.8-spot": 10_000,
+# preset -> (default bound, runner)
+_CONJECTURES = {
+    "1.1": (1_000_000,
+            lambda bound: _conjecture_triples("1.1", "conj-1.1-3", bound)),
+    "1.2": (500_000, _conjecture_12),
+    "1.3": (10_000,
+            lambda bound: _conjecture_triples("1.3", "thm-1.3-31", bound)),
+    "1.4": (10_000,
+            lambda bound: _conjecture_triples("1.4", "thm-1.4-64", bound)),
+    "1.7": (1_000_000, _conjecture_17),
+    "1.8-spot": (10_000, _conjecture_18_spot),
 }
 
 
 def _cmd_conjecture(args) -> int:
-    preset = args.preset
-    if preset not in _CONJECTURE_DEFAULT_BOUNDS:
-        raise UsageError(f"unknown conjecture preset {preset!r}; choose from "
-                         f"{sorted(_CONJECTURE_DEFAULT_BOUNDS)}")
-    bound = args.bound or _CONJECTURE_DEFAULT_BOUNDS[preset]
-    if preset == "1.1":
-        records, status = _conjecture_11(bound)
-    elif preset == "1.2":
-        records, status = _conjecture_12(bound)
-    elif preset == "1.3":
-        records, status = _conjecture_triples("1.3", "thm-1.3-31", bound)
-    elif preset == "1.4":
-        records, status = _conjecture_triples("1.4", "thm-1.4-64", bound)
-    elif preset == "1.7":
-        records, status = _conjecture_17(bound)
-    else:
-        records, status = _conjecture_18_spot(bound)
+    if args.preset not in _CONJECTURES:
+        raise UsageError(f"unknown conjecture preset {args.preset!r}; "
+                         f"choose from {sorted(_CONJECTURES)}")
+    default_bound, run = _CONJECTURES[args.preset]
+    records, status = run(args.bound or default_bound)
     _print(records, args.format)
     return status
 
@@ -503,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conjecture", help="bounded conjecture verifications")
     p.add_argument("--preset", required=True,
-                   help=f"one of {sorted(_CONJECTURE_DEFAULT_BOUNDS)}")
+                   help=f"one of {sorted(_CONJECTURES)}")
     p.add_argument("--bound", type=int, default=0)
     add_format(p)
     p.set_defaults(fn=_cmd_conjecture)
@@ -517,7 +501,8 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         status = args.fn(args)
-    except (UsageError, ValueError, catalog.UnknownIdentifierError) as exc:
+    except (UsageError, ValueError, catalog.UnknownIdentifierError,
+            SpaceNotClosable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ReverificationError as exc:

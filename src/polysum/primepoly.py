@@ -164,15 +164,11 @@ def max_exception(query: PrimePolyQuery, bound: int) -> int | None:
 
 
 def decomposition_witness(query: PrimePolyQuery, n: int,
-                          bound: int | None = None) -> tuple[int, int] | None:
+                          bound: int) -> tuple[int, int] | None:
     """A concrete (p, x) with n = p + term(x), or None (exhaustive per n).
 
     The primes come from sieve_primes(bound), so bound must be at least n.
-    By default it is n rounded up to a power of two (at most
-    MAX_SIEVE_BOUND), so that checks of nearby n share one cached sieve.
     """
-    if bound is None:
-        bound = max(n, min(1 << (n - 1).bit_length(), MAX_SIEVE_BOUND))
     if bound < n:
         raise ValueError(f"sieve bound {bound} below n = {n}")
     sieve = sieve_primes(max(bound, 2))

@@ -11,14 +11,21 @@ carrying a machine-checkable certificate:
 * ``order-tail``        -- beyond an order cutoff the open slot contributes
                            only {0, a} below the witness.
 * ``frontier-tail``     -- open slots whose coefficient*order product lies
-                           above a floor; for every coefficient assignment
-                           a missing value below the floor exists (counting:
+                           above a floor Q + 1, so each contributes only
+                           {0, a} (or {0}) below Q; every coefficient
+                           assignment leaves a missing value <= Q (counting:
                            three two-element value sets cannot cover a long
                            initial segment, so the search always closes).
 * ``parametric-tail``   -- a coefficient tail that holds for every choice of
                            the remaining slots' coefficients at their fixed
-                           orders (checked value by value plus the
-                           degenerate above-bound case).
+                           orders (each coefficient's stream up to the check
+                           bound, or the slot absent).
+
+Frontier and parametric tails are checked by one enumeration
+(``_worst_gaps``): one value set is chosen per open slot from a candidate
+list, and every choice must leave the gaps.  Their check bound doubles until
+that enumeration closes.  A region still open at the search bound raises
+``SpaceNotClosable``, which the CLI reports with exit status 2.
 
 Tail thresholds come from the smallest checked witness, which may be looser
 than a hand-optimized cutoff; certificates are validated against their own
@@ -29,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .polycore import SumDomain, Term, TripleSum, poly_values_upto
@@ -106,91 +113,98 @@ def _gaps_of_sets(value_sets: Sequence[Iterable[int]], bound: int,
     return out
 
 
-def _assignment_gaps_ok(fixed_sets: list, open_count: int, bound: int,
-                        gap_count: int, coef_cap: int | None) -> bool:
-    """Every assignment of {0, a} profiles to the open slots leaves
-    ``gap_count`` missing values <= bound (a in [1, cap] or above bound)."""
-    choices = (list(range(1, (coef_cap or bound) + 1)) + [None])
-
-    def rec(i: int, sets: list) -> bool:
-        if i == open_count:
-            return len(_gaps_of_sets(sets, bound, gap_count)) == gap_count
-        for a in choices:
-            vals = (0,) if a is None else (0, a)
-            if not rec(i + 1, sets + [vals]):
-                return False
-        return True
-
-    return rec(0, fixed_sets)
-
-
-def _sibling_gaps(fixed: Sequence[Term], sibling_orders: Sequence[int],
-                  domain: SumDomain, bound: int,
-                  gap_count: int) -> list[int] | None:
-    """Over every coefficient assignment (1..bound, or slot absent) to the
-    sibling slots of the given orders, the first ``gap_count`` gaps on
-    [0, bound] of the fixed plus sibling streams whose last gap is largest;
-    None when some assignment leaves fewer gaps."""
+def _worst_gaps(sets: Sequence[Iterable[int]],
+                slots: Sequence[Sequence[Iterable[int]]], bound: int,
+                gap_count: int) -> list[int] | None:
+    """Over every choice of one value set per open slot, the first
+    ``gap_count`` gaps on [0, bound] of ``sets`` plus the chosen sets whose
+    last gap is largest (the earliest such choice); None as soon as some
+    choice leaves fewer gaps."""
     worst: list[int] = []
+    for choice in product(*slots):
+        found = _gaps_of_sets([*sets, *choice], bound, gap_count)
+        if len(found) < gap_count:
+            return None
+        if not worst or found[-1] > worst[-1]:
+            worst = found
+    return worst
 
-    def rec(i: int, sets: list) -> bool:
-        nonlocal worst
-        if i == len(sibling_orders):
-            found = _gaps_of_sets(sets, bound, gap_count)
-            if len(found) < gap_count:
-                return False
-            if not worst or found[-1] > worst[-1]:
-                worst = found
-            return True
-        for a in list(range(1, bound + 1)) + [None]:
-            extra = ([] if a is None else
-                     [poly_values_upto(Term(a, sibling_orders[i]), domain,
-                                       bound)])
-            if not rec(i + 1, sets + extra):
-                return False
-        return True
 
-    base = [poly_values_upto(t, domain, bound) for t in fixed]
-    return worst if rec(0, base) else None
+def _frontier_slots(open_count: int, cap: int | None,
+                    bound: int) -> list[list[tuple[int, ...]]]:
+    """Per open slot: {0, a} for each coefficient a in [1, cap or bound],
+    or {0} for a coefficient above the bound."""
+    sets = [(0, a) for a in range(1, (cap or bound) + 1)] + [(0,)]
+    return [sets] * open_count
+
+
+def _sibling_slots(orders: Sequence[int], domain: SumDomain,
+                   bound: int) -> list[list[Sequence[int]]]:
+    """Per sibling order: the stream of each coefficient in [1, bound] at
+    that order, or {0} for an absent slot."""
+    return [[_stream((a, m), domain, bound) for a in range(1, bound + 1)]
+            + [(0,)] for m in orders]
+
+
+def _closing_search(fixed: Sequence[TermKey], slots, domain: SumDomain,
+                    start: int, search_bound: int,
+                    gap_count: int) -> tuple[int, list[int]] | None:
+    """Double a check bound Q from ``start`` until every choice from
+    ``slots(Q)`` leaves ``gap_count`` gaps <= Q beside the fixed streams.
+    Returns (Q, the worst such gaps), or None past ``search_bound``."""
+    limit = start
+    while limit <= search_bound:
+        sets = [_stream(key, domain, limit) for key in fixed]
+        gaps = _worst_gaps(sets, slots(limit), limit, gap_count)
+        if gaps is not None:
+            return limit, gaps
+        limit *= 2
+    return None
+
+
+def _closed(found, region: str, search_bound: int):
+    """``found`` unless it is None, which means the region stays open."""
+    if found is None:
+        raise SpaceNotClosable(
+            f"{region} not closable at search bound {search_bound}")
+    return found
 
 
 def verify_certificate(cert: EliminationCertificate) -> bool:
     """Re-check a certificate from scratch against its stated condition."""
     domain = cert.domain
-    fixed_terms = [Term(a, m) for a, m in cert.fixed]
     if cert.kind == "direct":
-        sum_ = TripleSum(tuple(fixed_terms), domain)
+        sum_ = triple_to_sum(cert.fixed, domain)
         return all(member_with_witness(sum_, n) is None for n in cert.witnesses)
-    if cert.kind == "order-tail":
-        a, k = cert.open_coefficient, cert.threshold
+    if cert.kind in ("order-tail", "coefficient-tail"):
         top = max(cert.witnesses)
-        # every order above k keeps the slot's values in {0, a} below top
-        if a * (k + 1) <= top:
-            return False
-        if domain is SumDomain.INTEGERS and a * (k + 1 - 3) <= top:
-            return False
-        sets = [_stream(key, domain, top) for key in cert.fixed] + [(0, a)]
+        if cert.kind == "order-tail":
+            a, k = cert.open_coefficient, cert.threshold
+            # every order above k keeps the slot's values in {0, a} below top
+            if a * (k + 1) <= top:
+                return False
+            if domain is SumDomain.INTEGERS and a * (k + 1 - 3) <= top:
+                return False
+            open_sets = [(0, a)]
+        else:
+            # a coefficient above top contributes only 0 below it
+            if cert.threshold < top:
+                return False
+            open_sets = [(0,)] * cert.open_count
+        sets = [_stream(key, domain, top) for key in cert.fixed] + open_sets
         gaps = _gaps_of_sets(sets, top, len(cert.witnesses))
         return list(cert.witnesses) == gaps
-    if cert.kind == "coefficient-tail":
-        top = max(cert.witnesses)
-        if cert.threshold < top:
-            return False
-        sets = [_stream(key, domain, top) for key in cert.fixed]
-        sets += [(0,)] * cert.open_count
-        gaps = _gaps_of_sets(sets, top, len(cert.witnesses))
-        return list(cert.witnesses) == gaps
-    if cert.kind == "frontier-tail":
-        if cert.threshold != cert.check_bound + 1:
-            return False
-        base = [poly_values_upto(t, domain, cert.check_bound) for t in fixed_terms]
-        return _assignment_gaps_ok(base, cert.open_count, cert.check_bound,
-                                   cert.gap_count, cert.coefficient_cap)
-    if cert.kind == "parametric-tail":
+    if cert.kind in ("frontier-tail", "parametric-tail"):
+        q = cert.check_bound
+        sets = [_stream(key, domain, q) for key in cert.fixed]
+        if cert.kind == "frontier-tail":
+            slots = _frontier_slots(cert.open_count, cert.coefficient_cap, q)
+            return (cert.threshold == q + 1
+                    and _worst_gaps(sets, slots, q, cert.gap_count) is not None)
         # every sibling assignment leaves its gaps at or below the threshold,
         # which closed slots with a larger coefficient cannot fill
-        gaps = _sibling_gaps(fixed_terms, cert.parametric_orders, domain,
-                             cert.check_bound, cert.gap_count)
+        slots = _sibling_slots(cert.parametric_orders, domain, q)
+        gaps = _worst_gaps(sets, slots, q, cert.gap_count)
         return gaps is not None and gaps[-1] <= cert.threshold
     raise ValueError(f"unknown certificate kind {cert.kind!r}")
 
@@ -409,34 +423,30 @@ def _screen_fixed_orders(space: CandidateSpace, bound: int, search_bound: int,
         n_slots = len(orders)
 
         def close(prefix: list[int]) -> None:
+            """Certify slot s and its later equal-order slots above a
+            coefficient threshold C, for every coefficient assignment to the
+            later slots of other orders; then recurse on each coefficient
+            up to C."""
             s = len(prefix)
             if s == n_slots:
-                col.concrete([(prefix[i], orders[i]) for i in range(n_slots)])
+                col.concrete(list(zip(prefix, orders)))
                 return
-            fixed = [Term(prefix[i], orders[i]) for i in range(s)]
+            fixed = tuple(zip(prefix, orders))
             same = [i for i in range(s, n_slots) if orders[i] == orders[s]]
             para = [orders[i] for i in range(s + 1, n_slots)
                     if orders[i] != orders[s]]
-            threshold = _close_coefficient_slot(fixed, para, domain,
-                                                search_bound, gap_count)
-            if threshold is None:
-                raise SpaceNotClosable(
-                    f"{space.name}: coefficient slot {s} of {orders} not "
-                    f"closable at search bound {search_bound}")
-            witnesses, limit, check_bound = threshold
-            if para:
-                col.elims.append(EliminationCertificate(
-                    kind="parametric-tail", domain=domain,
-                    fixed=tuple((t.coefficient, t.order) for t in fixed),
-                    witnesses=tuple(witnesses), open_count=len(same),
-                    threshold=limit, check_bound=check_bound,
-                    gap_count=gap_count, parametric_orders=tuple(para)))
-            else:
-                col.elims.append(EliminationCertificate(
-                    kind="coefficient-tail", domain=domain,
-                    fixed=tuple((t.coefficient, t.order) for t in fixed),
-                    witnesses=tuple(witnesses), open_count=len(same),
-                    threshold=limit, gap_count=gap_count))
+            check_bound, gaps = _closed(_closing_search(
+                fixed, lambda q: _sibling_slots(para, domain, q), domain, 4,
+                search_bound, gap_count),
+                f"{space.name}: coefficient slot {s} of {orders}", search_bound)
+            limit = gaps[-1]
+            col.elims.append(EliminationCertificate(
+                kind="parametric-tail" if para else "coefficient-tail",
+                domain=domain, fixed=fixed,
+                witnesses=tuple(gaps[-1:] if para else gaps),
+                open_count=len(same), threshold=limit,
+                check_bound=check_bound if para else 0, gap_count=gap_count,
+                parametric_orders=tuple(para)))
             col.derived.setdefault(orders, {})[f"slot{s}"] = limit
             lo = prefix[-1] if (s > 0 and orders[s - 1] == orders[s]) else 1
             for coef in range(lo, limit + 1):
@@ -445,26 +455,6 @@ def _screen_fixed_orders(space: CandidateSpace, bound: int, search_bound: int,
         close([])
 
     return col.report()
-
-
-def _close_coefficient_slot(fixed: Sequence[Term], para_orders: list[int],
-                            domain: SumDomain, search_bound: int,
-                            gap_count: int
-                            ) -> tuple[list[int], int, int] | None:
-    """Close a coefficient slot: find a threshold C such that coefficient > C
-    (together with the later equal-order slots) is impossible for *every*
-    assignment of coefficients to the remaining fixed-order sibling slots.
-
-    Returns (witnesses, C, check bound); witnesses are the gaps of the fixed
-    streams alone when there are no sibling slots.
-    """
-    limit = 4
-    while limit <= search_bound:
-        gaps = _sibling_gaps(fixed, para_orders, domain, limit, gap_count)
-        if gaps is not None:
-            return (gaps if not para_orders else [gaps[-1]]), gaps[-1], limit
-        limit *= 2
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -486,23 +476,6 @@ def _terms_with_product_upto(q: int, cap: int | None) -> list[TermKey]:
     return sorted(out, key=_term_sort_key)
 
 
-def _frontier_floor(fixed: Sequence[Term], open_count: int, domain: SumDomain,
-                    search_bound: int, gap_count: int, cap: int | None,
-                    start: int) -> tuple[int, int]:
-    """Smallest checked bound Q with: every coefficient assignment to the
-    open slots (streams within {0, a} below Q) leaves `gap_count` gaps <= Q.
-    Returns (product floor Q + 1, check bound Q)."""
-    limit = start
-    while limit <= search_bound:
-        base = [poly_values_upto(t, domain, limit) for t in fixed]
-        if _assignment_gaps_ok(base, open_count, limit, gap_count, cap):
-            return limit + 1, limit
-        limit *= 2
-    raise SpaceNotClosable(
-        f"frontier around {[str(t) for t in fixed]} not closable at "
-        f"search bound {search_bound}")
-
-
 def _screen_term_multisets(space: CandidateSpace, bound: int, search_bound: int,
                            gap_count: int) -> ScreenReport:
     if space.domain is not SumDomain.NATURALS:
@@ -511,36 +484,38 @@ def _screen_term_multisets(space: CandidateSpace, bound: int, search_bound: int,
     cap = space.coefficient_cap
     col = _Collector(space, bound, search_bound, gap_count)
 
-    # level 0: all three slots with coefficient*order above a floor
-    floor0, cb0 = _frontier_floor([], 3, domain, search_bound, gap_count, cap,
-                                  start=8)
-    col.elims.append(EliminationCertificate(
-        kind="frontier-tail", domain=domain, fixed=(), open_count=3,
-        threshold=floor0, check_bound=cb0, gap_count=gap_count,
-        coefficient_cap=cap))
-    col.derived["product-floor"] = floor0
+    def frontier(fixed: tuple[TermKey, ...], start: int, label: str) -> int:
+        """Close the open slots around ``fixed`` with a frontier-tail: every
+        coefficient assignment whose products lie above a checked bound Q
+        (streams within {0, a} below Q) leaves ``gap_count`` gaps <= Q.
+        Returns Q; the product floor is Q + 1."""
+        open_count = 3 - len(fixed)
+        q, _ = _closed(_closing_search(
+            fixed, lambda b: _frontier_slots(open_count, cap, b), domain,
+            start, search_bound, gap_count),
+            f"{space.name}: {label}", search_bound)
+        col.elims.append(EliminationCertificate(
+            kind="frontier-tail", domain=domain, fixed=fixed,
+            open_count=open_count, threshold=q + 1, check_bound=q,
+            gap_count=gap_count, coefficient_cap=cap))
+        col.derived[label] = q + 1
+        return q
 
-    for t1 in _terms_with_product_upto(floor0 - 1, cap):
+    # level 0: all three slots with coefficient*order above a floor
+    q0 = frontier((), 8, "product-floor")
+    for t1 in _terms_with_product_upto(q0, cap):
         term1 = Term(*t1)
         # level 1: both remaining slots above a pair floor
-        floor1, cb1 = _frontier_floor([term1], 2, domain, search_bound,
-                                      gap_count, cap, start=32)
-        col.elims.append(EliminationCertificate(
-            kind="frontier-tail", domain=domain, fixed=(t1,), open_count=2,
-            threshold=floor1, check_bound=cb1, gap_count=gap_count,
-            coefficient_cap=cap))
-        col.derived[f"pair-floor {Term(*t1)}"] = floor1
-        for t2 in _terms_with_product_upto(floor1 - 1, cap):
+        q1 = frontier((t1,), 32, f"pair-floor {term1}")
+        for t2 in _terms_with_product_upto(q1, cap):
             if _term_sort_key(t2) < _term_sort_key(t1):
                 continue
             term2 = Term(*t2)
             # level 2: coefficient tail for the last slot
-            coef_tail = coefficient_tail_cutoff([term1, term2], domain,
-                                                search_bound, gap_count)
-            if coef_tail is None:
-                raise SpaceNotClosable(
-                    f"coefficient tail open after {Term(*t1)}+{Term(*t2)}")
-            coef_wit, C = coef_tail
+            coef_wit, C = _closed(coefficient_tail_cutoff(
+                [term1, term2], domain, search_bound, gap_count),
+                f"{space.name}: coefficient tail after {term1}+{term2}",
+                search_bound)
             if cap is None or C < cap:
                 col.elims.append(EliminationCertificate(
                     kind="coefficient-tail", domain=domain, fixed=(t1, t2),
@@ -548,12 +523,10 @@ def _screen_term_multisets(space: CandidateSpace, bound: int, search_bound: int,
                     gap_count=gap_count))
             for a3 in range(1, (min(C, cap) if cap else C) + 1):
                 # level 3: order tail for the last slot
-                tail = order_tail_cutoff([term1, term2], a3, domain,
-                                         search_bound, gap_count)
-                if tail is None:
-                    raise SpaceNotClosable(
-                        f"order tail open after {Term(*t1)}+{Term(*t2)}+{a3}p_k")
-                wit, K = tail
+                wit, K = _closed(order_tail_cutoff(
+                    [term1, term2], a3, domain, search_bound, gap_count),
+                    f"{space.name}: order tail after {term1}+{term2}+{a3}p_k",
+                    search_bound)
                 col.elims.append(EliminationCertificate(
                     kind="order-tail", domain=domain, fixed=(t1, t2),
                     witnesses=tuple(wit), open_coefficient=a3, threshold=K,
@@ -571,16 +544,21 @@ def _screen_term_multisets(space: CandidateSpace, bound: int, search_bound: int,
 # public operations
 # ---------------------------------------------------------------------------
 
-def screen(space: CandidateSpace | str, bound: int | None = None,
-           search_bound: int = DEFAULT_SEARCH_BOUND) -> ScreenReport:
-    """Split the space into survivors and certified eliminations."""
+def _screen(space: CandidateSpace | str, bound: int | None,
+            search_bound: int, gap_count: int) -> ScreenReport:
     if isinstance(space, str):
         space = PRESETS[space]
     bound = bound if bound is not None else space.scan_bound
     search_bound = min(search_bound, bound)
-    if space.style == "fixed-orders":
-        return _screen_fixed_orders(space, bound, search_bound, gap_count=1)
-    return _screen_term_multisets(space, bound, search_bound, gap_count=1)
+    driver = (_screen_fixed_orders if space.style == "fixed-orders"
+              else _screen_term_multisets)
+    return driver(space, bound, search_bound, gap_count)
+
+
+def screen(space: CandidateSpace | str, bound: int | None = None,
+           search_bound: int = DEFAULT_SEARCH_BOUND) -> ScreenReport:
+    """Split the space into survivors and certified eliminations."""
+    return _screen(space, bound, search_bound, gap_count=1)
 
 
 def unique_exception_scan(space: CandidateSpace | str, bound: int | None = None,
@@ -591,15 +569,8 @@ def unique_exception_scan(space: CandidateSpace | str, bound: int | None = None,
     Tail regions are closed with two witnesses each, so every symbolically
     eliminated triple provably has at least two exceptions.
     """
-    if isinstance(space, str):
-        space = PRESETS[space]
-    bound = bound if bound is not None else space.scan_bound
-    search_bound = min(search_bound, bound)
-    if space.style == "fixed-orders":
-        report = _screen_fixed_orders(space, bound, search_bound, gap_count=2)
-    else:
-        report = _screen_term_multisets(space, bound, search_bound, gap_count=2)
-    return list(report.unique_exceptions)
+    return list(_screen(space, bound, search_bound, gap_count=2)
+                .unique_exceptions)
 
 
 def compare_with_catalog(report: ScreenReport | Iterable[tuple[TermKey, ...]],

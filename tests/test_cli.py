@@ -259,6 +259,21 @@ def test_negative_limit_is_usage_error(capsys, argv):
     assert status == 2 and out == ""
 
 
+@pytest.mark.parametrize("argv, search_bound", [
+    (["--preset", "liouville", "--bound", "0"], 0),
+    (["--preset", "liouville", "--bound", "-5"], -5),
+    (["--preset", "thm-1.3", "--search-bound", "2"], 2),
+    (["--preset", "unique-29", "--bound", "0"], 0),
+])
+def test_unclosable_search_bound_is_usage_error(capsys, argv, search_bound):
+    status = cli.main(["screen", *argv])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    assert line.endswith(f"not closable at search bound {search_bound}")
+
+
 def test_clean_prime_scan_runs_no_witness_search(capsys, monkeypatch):
     # a witness is only looked up for an n the batched re-check found
     def refuse(*args, **kwargs):

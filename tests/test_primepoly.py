@@ -81,7 +81,7 @@ def test_scan_soundness():
     candidates = [n for n in rng.sample(range(2, bound), 300)
                   if n not in excluded and n % 3 != 0][:100]
     for n in candidates:
-        witness = decomposition_witness(query, n)
+        witness = decomposition_witness(query, n, bound)
         assert witness is not None
         p, x = witness
         assert p in sieve and p + 3 * x * x == n
@@ -163,11 +163,7 @@ def test_scan_memory_per_integer():
     assert peak < 4 * bound
 
 
-def test_witness_default_bound_shares_sieve():
+def test_witness_rejects_bound_below_n():
     query = PrimePolyQuery(3, universe="coprime")
-    sieve_primes.cache_clear()
-    for n in range(2, 302):
-        decomposition_witness(query, n)
-    assert sieve_primes.cache_info().misses <= 9  # one per power of two
     with pytest.raises(ValueError):
         decomposition_witness(query, 1000, 999)

@@ -3,10 +3,16 @@ import dataclasses
 import pytest
 
 from polysum import catalog
-from polysum.polycore import SumDomain, Term
+from polysum.polycore import SumDomain, Term, poly_values_upto
 from polysum.screening import (
+    DEFAULT_SEARCH_BOUND,
     PRESETS,
     EliminationCertificate,
+    _frontier_slots,
+    _gaps_of_sets,
+    _screen,
+    _sibling_slots,
+    _worst_gaps,
     canonical_triple,
     certificate_covers,
     coefficient_tail_cutoff,
@@ -83,6 +89,111 @@ def test_weighted_screen_and_certificates():
     assert kinds == {"direct", "order-tail", "coefficient-tail", "frontier-tail"}
     assert all(verify_certificate(c) for c in report.eliminations)
     assert report.derived_bounds["product-floor"] >= 9
+
+
+@pytest.mark.parametrize("preset",
+                         ["unique-29", "liouville", "mixed-34-list", "thm-1.1i"])
+def test_two_gap_certificates_verify(preset):
+    report = _screen(preset, None, DEFAULT_SEARCH_BOUND, gap_count=2)
+    assert report.eliminations
+    # direct and order/coefficient tails carry two witnesses, frontier and
+    # parametric tails a gap count of two
+    assert all(max(len(c.witnesses), c.gap_count) == 2
+               for c in report.eliminations)
+    assert all(verify_certificate(c) for c in report.eliminations)
+
+
+def _reference_assignment_gaps_ok(fixed_sets, open_count, bound, gap_count,
+                                  coef_cap):
+    """Every assignment of {0, a} profiles to the open slots leaves
+    ``gap_count`` missing values <= bound (a in [1, cap] or above bound)."""
+    choices = (list(range(1, (coef_cap or bound) + 1)) + [None])
+
+    def rec(i, sets):
+        if i == open_count:
+            return len(_gaps_of_sets(sets, bound, gap_count)) == gap_count
+        for a in choices:
+            vals = (0,) if a is None else (0, a)
+            if not rec(i + 1, sets + [vals]):
+                return False
+        return True
+
+    return rec(0, fixed_sets)
+
+
+def _reference_sibling_gaps(fixed, sibling_orders, domain, bound, gap_count):
+    """Over every coefficient assignment (1..bound, or slot absent) to the
+    sibling slots, the first gaps whose last gap is largest; None when some
+    assignment leaves fewer gaps."""
+    worst = []
+
+    def rec(i, sets):
+        nonlocal worst
+        if i == len(sibling_orders):
+            found = _gaps_of_sets(sets, bound, gap_count)
+            if len(found) < gap_count:
+                return False
+            if not worst or found[-1] > worst[-1]:
+                worst = found
+            return True
+        for a in list(range(1, bound + 1)) + [None]:
+            extra = ([] if a is None else
+                     [poly_values_upto(Term(a, sibling_orders[i]), domain,
+                                       bound)])
+            if not rec(i + 1, sets + extra):
+                return False
+        return True
+
+    base = [poly_values_upto(t, domain, bound) for t in fixed]
+    return worst if rec(0, base) else None
+
+
+def _small_cases(fixed_choices, slot_choices, width):
+    """(fixed, slot spec, bound, gap count) with at most about 1700
+    assignments each, for bounds up to 40."""
+    for fixed in fixed_choices:
+        for spec in slot_choices:
+            for bound in (2, 4, 7, 8, 12, 16, 24, 32, 40):
+                if width(spec, bound) ** len(spec[0]) > 1700:
+                    continue
+                for gap_count in (1, 2):
+                    yield fixed, spec, bound, gap_count
+
+
+def test_worst_gaps_matches_the_frontier_reference():
+    outcomes = set()
+    fixed_choices = [(), ((1, 3),), ((1, 4),), ((2, 3),), ((1, 3), (1, 5))]
+    slot_choices = [(range(k), cap) for k in (1, 2, 3) for cap in (None, 1, 2)]
+    for fixed, (slots, cap), bound, gap_count in _small_cases(
+            fixed_choices, slot_choices,
+            lambda spec, bound: (spec[1] or bound) + 1):
+        if len(fixed) + len(slots) > 3:
+            continue
+        sets = [poly_values_upto(Term(a, m), N, bound) for a, m in fixed]
+        got = _worst_gaps(sets, _frontier_slots(len(slots), cap, bound),
+                          bound, gap_count)
+        want = _reference_assignment_gaps_ok(sets, len(slots), bound,
+                                             gap_count, cap)
+        assert (got is not None) == want, (fixed, len(slots), cap, bound)
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_worst_gaps_matches_the_sibling_reference():
+    outcomes = set()
+    fixed_choices = [(), ((1, 3),), ((2, 3),), ((1, 4),), ((1, 3), (1, 3))]
+    slot_choices = [(orders, domain) for orders in ((4,), (3,), (5,), (4, 4))
+                    for domain in (N, Z)]
+    for fixed, (orders, domain), bound, gap_count in _small_cases(
+            fixed_choices, slot_choices, lambda spec, bound: bound + 1):
+        terms = [Term(a, m) for a, m in fixed]
+        sets = [poly_values_upto(t, domain, bound) for t in terms]
+        got = _worst_gaps(sets, _sibling_slots(orders, domain, bound), bound,
+                          gap_count)
+        want = _reference_sibling_gaps(terms, orders, domain, bound, gap_count)
+        assert got == want, (fixed, orders, domain, bound, gap_count)
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
 
 
 def test_space_not_closable_at_tiny_search_bound():
