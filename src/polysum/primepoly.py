@@ -3,13 +3,21 @@
 A scan eliminates candidates (``sumset.eliminate``): every n of the universe
 starts alive, and each term value v, smallest first, kills the alive n for
 which n - v is a prime passing the query's filter, so the 10^7-scale runs
-take a fraction of a second.  All outputs are complete up to the scanned
+take a fraction of a second.  The scan runs by residue class: with
+Q = lcm(2, q) for a prime filter (q, r), or Q = 2 without one, every odd
+prime that passes lies in one class s mod Q, so each class c of n is
+eliminated on its own against the class-s primes, and a term value costs one
+pass over the B/Q entries of the one class it reaches.  The n = 2 + v, whose
+prime is 2, are killed by one scatter when 2 passes the filter.  The
+re-check ``decomposed_among`` splits the listed n by the same classes but
+shares no code with the scan.  All outputs are complete up to the scanned
 bound and nothing more: finiteness of the exception sets is a conjecture,
 not an artifact claim.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -17,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .polycore import poly_value
-from .sumset import eliminate, reached, sorted_distinct
+from .sumset import bitmap, eliminate, reached, sorted_distinct
 
 _SEGMENT = 1 << 20
 MAX_SIEVE_BOUND = 12_000_000
@@ -91,7 +99,7 @@ def sieve_primes(bound: int) -> PrimeSieve:
         raise ValueError("bound must be >= 2")
     if bound > MAX_SIEVE_BOUND:
         raise ValueError(f"bound {bound} above supported {MAX_SIEVE_BOUND}")
-    bits = np.zeros(bound + 1, dtype=bool)
+    bits = bitmap(bound + 1, False)
     root = int(bound ** 0.5) + 1
     base = np.ones(root + 1, dtype=bool)
     base[:2] = False
@@ -113,17 +121,6 @@ def sieve_primes(bound: int) -> PrimeSieve:
     return PrimeSieve(bound, bits)
 
 
-def _prime_bits(query: PrimePolyQuery, bound: int) -> np.ndarray:
-    """Bitmap over [0, bound] of the primes that pass the query's filter."""
-    bits = sieve_primes(bound).bits
-    if query.prime_filter is None:
-        return bits
-    q, r = query.prime_filter
-    kept = np.zeros(bound + 1, dtype=bool)
-    kept[r::q] = bits[r::q]
-    return kept
-
-
 def _prime_divisors(n: int) -> list[int]:
     found, d = [], 2
     while d * d <= n:
@@ -135,26 +132,73 @@ def _prime_divisors(n: int) -> list[int]:
     return found + [n] if n > 1 else found
 
 
-def _universe_mask(query: PrimePolyQuery, bound: int) -> np.ndarray:
-    """Bitmap over [0, bound] of the n >= 2 the query asks about."""
-    mask = np.zeros(bound + 1, dtype=bool)
-    if query.universe == "odd":
-        mask[3::2] = True
-    else:
-        mask[2:] = True
+def _universe_classes(query: PrimePolyQuery, period: int,
+                      bound: int) -> list[int]:
+    """The classes c mod ``period``, c <= bound, that hold universe n:
+    ``odd`` leaves out the even c, and ``coprime`` each c sharing a prime
+    divisor d of period with the coefficient (n = c mod d for every n)."""
+    shared = [d for d in _prime_divisors(query.coefficient)
+              if query.universe == "coprime" and period % d == 0]
+    return [c for c in range(min(period, bound + 1))
+            if not (query.universe == "odd" and c % 2 == 0)
+            and all(c % d for d in shared)]
+
+
+def _class_alive(query: PrimePolyQuery, c: int, period: int, bound: int,
+                 twos: np.ndarray) -> np.ndarray:
+    """Bitmap over i in [0, bound // period] of whether n = c + period*i is a
+    universe n in [2, bound], for a class c from ``_universe_classes``, that
+    is not in ``twos`` (the n whose prime is 2).  Every class has the
+    length of the class-s prime bitmap, as ``eliminate`` needs."""
+    alive = bitmap(bound // period + 1, True)
+    alive[(bound - c) // period + 1 :] = False
+    if c < 2:
+        alive[0] = False
     if query.universe == "coprime":
         for d in _prime_divisors(query.coefficient):
-            mask[::d] = False
-    return mask
+            if period % d:
+                # c + period*i = 0 (mod d) at i = -c / period (mod d)
+                alive[-c * pow(period, -1, d) % d :: d] = False
+    alive[(twos[twos % period == c] - c) // period] = False
+    return alive
 
 
 def exception_scan(query: PrimePolyQuery, bound: int) -> list[int]:
     """All n in the universe, 2 <= n <= bound, with no decomposition
-    n = p + term(x) where p passes the prime filter."""
+    n = p + term(x) where p passes the prime filter.
+
+    With Q = lcm(2, q) for a prime filter (q, r), or Q = 2 without one,
+    every odd prime that passes lies in the one odd class s = r (mod q) mod
+    Q, if there is one.  Each class c of n is eliminated on its own against
+    that class of primes, walking only the term values v = c - s (mod Q) as
+    shifts (v - c + s) / Q; n = 2 + v, whose prime is 2, is killed by one
+    scatter when 2 passes the filter."""
     if bound < 2:
         raise ValueError("bound must be >= 2")
-    return eliminate(_universe_mask(query, bound), _prime_bits(query, bound),
-                     query.term_values(bound - 2)).tolist()
+    q, r = query.prime_filter or (1, 0)
+    period = math.lcm(2, q)
+    s = next((k for k in range(1, period, 2) if k % q == r), None)
+    values = np.asarray(query.term_values(bound - 2), dtype=np.int64)
+    twos = values + 2 if 2 % q == r else values[:0]
+    if s is not None:
+        primes = bitmap(bound // period + 1, False)
+        in_class = sieve_primes(bound).bits[s::period]
+        primes[: in_class.size] = in_class
+        values = values[values <= bound - s]
+    found = []
+    for c in _universe_classes(query, period, bound):
+        # the bitmap is passed inline, so that eliminate holds its only
+        # reference and frees it once the class turns sparse
+        if s is not None:
+            shifts = values[(values - c + s) % period == 0]
+            survivors = eliminate(_class_alive(query, c, period, bound, twos),
+                                  primes, ((shifts - c + s) // period).tolist())
+        else:
+            survivors = np.flatnonzero(
+                _class_alive(query, c, period, bound, twos))
+        found.append(c + period * survivors)
+    # the classes are disjoint, so this only interleaves them
+    return sorted_distinct(np.concatenate(found)).tolist()
 
 
 def max_exception(query: PrimePolyQuery, bound: int) -> int | None:
@@ -184,18 +228,26 @@ def decomposed_among(query: PrimePolyQuery, ns: Iterable[int],
                      bound: int) -> list[int]:
     """The n <= bound in ns that have a decomposition, sorted and distinct.
 
-    Independent of the scan: the table is the unfiltered sieve_primes(bound),
-    and for the n of each class c mod q only the term values v = c - r
-    (mod q) are walked, so that p = n - v passes a prime filter (q, r)."""
+    Independent of the scan: the table is the unfiltered sieve_primes(bound).
+    The prime 2, when it passes a prime filter (q, r), is one membership
+    test of n - 2 among the term values.  For the n of each class c mod
+    lcm(2, q) only the term values v that leave p = n - v odd and = r
+    (mod q) are walked."""
     ns = sorted_distinct(np.fromiter(ns, dtype=np.int64))
     if ns.size and ns[-1] > bound:
         raise ValueError(f"sieve bound {bound} below n = {ns[-1]}")
     table = sieve_primes(bound).bits
     values = np.asarray(query.term_values(bound - 2), dtype=np.int64)
     q, r = query.prime_filter or (1, 0)
+    period = math.lcm(2, q)
     hit = np.zeros(ns.size, dtype=bool)
-    for c in range(q):
-        in_class = ns % q == c
-        walked = values[(c - r - values) % q == 0]
-        hit[in_class] = reached(table, ns[in_class], walked.tolist())
+    if 2 % q == r:
+        at = np.minimum(np.searchsorted(values, ns - 2), values.size - 1)
+        hit = values[at] == ns - 2
+    for c in range(period):
+        left = (c - values) % period
+        walked = values[(left % 2 == 1) & (left % q == r)]
+        if walked.size:
+            in_class = ns % period == c
+            hit[in_class] |= reached(table, ns[in_class], walked.tolist())
     return ns[hit].tolist()

@@ -23,8 +23,10 @@ carrying a machine-checkable certificate:
 
 Frontier and parametric tails are checked by one enumeration
 (``_worst_gaps``): one value set is chosen per open slot from a candidate
-list, and every choice must leave the gaps.  Their check bound doubles until
-that enumeration closes.  A region still open at the search bound raises
+list, and every choice must leave the gaps.  The {0} of a coefficient above
+the check bound, or of an absent slot, is inside every candidate set, so its
+gaps are a superset and it is no choice of its own.  The check bound doubles
+until that enumeration closes.  A region still open at the search bound raises
 ``SpaceNotClosable``, which the CLI reports with exit status 2.
 
 Tail thresholds come from the smallest checked witness, which may be looser
@@ -119,31 +121,39 @@ def _worst_gaps(sets: Sequence[Iterable[int]],
     """Over every choice of one value set per open slot, the first
     ``gap_count`` gaps on [0, bound] of ``sets`` plus the chosen sets whose
     last gap is largest (the earliest such choice); None as soon as some
-    choice leaves fewer gaps."""
-    worst: list[int] = []
+    choice leaves fewer gaps, or when a slot has no value set to choose."""
+    worst = None
     for choice in product(*slots):
         found = _gaps_of_sets([*sets, *choice], bound, gap_count)
         if len(found) < gap_count:
             return None
-        if not worst or found[-1] > worst[-1]:
+        if worst is None or found[-1] > worst[-1]:
             worst = found
     return worst
 
 
 def _frontier_slots(open_count: int, cap: int | None,
                     bound: int) -> list[list[tuple[int, ...]]]:
-    """Per open slot: {0, a} for each coefficient a in [1, cap or bound],
-    or {0} for a coefficient above the bound."""
-    sets = [(0, a) for a in range(1, (cap or bound) + 1)] + [(0,)]
-    return [sets] * open_count
+    """Per open slot: {0, a} for each coefficient a in [1, cap or bound].
+
+    A coefficient above the bound contributes only {0}, but that choice
+    needs no check: {0} is inside every {0, a}, so its gaps are a superset
+    of theirs.  It never leaves fewer gaps, and its last gap is never
+    larger, so it can never decide the result."""
+    return [[(0, a) for a in range(1, (cap or bound) + 1)]] * open_count
 
 
 def _sibling_slots(orders: Sequence[int], domain: SumDomain,
                    bound: int) -> list[list[Sequence[int]]]:
     """Per sibling order: the stream of each coefficient in [1, bound] at
-    that order, or {0} for an absent slot."""
+    that order.
+
+    An absent slot contributes only {0}, but that choice needs no check:
+    every stream holds 0, so the gaps of {0} are a superset of a stream's.
+    It never leaves fewer gaps, and its last gap is never larger, so it can
+    never decide the result."""
     return [[_stream((a, m), domain, bound) for a in range(1, bound + 1)]
-            + [(0,)] for m in orders]
+            for m in orders]
 
 
 def _closing_search(fixed: Sequence[TermKey], slots, domain: SumDomain,

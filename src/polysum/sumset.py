@@ -4,7 +4,9 @@ A range sieve builds a numpy bool bitmap over [0, bound] in two steps.  The
 sums of the two longest value streams are scattered into the bitmap in
 chunked outer products.  Each further stream is folded in by candidate
 elimination (``eliminate``): the n not yet reached start alive, and each
-value v kills the alive n with n - v already reached.
+value v kills the alive n with n - v already reached.  Bitmaps of 2^20
+entries and more lie on memory maps of their own (``bitmap``), so that the
+peak RSS does not turn on the layout of the heap.
 
 Every exception list is re-verified at construction, and downstream
 elimination certificates rely on that.  The re-check shares no code with
@@ -16,6 +18,8 @@ gather from that table.
 
 from __future__ import annotations
 
+import mmap
+import tracemalloc
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -48,6 +52,38 @@ _PAIR_CHUNK = 1 << 16
 _SPARSE_SHARE = 32
 _DENSE_ONLY_BELOW = 1 << 15
 _COUNT_EVERY = 8
+
+# Bitmaps of at least this many entries lie on a memory map of their own
+# (``bitmap``); below it, numpy allocates them.
+_MAPPED_FROM = 1 << 20
+
+
+def bitmap(size: int, fill: bool) -> np.ndarray:
+    """Bool bitmap of ``size`` entries, all ``fill``.
+
+    A large bitmap lies on an anonymous memory map of its own, resident in
+    full from the start and unmapped as soon as the last array on it is
+    freed, so that the peak RSS is the sum of the bitmaps alive at once.
+    From malloc, whether a freed bitmap's memory stays resident, and
+    whether the next bitmap reuses it, turns on the layout of the whole
+    heap: the peak RSS of two runs differed by 2-3 MB for bounds a few
+    entries apart, or for one bound launched another way.  Fresh
+    pages cost about 0.3 ms per MB (2-vCPU VM).  tracemalloc cannot see a
+    memory map, so while it traces, numpy allocates the bitmap.
+    """
+    if size < _MAPPED_FROM or not hasattr(mmap, "MAP_POPULATE") \
+            or tracemalloc.is_tracing():
+        return np.ones(size, dtype=bool) if fill else np.zeros(size, dtype=bool)
+    bits = np.frombuffer(mmap.mmap(-1, size, mmap.MAP_PRIVATE
+                                   | mmap.MAP_POPULATE), dtype=bool)
+    if fill:
+        bits.fill(True)
+    return bits
+
+
+def _complement(bits: np.ndarray) -> np.ndarray:
+    """``~bits`` in a new ``bitmap``."""
+    return np.logical_not(bits, out=bitmap(bits.size, False))
 
 
 class ReverificationError(RuntimeError):
@@ -146,8 +182,12 @@ class RangeBitset:
         return int(np.count_nonzero(self.bits))
 
     def missing(self) -> list[int]:
-        """Sorted positions in [0, bound] with the bit unset."""
-        return np.flatnonzero(~self.bits).tolist()
+        """Sorted positions in [0, bound] with the bit unset, found
+        _PAIR_CHUNK entries at a time rather than in a complement of the
+        whole bitmap."""
+        return np.concatenate([
+            np.flatnonzero(~self.bits[i : i + _PAIR_CHUNK]) + i
+            for i in range(0, self.bits.size, _PAIR_CHUNK)]).tolist()
 
     def first_missing(self, count: int = 1) -> list[int]:
         return np.flatnonzero(~self.bits)[:count].tolist()
@@ -175,7 +215,7 @@ def _pair_bits(first: Sequence[int], second: Sequence[int],
                bound: int) -> np.ndarray:
     """Bitmap over [0, bound] of first + second, one outer product of at
     most _PAIR_CHUNK sums per chunk of ``second``."""
-    bits = np.zeros(bound + 1, dtype=bool)
+    bits = bitmap(bound + 1, False)
     row = np.asarray(first, dtype=np.int64)
     step = max(1, _PAIR_CHUNK // row.size)
     for i in range(0, len(second), step):
@@ -198,7 +238,7 @@ def range_sieve(terms: Sequence[Term], domain: SumDomain,
     bits = _pair_bits(streams[0], streams[1] if len(streams) > 1 else [0],
                       bound)
     for stream in streams[2:]:
-        survivors = eliminate(~bits, bits, stream)
+        survivors = eliminate(_complement(bits), bits, stream)
         bits.fill(True)
         bits[survivors] = False
     return RangeBitset(bound, bits)
@@ -284,7 +324,7 @@ def offset_universal_check(terms: Sequence[Term], domain: SumDomain,
         raise ValueError("offsets must be a nonempty set of integers >= 0")
     base = range_sieve(terms, domain, bound).bits
     # the offsets are one more value stream over the sumset bitmap
-    missing = tuple(eliminate(np.ones(bound + 1, dtype=bool), base,
+    missing = tuple(eliminate(bitmap(bound + 1, True), base,
                               [r for r in offsets if r <= bound]).tolist())
     _verify_non_representable(terms, domain, missing, offsets)
     return ExceptionReport(TripleSum(terms, domain), bound, missing, offsets)

@@ -129,6 +129,44 @@ def test_scan_equals_witness_sweep(query, bound, share):
         assert exception_scan(query, bound) == brute
 
 
+def _witness_sweep(query, bound):
+    return [n for n in range(2, bound + 1)
+            if _in_universe(query, n)
+            and decomposition_witness(query, n, bound) is None]
+
+
+# Filters under which no odd prime passes: only p = 2 can reach any n.
+@pytest.mark.parametrize("prime_filter", [(2, 0), (4, 2), (6, 0), (6, 2)])
+@pytest.mark.parametrize("query_args", [
+    (2, "square", None, "all"), (3, "square", None, "coprime"),
+    (2, "polygonal", 5, "odd"), (6, "polygonal", 3, "all")])
+def test_scan_without_odd_prime_class(prime_filter, query_args):
+    query = PrimePolyQuery(*query_args, prime_filter)
+    assert exception_scan(query, 1500) == _witness_sweep(query, 1500)
+
+
+def test_scan_even_class_reached_only_by_two():
+    # 2x^2 is even, so an even n = p + 2x^2 needs p = 2: the even class is
+    # settled by the scatter of n = 2 + 2x^2 alone
+    query = PrimePolyQuery(2)
+    found = exception_scan(query, 3000)
+    assert found == _witness_sweep(query, 3000)
+    assert [n for n in range(2, 3001, 2) if n not in found] == [
+        2 + 2 * x * x for x in range(39)]
+
+
+# Every bound from 2 up, so that n = bound meets the largest shift a class
+# takes, (bound - c + s) / Q for the prime p = s of the odd class s
+@pytest.mark.parametrize("query", [
+    PrimePolyQuery(1, universe="all", prime_filter=(4, 3)),
+    PrimePolyQuery(1, universe="all", prime_filter=(6, 5)),
+    PrimePolyQuery(2, "polygonal", 5, "odd", (3, 2)),
+    PrimePolyQuery(3, universe="all", prime_filter=(5, 3))])
+def test_scan_at_every_small_bound(query):
+    for bound in range(2, 160):
+        assert exception_scan(query, bound) == _witness_sweep(query, bound)
+
+
 # The re-check against a per-n witness sweep over the scan's own list with
 # some n injected, in any order and with repeats.
 @settings(max_examples=100, deadline=None)
@@ -161,6 +199,21 @@ def test_scan_memory_per_integer():
     finally:
         tracemalloc.stop()
     assert peak < 4 * bound
+
+
+def test_filtered_scan_memory_per_integer():
+    # a full-width filtered prime copy or universe mask alone would be one
+    # byte per integer; the scan by class mod 4 holds a quarter of [0, bound]
+    # of each at a time
+    bound = 2_000_000
+    sieve_primes(bound)
+    tracemalloc.start()
+    try:
+        exception_scan(PrimePolyQuery(2, "polygonal", 5, "odd", (4, 1)), bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * bound
 
 
 def test_witness_rejects_bound_below_n():

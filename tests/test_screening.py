@@ -196,6 +196,13 @@ def test_worst_gaps_matches_the_sibling_reference():
     assert outcomes == {True, False}
 
 
+def test_worst_gaps_with_no_value_set_to_choose():
+    # at check bound 0 a frontier slot has no {0, a}: nothing is closed
+    assert _frontier_slots(1, None, 0) == [[]]
+    assert _worst_gaps([], _frontier_slots(1, None, 0), 0, 1) is None
+    assert _worst_gaps([], _sibling_slots((4,), N, 0), 0, 1) is None
+
+
 def test_space_not_closable_at_tiny_search_bound():
     from polysum.screening import SpaceNotClosable
     with pytest.raises(SpaceNotClosable):

@@ -1,8 +1,11 @@
 import contextlib
+import mmap
 import random
 import tracemalloc
+import weakref
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -178,6 +181,48 @@ def test_sieve_memory_per_integer():
     assert peak < 3 * bound
 
 
+def test_bitmap_sizes_and_fills():
+    for size in (0, 1, 5, sumset._MAPPED_FROM - 1, sumset._MAPPED_FROM,
+                 sumset._MAPPED_FROM + 3):
+        for fill in (False, True):
+            bits = sumset.bitmap(size, fill)
+            assert bits.dtype == bool and bits.shape == (size,)
+            assert bits.all() if fill else not bits.any()
+            bits[-1:] = not fill
+            assert np.count_nonzero(bits != fill) == min(size, 1)
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MAP_POPULATE"),
+                    reason="bitmaps are mapped where MAP_POPULATE exists")
+def test_large_bitmap_is_unmapped_with_its_last_array():
+    bits = sumset.bitmap(sumset._MAPPED_FROM, True)
+    assert not bits.flags.owndata
+    mapping = weakref.ref(bits.base.obj)
+    view = bits[10:]
+    del bits
+    assert mapping() is not None
+    del view
+    assert mapping() is None
+
+
+def test_bitmap_is_traced_under_tracemalloc():
+    tracemalloc.start()
+    try:
+        bits = sumset.bitmap(sumset._MAPPED_FROM, False)
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert bits.flags.owndata and traced >= sumset._MAPPED_FROM
+
+
+def test_missing_across_chunk_edges():
+    chunk = sumset._PAIR_CHUNK
+    bits = np.ones(2 * chunk + 5, dtype=bool)
+    unset = [0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, 2 * chunk + 4]
+    bits[unset] = False
+    assert sumset.RangeBitset(bits.size - 1, bits).missing() == unset
+
+
 def test_bound_above_limit_is_refused_before_allocation():
     tracemalloc.start()
     try:
@@ -271,8 +316,8 @@ def test_rechecks_call_no_kernel_function():
     kernels = [(sumset, "_pair_bits"), (sumset, "eliminate"),
                (sumset, "range_sieve"), (qform, "_pair_bits"),
                (qform, "_reachable"), (qform, "range_sieve"),
-               (primepoly, "eliminate"), (primepoly, "_prime_bits"),
-               (primepoly, "_universe_mask")]
+               (primepoly, "eliminate"), (primepoly, "exception_scan"),
+               (primepoly, "_universe_classes"), (primepoly, "_class_alive")]
     with contextlib.ExitStack() as stack:
         for module, name in kernels:
             stack.enter_context(mock.patch.object(module, name, refuse))
