@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 import time
@@ -411,6 +412,7 @@ def _cmd_conjecture(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; subcommand ``a-b`` runs ``_cmd_a_b``."""
     parser = argparse.ArgumentParser(
         prog="polysum",
         description="Sieves, screens and certificates for polygonal sums "
@@ -426,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--offsets", default="", help="comma-separated shifts")
     add_format(p)
-    p.set_defaults(fn=_cmd_except)
 
     p = sub.add_parser("screen", help="frontier screen of a candidate space")
     p.add_argument("--preset", required=True,
@@ -436,27 +437,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare", action=argparse.BooleanOptionalAction,
                    default=True, help="diff survivors against the catalog")
     add_format(p)
-    p.set_defaults(fn=_cmd_screen)
 
     p = sub.add_parser("qform-except", help="exception set of a diagonal form")
     p.add_argument("--form", required=True, help='coefficients "a,b,c"')
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--limit", type=int, default=50, help="max listed entries")
     add_format(p)
-    p.set_defaults(fn=_cmd_qform_except)
 
     p = sub.add_parser("qform-verify-catalog",
                        help="check catalog forms against their family sets")
     p.add_argument("--entry", default="", help="single display id, e.g. 4.10")
     p.add_argument("--bound", type=int, default=100_000)
     add_format(p)
-    p.set_defaults(fn=_cmd_qform_verify_catalog)
 
     p = sub.add_parser("reduce", help="canonical form reduction of a sum")
     p.add_argument("--sum", required=True)
     p.add_argument("--domain", default="Z")
     add_format(p)
-    p.set_defaults(fn=_cmd_reduce)
 
     p = sub.add_parser("verify-reduction", help="verify reduction equivalences")
     p.add_argument("--display", default="", help="explicit display id")
@@ -464,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", default="Z")
     p.add_argument("--bound", type=int, default=10_000)
     add_format(p)
-    p.set_defaults(fn=_cmd_verify_reduction)
 
     p = sub.add_parser("prime-scan", help="n = p + a*x^2 / p + a*p_m(x) scan")
     p.add_argument("--a", type=int, required=True)
@@ -477,30 +473,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--limit", type=int, default=50)
     add_format(p)
-    p.set_defaults(fn=_cmd_prime_scan)
 
     p = sub.add_parser("descent-check", help="run one descent transform")
     p.add_argument("--op", required=True, help=f"one of {sorted(_DESCENT_OPS)}")
     p.add_argument("--args", required=True, help="comma-separated integers")
     add_format(p)
-    p.set_defaults(fn=_cmd_descent_check)
 
     p = sub.add_parser("conjecture", help="bounded conjecture verifications")
     p.add_argument("--preset", required=True,
                    help=f"one of {sorted(_CONJECTURES)}")
     p.add_argument("--bound", type=int, default=0)
     add_format(p)
-    p.set_defaults(fn=_cmd_conjecture)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process; a build takes about 2.4 ms (2-vCPU
+    VM), and some callers run ``main`` dozens of times."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so that a replaced command function takes effect
+    command = globals()["_cmd_" + args.command.replace("-", "_")]
     start = time.perf_counter()
     try:
-        status = args.fn(args)
+        status = command(args)
     except (UsageError, ValueError, catalog.UnknownIdentifierError,
             SpaceNotClosable) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,9 +25,22 @@ Frontier and parametric tails are checked by one enumeration
 (``_worst_gaps``): one value set is chosen per open slot from a candidate
 list, and every choice must leave the gaps.  The {0} of a coefficient above
 the check bound, or of an absent slot, is inside every candidate set, so its
-gaps are a superset and it is no choice of its own.  The check bound doubles
-until that enumeration closes.  A region still open at the search bound raises
-``SpaceNotClosable``, which the CLI reports with exit status 2.
+gaps are a superset and it is no choice of its own.  The fixed streams are
+summed once and each chosen set is added to the sums of the slots before it;
+slots with equal candidate lists (all frontier slots, sibling slots of one
+order) walk each multiset of choices once, as its sorted index tuple.  The
+check bound doubles until that enumeration closes.  A region still open at the
+search bound raises ``SpaceNotClosable``, which the CLI reports with exit
+status 2.
+
+Each concrete triple is scanned beside a fixed pair of its terms
+(``_FixedPair``), whose sumset bitmap is built once per pair: at the search
+bound, where the pair's coefficient tail, its order tails and the staged pass
+of each of its triples read it, and at the scan bound, on first use, for the
+triples that pass their stage.  A triple's exceptions are the n outside the
+pair's sumset plus the third stream, found by ``eliminate`` in one buffer that
+every scan of the screen reuses.  A sumset does not depend on which two of its
+streams are summed first, so each scan is exact for the triple.
 
 Tail thresholds come from the smallest checked witness, which may be looser
 than a hand-optimized cutoff; certificates are validated against their own
@@ -38,11 +51,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, islice
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .polycore import SumDomain, Term, TripleSum, poly_values_upto
-from .sumset import eliminate, member_with_witness, range_sieve
+from .sumset import (
+    RangeBitset,
+    bitmap,
+    eliminate,
+    member_with_witness,
+    range_sieve,
+)
 
 DEFAULT_SEARCH_BOUND = 2000
 DEFAULT_SCAN_BOUND = 100_000
@@ -121,15 +142,39 @@ def _worst_gaps(sets: Sequence[Iterable[int]],
     """Over every choice of one value set per open slot, the first
     ``gap_count`` gaps on [0, bound] of ``sets`` plus the chosen sets whose
     last gap is largest (the earliest such choice); None as soon as some
-    choice leaves fewer gaps, or when a slot has no value set to choose."""
+    choice leaves fewer gaps, or when a slot has no value set to choose.
+
+    The sums of ``sets`` are built once, and the walk adds one chosen set
+    per slot, depth first.  Where a slot's candidate list equals the one
+    before it, the walk takes only choices at or after the earlier slot's:
+    a sumset does not depend on the order of its sets, and each multiset of
+    choices first appears in ``product`` order as its sorted index tuple, so
+    the earliest worst choice is among those walked."""
+    def add(sums: set[int], values: Iterable[int]) -> set[int]:
+        return {s + v for s in sums for v in values if s + v <= bound}
+
+    sums = {0}
+    for values in sets:
+        sums = add(sums, values)
+    repeats = [i > 0 and slots[i] == slots[i - 1] for i in range(len(slots))]
     worst = None
-    for choice in product(*slots):
-        found = _gaps_of_sets([*sets, *choice], bound, gap_count)
-        if len(found) < gap_count:
-            return None
-        if worst is None or found[-1] > worst[-1]:
-            worst = found
-    return worst
+
+    def walk(level: int, sums: set[int], first: int) -> bool:
+        nonlocal worst
+        if level == len(slots):
+            found = list(islice((n for n in range(bound + 1) if n not in sums),
+                                gap_count))
+            if len(found) < gap_count:
+                return False
+            if worst is None or found[-1] > worst[-1]:
+                worst = found
+            return True
+        for j in range(first if repeats[level] else 0, len(slots[level])):
+            if not walk(level + 1, add(sums, slots[level][j]), j):
+                return False
+        return True
+
+    return worst if walk(0, sums, 0) else None
 
 
 def _frontier_slots(open_count: int, cap: int | None,
@@ -223,6 +268,25 @@ def verify_certificate(cert: EliminationCertificate) -> bool:
 # tail cutoffs (public primitives)
 # ---------------------------------------------------------------------------
 
+def _order_tail(pair: RangeBitset, c: int,
+                gap_count: int) -> tuple[list[int], int] | None:
+    """``order_tail_cutoff`` read from the fixed terms' sumset bitmap."""
+    found = eliminate(~pair.bits, pair.bits, [c] if c <= pair.bound else [])
+    found = found[:gap_count].tolist()
+    if len(found) < gap_count:
+        return None
+    return found, found[-1] // c + 3
+
+
+def _coefficient_tail(pair: RangeBitset,
+                      gap_count: int) -> tuple[list[int], int] | None:
+    """``coefficient_tail_cutoff`` read from the fixed terms' sumset bitmap."""
+    found = pair.first_missing(gap_count)
+    if len(found) < gap_count:
+        return None
+    return found, found[-1]
+
+
 def order_tail_cutoff(fixed_terms: Sequence[Term], third_coefficient: int,
                       domain: SumDomain, search_bound: int = DEFAULT_SEARCH_BOUND,
                       gap_count: int = 1) -> tuple[list[int], int] | None:
@@ -234,13 +298,8 @@ def order_tail_cutoff(fixed_terms: Sequence[Term], third_coefficient: int,
     """
     if third_coefficient < 1:
         raise ValueError("coefficient must be >= 1")
-    pair = range_sieve(fixed_terms, domain, search_bound).bits
-    c = third_coefficient
-    found = eliminate(~pair, pair, [c] if c <= search_bound else [])
-    found = found[:gap_count].tolist()
-    if len(found) < gap_count:
-        return None
-    return found, found[-1] // c + 3
+    return _order_tail(range_sieve(fixed_terms, domain, search_bound),
+                       third_coefficient, gap_count)
 
 
 def coefficient_tail_cutoff(fixed_terms: Sequence[Term], domain: SumDomain,
@@ -251,11 +310,8 @@ def coefficient_tail_cutoff(fixed_terms: Sequence[Term], domain: SumDomain,
     The smallest n outside the fixed-pair sumset works for every order at
     once: a third term with coefficient > n contributes only 0 below n.
     """
-    pair = range_sieve(fixed_terms, domain, search_bound)
-    found = pair.first_missing(gap_count)
-    if len(found) < gap_count:
-        return None
-    return found, found[-1]
+    return _coefficient_tail(range_sieve(fixed_terms, domain, search_bound),
+                             gap_count)
 
 
 # ---------------------------------------------------------------------------
@@ -370,16 +426,54 @@ def format_triple(triple: Sequence[TermKey]) -> str:
 # shared scanning helpers
 # ---------------------------------------------------------------------------
 
+class _FixedPair:
+    """The fixed terms shared by a run of concrete triples, and their sumset
+    bitmaps: at the stage bound, and at the scan bound, each built on first
+    use.  The tails under the pair read the staged bitmap, and every triple
+    (pair, third) is scanned against the pair's bitmaps: a sumset does not
+    depend on which two of its streams are summed first."""
+
+    def __init__(self, keys: tuple[TermKey, ...], domain: SumDomain,
+                 stage: int, bound: int):
+        self.keys = keys
+        self.domain = domain
+        self.stage = stage
+        self.bound = bound
+
+    def _sieve(self, bound: int) -> RangeBitset:
+        return range_sieve([Term(a, m) for a, m in self.keys], self.domain,
+                           bound)
+
+    @cached_property
+    def staged(self) -> RangeBitset:
+        return self._sieve(self.stage)
+
+    @cached_property
+    def full(self) -> RangeBitset:
+        return self.staged if self.stage == self.bound else self._sieve(self.bound)
+
+
+def _gaps_beside(pair: RangeBitset, stream: Sequence[int], want: int,
+                 alive: np.ndarray) -> list[int]:
+    """The first ``want`` n <= pair.bound outside pair + stream, eliminated
+    in the head of ``alive``, a bool buffer of at least pair.bound + 1."""
+    alive = np.logical_not(pair.bits, out=alive[: pair.bits.size])
+    return eliminate(alive, pair.bits, stream)[:want].tolist()
+
+
 def _scan_concrete(triple: Sequence[TermKey], domain: SumDomain, bound: int,
-                   stage: int, want: int) -> list[int]:
-    """Up to `want` exceptions of the triple within [0, bound]; a staged
-    pass up to `stage` short-circuits triples that fail early."""
-    terms = [Term(a, m) for a, m in triple]
+                   stage: int, want: int, pair: _FixedPair, third: TermKey,
+                   alive: np.ndarray) -> list[int]:
+    """Up to `want` exceptions within [0, bound] of the triple, the pair's
+    terms plus ``third``; a staged pass up to `stage` short-circuits triples
+    that fail early.  The first five parameters describe the scan for
+    ``perfbench/spans.py``; the work reads the pair and ``third``."""
     if stage < bound:
-        quick = range_sieve(terms, domain, stage).first_missing(want)
+        quick = _gaps_beside(pair.staged, _stream(third, domain, stage), want,
+                             alive)
         if len(quick) == want:
             return quick
-    return range_sieve(terms, domain, bound).first_missing(want)
+    return _gaps_beside(pair.full, _stream(third, domain, bound), want, alive)
 
 
 class _Collector:
@@ -395,13 +489,18 @@ class _Collector:
         self.uniques: list[tuple[tuple[TermKey, ...], int]] = []
         self.elims: list[EliminationCertificate] = []
         self.derived: dict = {}
+        self._alive: np.ndarray | None = None
 
-    def concrete(self, triple: Sequence[TermKey]) -> None:
-        triple = canonical_triple(triple)
+    def concrete(self, pair: _FixedPair, third: TermKey) -> None:
+        triple = canonical_triple([*pair.keys, third])
         if not self.space.contains(triple):
             return
+        if self._alive is None:
+            # one elimination buffer for every scan of the screen
+            self._alive = bitmap(self.bound + 1, False)
         exc = _scan_concrete(triple, self.space.domain, self.bound,
-                             self.search_bound, self.gap_count)
+                             self.search_bound, self.gap_count, pair, third,
+                             self._alive)
         if len(exc) >= self.gap_count:
             self.elims.append(EliminationCertificate(
                 kind="direct", domain=self.space.domain, fixed=triple,
@@ -438,9 +537,6 @@ def _screen_fixed_orders(space: CandidateSpace, bound: int, search_bound: int,
             later slots of other orders; then recurse on each coefficient
             up to C."""
             s = len(prefix)
-            if s == n_slots:
-                col.concrete(list(zip(prefix, orders)))
-                return
             fixed = tuple(zip(prefix, orders))
             same = [i for i in range(s, n_slots) if orders[i] == orders[s]]
             para = [orders[i] for i in range(s + 1, n_slots)
@@ -459,8 +555,13 @@ def _screen_fixed_orders(space: CandidateSpace, bound: int, search_bound: int,
                 parametric_orders=tuple(para)))
             col.derived.setdefault(orders, {})[f"slot{s}"] = limit
             lo = prefix[-1] if (s > 0 and orders[s - 1] == orders[s]) else 1
+            if s < n_slots - 1:
+                for coef in range(lo, limit + 1):
+                    close(prefix + [coef])
+                return
+            pair = _FixedPair(fixed, domain, search_bound, bound)
             for coef in range(lo, limit + 1):
-                close(prefix + [coef])
+                col.concrete(pair, (coef, orders[s]))
 
         close([])
 
@@ -521,9 +622,9 @@ def _screen_term_multisets(space: CandidateSpace, bound: int, search_bound: int,
             if _term_sort_key(t2) < _term_sort_key(t1):
                 continue
             term2 = Term(*t2)
+            pair = _FixedPair((t1, t2), domain, search_bound, bound)
             # level 2: coefficient tail for the last slot
-            coef_wit, C = _closed(coefficient_tail_cutoff(
-                [term1, term2], domain, search_bound, gap_count),
+            coef_wit, C = _closed(_coefficient_tail(pair.staged, gap_count),
                 f"{space.name}: coefficient tail after {term1}+{term2}",
                 search_bound)
             if cap is None or C < cap:
@@ -533,8 +634,7 @@ def _screen_term_multisets(space: CandidateSpace, bound: int, search_bound: int,
                     gap_count=gap_count))
             for a3 in range(1, (min(C, cap) if cap else C) + 1):
                 # level 3: order tail for the last slot
-                wit, K = _closed(order_tail_cutoff(
-                    [term1, term2], a3, domain, search_bound, gap_count),
+                wit, K = _closed(_order_tail(pair.staged, a3, gap_count),
                     f"{space.name}: order tail after {term1}+{term2}+{a3}p_k",
                     search_bound)
                 col.elims.append(EliminationCertificate(
@@ -545,7 +645,7 @@ def _screen_term_multisets(space: CandidateSpace, bound: int, search_bound: int,
                     t3 = (a3, m3)
                     if _term_sort_key(t3) < _term_sort_key(t2):
                         continue
-                    col.concrete([t1, t2, t3])
+                    col.concrete(pair, t3)
 
     return col.report()
 

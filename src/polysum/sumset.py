@@ -190,7 +190,16 @@ class RangeBitset:
             for i in range(0, self.bits.size, _PAIR_CHUNK)]).tolist()
 
     def first_missing(self, count: int = 1) -> list[int]:
-        return np.flatnonzero(~self.bits)[:count].tolist()
+        """The first ``count`` positions with the bit unset (fewer if the
+        bitmap has fewer), scanned _PAIR_CHUNK entries at a time up to the
+        chunk where the last of them lies."""
+        found: list[int] = []
+        for i in range(0, self.bits.size, _PAIR_CHUNK):
+            if len(found) >= count:
+                break
+            chunk = np.flatnonzero(~self.bits[i : i + _PAIR_CHUNK])
+            found += (chunk[: count - len(found)] + i).tolist()
+        return found
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 import dataclasses
+from itertools import product
 
 import pytest
 
 from polysum import catalog
 from polysum.polycore import SumDomain, Term, poly_values_upto
+from polysum.sumset import range_sieve
 from polysum.screening import (
     DEFAULT_SEARCH_BOUND,
     PRESETS,
@@ -196,11 +198,113 @@ def test_worst_gaps_matches_the_sibling_reference():
     assert outcomes == {True, False}
 
 
+def _product_worst_gaps(sets, slots, bound, gap_count):
+    """``_worst_gaps`` by the ordered product of all choices, each summed
+    from scratch."""
+    worst = None
+    for choice in product(*slots):
+        found = _gaps_of_sets([*sets, *choice], bound, gap_count)
+        if len(found) < gap_count:
+            return None
+        if worst is None or found[-1] > worst[-1]:
+            worst = found
+    return worst
+
+
+@pytest.mark.parametrize("fixed, slots", [
+    # three open frontier slots; choices with equal last gaps but other
+    # first gaps exist at gap count 2, so the earliest worst choice counts
+    pytest.param((), lambda q: _frontier_slots(3, None, q), id="frontier-3"),
+    pytest.param((), lambda q: _frontier_slots(3, 2, q), id="frontier-3-cap"),
+    pytest.param(((2, 3),), lambda q: _frontier_slots(2, 3, q),
+                 id="2p3-frontier-2-cap"),
+    pytest.param(((7, 4),), lambda q: _frontier_slots(2, 3, q),
+                 id="7p4-frontier-2-cap"),
+    # sibling slots of one repeated order
+    pytest.param((), lambda q: _sibling_slots((4, 4), N, q), id="siblings-44"),
+    pytest.param(((5, 3),), lambda q: _sibling_slots((4, 4), N, q),
+                 id="5p3-siblings-44"),
+    pytest.param(((7, 4),), lambda q: _sibling_slots((3, 3), N, q),
+                 id="7p4-siblings-33"),
+    pytest.param((), lambda q: _sibling_slots((5, 5), Z, q),
+                 id="siblings-55-over-z"),
+    # sibling slots of two orders, whose choices are all walked
+    pytest.param((), lambda q: _sibling_slots((4, 5), N, q), id="siblings-45"),
+    pytest.param(((7, 4),), lambda q: _sibling_slots((5, 4), N, q),
+                 id="7p4-siblings-54"),
+])
+def test_worst_gaps_matches_the_product_reference(fixed, slots):
+    outcomes = set()
+    for bound in (2, 5, 8, 11, 16, 24):
+        sets = [poly_values_upto(Term(a, m), N, bound) for a, m in fixed]
+        for gap_count in (1, 2):
+            want = _product_worst_gaps(sets, slots(bound), bound, gap_count)
+            assert _worst_gaps(sets, slots(bound), bound, gap_count) == want, \
+                (bound, gap_count)
+            outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
 def test_worst_gaps_with_no_value_set_to_choose():
     # at check bound 0 a frontier slot has no {0, a}: nothing is closed
     assert _frontier_slots(1, None, 0) == [[]]
     assert _worst_gaps([], _frontier_slots(1, None, 0), 0, 1) is None
     assert _worst_gaps([], _sibling_slots((4,), N, 0), 0, 1) is None
+
+
+@pytest.mark.parametrize("preset, bound, search_bound, gap_count", [
+    ("thm-1.3", None, DEFAULT_SEARCH_BOUND, 1),
+    ("unique-29", None, DEFAULT_SEARCH_BOUND, 2),
+    ("thm-1.4", 10_000, DEFAULT_SEARCH_BOUND, 1),
+    # small stage bounds, so that some triples fail only in the full pass
+    ("unique-29", None, 100, 2),
+    ("thm-1.4", 10_000, 100, 1),
+    # the stage bound equals the scan bound: one bitmap per pair
+    ("thm-1.3", 2000, DEFAULT_SEARCH_BOUND, 1),
+    # fixed-order spaces scan their triples beside a fixed pair too
+    ("mixed-34-list", None, DEFAULT_SEARCH_BOUND, 2),
+    ("thm-1.1i", None, DEFAULT_SEARCH_BOUND, 1),
+])
+def test_pair_sieve_results_match_the_public_primitives(preset, bound,
+                                                        search_bound,
+                                                        gap_count):
+    """Every certificate and survivor built from a fixed pair's shared
+    bitmaps equals what the public primitives compute from scratch."""
+    report = _screen(preset, bound, search_bound, gap_count)
+    space, top = report.space, report.bound
+    pair_tails = space.style == "term-multisets"
+
+    def sieve(keys, limit):
+        return range_sieve([Term(a, m) for a, m in keys], space.domain, limit)
+
+    kinds = set()
+    for cert in report.eliminations:
+        terms = [Term(a, m) for a, m in cert.fixed]
+        tail = (list(cert.witnesses), cert.threshold)
+        if cert.kind == "direct":
+            assert list(cert.witnesses) == \
+                sieve(cert.fixed, top).first_missing(gap_count), cert
+        elif cert.kind == "order-tail":
+            assert tail == order_tail_cutoff(
+                terms, cert.open_coefficient, space.domain,
+                report.search_bound, gap_count), cert
+        elif cert.kind == "coefficient-tail" and pair_tails:
+            assert tail == coefficient_tail_cutoff(
+                terms, space.domain, report.search_bound, gap_count), cert
+        else:
+            continue
+        kinds.add(cert.kind)
+    checked = {"direct"}
+    if pair_tails:
+        checked.add("order-tail")
+        if space.coefficient_cap is None:  # a cap leaves no coefficient tail
+            checked.add("coefficient-tail")
+    assert kinds == checked
+    for triple in report.survivors:
+        assert sieve(triple, top).first_missing() == [], triple
+    for triple, n in report.unique_exceptions:
+        assert sieve(triple, top).first_missing(2) == [n], triple
+    assert report.survivors or report.unique_exceptions
 
 
 def test_space_not_closable_at_tiny_search_bound():

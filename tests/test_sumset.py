@@ -223,6 +223,21 @@ def test_missing_across_chunk_edges():
     assert sumset.RangeBitset(bits.size - 1, bits).missing() == unset
 
 
+def test_first_missing_across_chunk_edges():
+    chunk = sumset._PAIR_CHUNK
+    bits = np.ones(3 * chunk + 5, dtype=bool)
+    unset = [chunk - 1, chunk, 2 * chunk - 1, 3 * chunk, 3 * chunk + 4]
+    bits[unset] = False
+    bitset = sumset.RangeBitset(bits.size - 1, bits)
+    for count in range(len(unset) + 2):
+        assert bitset.first_missing(count) == unset[:count]
+    # a chunk with no unset bit in the middle of the scan
+    bits[[chunk - 1, chunk, 2 * chunk - 1]] = True
+    assert bitset.first_missing(2) == [3 * chunk, 3 * chunk + 4]
+    bits[:] = True
+    assert bitset.first_missing(3) == []
+
+
 def test_bound_above_limit_is_refused_before_allocation():
     tracemalloc.start()
     try:
