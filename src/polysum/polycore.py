@@ -71,22 +71,17 @@ class Term:
 
 @dataclass(frozen=True)
 class TripleSum:
-    """A sum of weighted polygonal terms over a common argument domain.
-
-    Three terms is the canonical shape; two-term sums and the four-term
-    hook used by offset checks are also accepted.
-    """
+    """A sum of one or more weighted polygonal terms over a common argument
+    domain.  Three terms is the canonical shape of a screen; the sieve, its
+    re-check and the witness search take any number."""
 
     terms: tuple[Term, ...]
     domain: SumDomain
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
-        if not 1 <= len(self.terms) <= 4:
-            raise ValueError(f"expected 1..4 terms, got {len(self.terms)}")
-
-    def sorted_terms(self) -> tuple[Term, ...]:
-        return tuple(sorted(self.terms))
+        if not self.terms:
+            raise ValueError("expected at least one term")
 
     def __str__(self) -> str:
         return "+".join(str(t) for t in self.terms)

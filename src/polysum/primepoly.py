@@ -1,14 +1,15 @@
 """Prime sieving and exception scans for n = p + a*x^2 and n = p + a*p_m(x).
 
-A scan eliminates candidates (``sumset.eliminate``): every n of the universe
-starts alive, and each term value v, smallest first, kills the alive n for
-which n - v is a prime passing the query's filter, so the 10^7-scale runs
-take a fraction of a second.  The scan runs by residue class: with
-Q = lcm(2, q) for a prime filter (q, r), or Q = 2 without one, every odd
-prime that passes lies in one class s mod Q, so each class c of n is
-eliminated on its own against the class-s primes, and a term value costs one
-pass over the B/Q entries of the one class it reaches.  The n = 2 + v, whose
-prime is 2, are killed by one scatter when 2 passes the filter.  The
+``sieve_primes`` returns the primes as a ``sumset.RangeBitset``, the bitmap
+type of the sums.  A scan eliminates candidates (``sumset.eliminate``):
+every n of the universe starts alive, and each term value v, smallest first,
+kills the alive n for which n - v is a prime passing the query's filter, so
+the 10^7-scale runs take a fraction of a second.  The scan runs by residue
+class: with Q = lcm(2, q) for a prime filter (q, r), or Q = 2 without one,
+every odd prime that passes lies in one class s mod Q, so each class c of n
+is eliminated on its own against the class-s primes, and a term value costs
+one pass over the B/Q entries of the one class it reaches.  The n = 2 + v,
+whose prime is 2, are killed by one scatter when 2 passes the filter.  The
 re-check ``decomposed_among`` splits the listed n by the same classes but
 shares no code with the scan.  All outputs are complete up to the scanned
 bound and nothing more: finiteness of the exception sets is a conjecture,
@@ -25,34 +26,18 @@ from typing import Iterable
 import numpy as np
 
 from .polycore import poly_value
-from .sumset import bitmap, eliminate, reached, sorted_distinct
+from .sumset import RangeBitset, bitmap, eliminate, reached, sorted_distinct
 
 _SEGMENT = 1 << 20
 MAX_SIEVE_BOUND = 12_000_000
 
 
 @dataclass(frozen=True)
-class PrimeSieve:
-    """Primality bitmap over [0, bound]."""
-
-    bound: int
-    bits: np.ndarray
-
-    def __contains__(self, n: int) -> bool:
-        return 0 <= n <= self.bound and bool(self.bits[n])
-
-    def count(self) -> int:
-        return int(self.bits.sum())
-
-    def primes(self) -> np.ndarray:
-        return np.flatnonzero(self.bits)
-
-
-@dataclass(frozen=True)
 class PrimePolyQuery:
     """One decomposition question n = p + coefficient * shape(x).
 
-    shape: "square" (x in Z) or "polygonal" of the given order (x in N).
+    shape: "square" (x in Z, no order) or "polygonal" of the given order
+    (x in N).
     universe: "all", "odd", or "coprime" (gcd(coefficient, n) = 1).
     prime_filter: optional (modulus, residue) restriction on p.
     """
@@ -70,6 +55,8 @@ class PrimePolyQuery:
             raise ValueError(f"unknown shape {self.shape!r}")
         if self.shape == "polygonal" and (self.order is None or self.order < 3):
             raise ValueError("polygonal shape needs an order >= 3")
+        if self.shape == "square" and self.order is not None:
+            raise ValueError("square shape takes no order")
         if self.universe not in ("all", "odd", "coprime"):
             raise ValueError(f"unknown universe {self.universe!r}")
         if self.prime_filter is not None:
@@ -92,9 +79,9 @@ class PrimePolyQuery:
 
 
 @lru_cache(maxsize=4)
-def sieve_primes(bound: int) -> PrimeSieve:
-    """Segmented sieve of Eratosthenes; memory stays at one segment plus the
-    output bitmap."""
+def sieve_primes(bound: int) -> RangeBitset:
+    """Primality bitmap over [0, bound], by a segmented sieve of
+    Eratosthenes; memory stays at one segment plus the output bitmap."""
     if bound < 2:
         raise ValueError("bound must be >= 2")
     if bound > MAX_SIEVE_BOUND:
@@ -118,7 +105,7 @@ def sieve_primes(bound: int) -> PrimeSieve:
                 seg[start - lo :: p] = False
         bits[lo:hi] = seg
         lo = hi
-    return PrimeSieve(bound, bits)
+    return RangeBitset(bound, bits)
 
 
 def _prime_divisors(n: int) -> list[int]:

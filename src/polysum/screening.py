@@ -37,10 +37,10 @@ Each concrete triple is scanned beside a fixed pair of its terms
 (``_FixedPair``), whose sumset bitmap is built once per pair: at the search
 bound, where the pair's coefficient tail, its order tails and the staged pass
 of each of its triples read it, and at the scan bound, on first use, for the
-triples that pass their stage.  A triple's exceptions are the n outside the
-pair's sumset plus the third stream, found by ``eliminate`` in one buffer that
-every scan of the screen reuses.  A sumset does not depend on which two of its
-streams are summed first, so each scan is exact for the triple.
+triples that pass their stage.  A triple's exceptions, and an order tail's
+gaps, are the n outside the pair's sumset plus one more stream, read by
+``sumset.outside``.  A sumset does not depend on which two of its streams are
+summed first, so each scan is exact for the triple.
 
 Tail thresholds come from the smallest checked witness, which may be looser
 than a hand-optimized cutoff; certificates are validated against their own
@@ -54,16 +54,8 @@ from functools import cached_property
 from itertools import combinations, islice
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .polycore import SumDomain, Term, TripleSum, poly_values_upto
-from .sumset import (
-    RangeBitset,
-    bitmap,
-    eliminate,
-    member_with_witness,
-    range_sieve,
-)
+from .sumset import RangeBitset, member_with_witness, outside, range_sieve
 
 DEFAULT_SEARCH_BOUND = 2000
 DEFAULT_SCAN_BOUND = 100_000
@@ -112,10 +104,6 @@ class EliminationCertificate:
     gap_count: int = 1
     parametric_orders: tuple[int, ...] = ()
     coefficient_cap: int | None = None
-
-    @property
-    def witness(self) -> int:
-        return self.witnesses[0]
 
 
 def _stream(key: TermKey, domain: SumDomain, bound: int) -> list[int]:
@@ -271,7 +259,7 @@ def verify_certificate(cert: EliminationCertificate) -> bool:
 def _order_tail(pair: RangeBitset, c: int,
                 gap_count: int) -> tuple[list[int], int] | None:
     """``order_tail_cutoff`` read from the fixed terms' sumset bitmap."""
-    found = eliminate(~pair.bits, pair.bits, [c] if c <= pair.bound else [])
+    found = outside(pair.bits, [v for v in (0, c) if v <= pair.bound])
     found = found[:gap_count].tolist()
     if len(found) < gap_count:
         return None
@@ -453,27 +441,19 @@ class _FixedPair:
         return self.staged if self.stage == self.bound else self._sieve(self.bound)
 
 
-def _gaps_beside(pair: RangeBitset, stream: Sequence[int], want: int,
-                 alive: np.ndarray) -> list[int]:
-    """The first ``want`` n <= pair.bound outside pair + stream, eliminated
-    in the head of ``alive``, a bool buffer of at least pair.bound + 1."""
-    alive = np.logical_not(pair.bits, out=alive[: pair.bits.size])
-    return eliminate(alive, pair.bits, stream)[:want].tolist()
-
-
 def _scan_concrete(triple: Sequence[TermKey], domain: SumDomain, bound: int,
-                   stage: int, want: int, pair: _FixedPair, third: TermKey,
-                   alive: np.ndarray) -> list[int]:
+                   stage: int, want: int, pair: _FixedPair,
+                   third: TermKey) -> list[int]:
     """Up to `want` exceptions within [0, bound] of the triple, the pair's
     terms plus ``third``; a staged pass up to `stage` short-circuits triples
     that fail early.  The first five parameters describe the scan for
     ``perfbench/spans.py``; the work reads the pair and ``third``."""
     if stage < bound:
-        quick = _gaps_beside(pair.staged, _stream(third, domain, stage), want,
-                             alive)
-        if len(quick) == want:
-            return quick
-    return _gaps_beside(pair.full, _stream(third, domain, bound), want, alive)
+        quick = outside(pair.staged.bits, _stream(third, domain, stage))
+        if quick.size >= want:
+            return quick[:want].tolist()
+    found = outside(pair.full.bits, _stream(third, domain, bound))
+    return found[:want].tolist()
 
 
 class _Collector:
@@ -489,18 +469,13 @@ class _Collector:
         self.uniques: list[tuple[tuple[TermKey, ...], int]] = []
         self.elims: list[EliminationCertificate] = []
         self.derived: dict = {}
-        self._alive: np.ndarray | None = None
 
     def concrete(self, pair: _FixedPair, third: TermKey) -> None:
         triple = canonical_triple([*pair.keys, third])
         if not self.space.contains(triple):
             return
-        if self._alive is None:
-            # one elimination buffer for every scan of the screen
-            self._alive = bitmap(self.bound + 1, False)
         exc = _scan_concrete(triple, self.space.domain, self.bound,
-                             self.search_bound, self.gap_count, pair, third,
-                             self._alive)
+                             self.search_bound, self.gap_count, pair, third)
         if len(exc) >= self.gap_count:
             self.elims.append(EliminationCertificate(
                 kind="direct", domain=self.space.domain, fixed=triple,

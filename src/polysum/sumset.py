@@ -2,11 +2,12 @@
 
 A range sieve builds a numpy bool bitmap over [0, bound] in two steps.  The
 sums of the two longest value streams are scattered into the bitmap in
-chunked outer products.  Each further stream is folded in by candidate
-elimination (``eliminate``): the n not yet reached start alive, and each
-value v kills the alive n with n - v already reached.  Bitmaps of 2^20
-entries and more lie on memory maps of their own (``bitmap``), so that the
-peak RSS does not turn on the layout of the heap.
+chunked outer products.  Each further stream is one fold, ``outside``: the n
+outside the sumset of a bitmap and a stream, by candidate elimination
+(``eliminate``) from an all-alive bitmap, so that a stream without 0, such as
+a set of offsets, is exact too.  Bitmaps of 2^20 entries and more lie on
+memory maps of their own (``bitmap``), so that the peak RSS does not turn on
+the layout of the heap.
 
 Every exception list is re-verified at construction, and downstream
 elimination certificates rely on that.  The re-check shares no code with
@@ -79,11 +80,6 @@ def bitmap(size: int, fill: bool) -> np.ndarray:
     if fill:
         bits.fill(True)
     return bits
-
-
-def _complement(bits: np.ndarray) -> np.ndarray:
-    """``~bits`` in a new ``bitmap``."""
-    return np.logical_not(bits, out=bitmap(bits.size, False))
 
 
 class ReverificationError(RuntimeError):
@@ -168,6 +164,13 @@ def eliminate(alive: np.ndarray, hit: np.ndarray,
     return alive
 
 
+def outside(bits: np.ndarray, stream: Sequence[int]) -> np.ndarray:
+    """Sorted int64 n in [0, len - 1] outside the sumset ``bits`` + ``stream``:
+    every n starts alive, and each value v of ``stream``, all in [0, len - 1],
+    kills the n with bits[n - v] set."""
+    return eliminate(bitmap(bits.size, True), bits, stream)
+
+
 @dataclass(frozen=True)
 class RangeBitset:
     """Membership bitmap of a sumset restricted to [0, bound]."""
@@ -240,14 +243,14 @@ def range_sieve(terms: Sequence[Term], domain: SumDomain,
                 bound: int) -> RangeBitset:
     """Exact membership bitmap of {sum of one value per term} on [0, bound]."""
     check_bound(bound)
-    if not 1 <= len(terms) <= 4:
-        raise ValueError("range_sieve takes 1..4 terms")
+    if not terms:
+        raise ValueError("range_sieve takes at least one term")
     streams = sorted((poly_values_upto(t, domain, bound) for t in terms),
                      key=len, reverse=True)
     bits = _pair_bits(streams[0], streams[1] if len(streams) > 1 else [0],
                       bound)
     for stream in streams[2:]:
-        survivors = eliminate(_complement(bits), bits, stream)
+        survivors = outside(bits, stream)
         bits.fill(True)
         bits[survivors] = False
     return RangeBitset(bound, bits)
@@ -331,9 +334,8 @@ def offset_universal_check(terms: Sequence[Term], domain: SumDomain,
     offsets = tuple(sorted(set(offsets)))
     if not offsets or min(offsets) < 0:
         raise ValueError("offsets must be a nonempty set of integers >= 0")
-    base = range_sieve(terms, domain, bound).bits
     # the offsets are one more value stream over the sumset bitmap
-    missing = tuple(eliminate(bitmap(bound + 1, True), base,
-                              [r for r in offsets if r <= bound]).tolist())
+    missing = tuple(outside(range_sieve(terms, domain, bound).bits,
+                            [r for r in offsets if r <= bound]).tolist())
     _verify_non_representable(terms, domain, missing, offsets)
     return ExceptionReport(TripleSum(terms, domain), bound, missing, offsets)

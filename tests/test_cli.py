@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from polysum import catalog, cli, qform, sumset
+from polysum.polycore import poly_value
 
 
 def run(capsys, *argv):
@@ -21,6 +22,17 @@ def test_except_record(capsys):
                       "--domain", "N", "--bound", "10000")
     assert status == 0
     assert "result=[19]" in out and "kind=exceptions" in out
+    # a five-term sum against its set sumset, built argument by argument
+    sums = {0}
+    for a, m in [(5, 8), (7, 9), (11, 10), (13, 12), (3, 20)]:
+        values = {a * poly_value(m, x) for x in range(60)}
+        sums = {s + v for s in sums for v in values if s + v <= 3000}
+    brute = [n for n in range(3001) if n not in sums]
+    status, out = run(capsys, "except", "--sum", "5p8+7p9+11p10+13p12+3p20",
+                      "--bound", "3000")
+    assert len(brute) == 91 and brute[:6] == [1, 2, 4, 6, 9, 17]
+    assert status == 0 and "count=91 " in out
+    assert f"result=[{','.join(map(str, brute))}]" in out
 
 
 def test_except_empty_list(capsys):
@@ -257,6 +269,15 @@ def test_qform_bound_above_grid_limit_is_usage_error(capsys):
 def test_negative_limit_is_usage_error(capsys, argv):
     status, out = run(capsys, *argv)
     assert status == 2 and out == ""
+
+
+def test_square_shape_with_order_is_usage_error(capsys):
+    status = cli.main(["prime-scan", "--a", "2", "--shape", "square",
+                       "--order", "5", "--bound", "100"])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == "error: square shape takes no order"
 
 
 @pytest.mark.parametrize("argv, search_bound", [

@@ -5,7 +5,9 @@ from polysum.polycore import (
     PolygonalSpec,
     SumDomain,
     Term,
+    TripleSum,
     is_generalized_polygonal,
+    parse_sum,
     parse_terms,
     poly_value,
     poly_values_upto,
@@ -118,3 +120,7 @@ def test_parse_terms():
     assert parse_terms("2*p4") == parse_terms("2p4")
     with pytest.raises(ValueError):
         parse_terms("q5+p3")
+    # a sum takes any number of terms, but at least one
+    assert len(parse_sum("p3+p4+p5+p6+p7", N).terms) == 5
+    with pytest.raises(ValueError):
+        TripleSum((), N)

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +20,7 @@ from polysum.primepoly import (
 
 def test_sieve_small():
     sieve = sieve_primes(10)
-    assert sieve.primes().tolist() == [2, 3, 5, 7]
+    assert np.flatnonzero(sieve.bits).tolist() == [2, 3, 5, 7]
     assert 1 not in sieve
     assert 2 in sieve
 
@@ -41,6 +42,8 @@ def test_bounds_validation():
         sieve_primes(20_000_001)
     with pytest.raises(ValueError):
         PrimePolyQuery(2, "polygonal")  # missing order
+    with pytest.raises(ValueError):
+        PrimePolyQuery(2, "square", 5)  # an order the square shape ignores
     with pytest.raises(ValueError):
         PrimePolyQuery(0)
 

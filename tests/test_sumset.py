@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polysum import primepoly, qform, sumset
 from polysum.polycore import SumDomain, Term, parse_sum, poly_value
@@ -137,19 +137,24 @@ def _brute_sumset(terms_, domain, bound):
 
 
 _TERMS = st.lists(st.builds(Term, st.integers(1, 30), st.integers(3, 40)),
-                  min_size=1, max_size=4)
+                  min_size=1, max_size=6)
 
 
 # With no dense-only size, the share decides when elimination leaves
 # whole-bitmap passes for a candidate array: 1 switches before the first
 # value, 2**40 never switches.
-# A pair chunk of 1 sum scatters one row per value.
+# A pair chunk of 1 sum scatters one row per value.  The examples give an
+# offsets stream longer than every term's stream ({0, 30, 1200} and
+# {0, 25, 950, 2775}), and offsets that all lie above the bound.
 @settings(max_examples=100, deadline=None)
 @given(_TERMS, st.sampled_from([N, Z]), st.integers(0, 3000),
        st.sets(st.integers(0, 40) | st.integers(0, 3500), min_size=1,
                max_size=4),
        st.sampled_from([1, sumset._SPARSE_SHARE, 1 << 40]),
        st.sampled_from([1, 64, sumset._PAIR_CHUNK]))
+@example([Term(30, 40), Term(25, 38)], N, 3000, {1, 2, 5, 7, 30},
+         sumset._SPARSE_SHARE, sumset._PAIR_CHUNK)
+@example([Term(1, 5), Term(2, 7)], Z, 100, {101, 3500}, 1 << 40, 64)
 def test_kernel_equals_brute_sumset(terms_, domain, bound, offsets, share,
                                     chunk):
     sums = _brute_sumset(terms_, domain, bound)
