@@ -26,7 +26,8 @@ from typing import Iterable
 import numpy as np
 
 from .polycore import poly_value
-from .sumset import RangeBitset, bitmap, eliminate, reached, sorted_distinct
+from .sumset import (RangeBitset, bitmap, eliminate, reached, set_bits,
+                     sorted_distinct)
 
 _SEGMENT = 1 << 20
 MAX_SIEVE_BOUND = 12_000_000
@@ -133,20 +134,32 @@ def _universe_classes(query: PrimePolyQuery, period: int,
 
 def _class_alive(query: PrimePolyQuery, c: int, period: int, bound: int,
                  twos: np.ndarray) -> np.ndarray:
-    """Bitmap over i in [0, bound // period] of whether n = c + period*i is a
-    universe n in [2, bound], for a class c from ``_universe_classes``, that
-    is not in ``twos`` (the n whose prime is 2).  Every class has the
-    length of the class-s prime bitmap, as ``eliminate`` needs."""
-    alive = bitmap(bound // period + 1, True)
-    alive[(bound - c) // period + 1 :] = False
+    """Packed bitmap (``bitmap(..., packed=True)``) over i in
+    [0, bound // period] of whether n = c + period*i is a universe n in
+    [2, bound], for a class c from ``_universe_classes``, that is not in
+    ``twos`` (the n whose prime is 2).  Every class has the length of the
+    class-s prime bitmap, as ``eliminate`` needs."""
+    alive = bitmap(bound // period + 1, True, packed=True)
+    end = (bound - c) // period + 1
+    alive[end // 8 : end // 8 + 1] &= (1 << end % 8) - 1
+    alive[end // 8 + 1 :] = 0
     if c < 2:
-        alive[0] = False
+        alive[0] &= 0xFE
     if query.universe == "coprime":
         for d in _prime_divisors(query.coefficient):
             if period % d:
-                # c + period*i = 0 (mod d) at i = -c / period (mod d)
-                alive[-c * pow(period, -1, d) % d :: d] = False
-    alive[(twos[twos % period == c] - c) // period] = False
+                # c + period*i = 0 (mod d) at i = -c / period (mod d), so
+                # the clear bits repeat every d bytes
+                stride = np.ones(8 * d, dtype=bool)
+                stride[-c * pow(period, -1, d) % d :: d] = False
+                stride = np.packbits(stride, bitorder="little")
+                whole = alive.size - alive.size % d
+                rows = alive[:whole].reshape(-1, d)
+                rows &= stride
+                alive[whole:] &= stride[: alive.size - whole]
+    # several n may clear bits of one byte, so the ANDs are unbuffered
+    i = (twos[twos % period == c] - c) // period
+    np.bitwise_and.at(alive, i >> 3, ~np.left_shift(1, i & 7).astype(np.uint8))
     return alive
 
 
@@ -181,8 +194,7 @@ def exception_scan(query: PrimePolyQuery, bound: int) -> list[int]:
             survivors = eliminate(_class_alive(query, c, period, bound, twos),
                                   primes, ((shifts - c + s) // period).tolist())
         else:
-            survivors = np.flatnonzero(
-                _class_alive(query, c, period, bound, twos))
+            survivors = set_bits(_class_alive(query, c, period, bound, twos))
         found.append(c + period * survivors)
     # the classes are disjoint, so this only interleaves them
     return sorted_distinct(np.concatenate(found)).tolist()

@@ -26,8 +26,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .polycore import SumDomain, TripleSum, square_completion
-from .sumset import (MAX_RANGE_BOUND, _pair_bits, check_bound, range_sieve,
-                     reached, sorted_distinct, sum_table)
+from .sumset import (MAX_RANGE_BOUND, _pair_bits, bitmap, check_bound, pack,
+                     range_sieve, reached, shift_up, sorted_distinct, sum_table)
 
 # Most sums the int64 pair grid of a progression may hold: as many bytes as
 # the largest supported bitmap.
@@ -174,10 +174,12 @@ def _reachable(form: DiagonalTernaryForm, top: int) -> np.ndarray:
     """Boolean bitmap over [0, top] of values represented by the form.
 
     The pair sums of the two largest coefficients go into a bool bitmap,
-    which is then packed eight values to a byte (little bit order).  Each
-    third value v ORs that packed bitmap, shifted up by v % 8 bits, into a
-    packed accumulator at byte offset v // 8; the shift is made once per
-    residue, so every pass is a plain byte-aligned OR over top/8 bytes.
+    which is then packed (``sumset.pack``).  Each third value v ORs that
+    packed bitmap, shifted up by v % 8 bits, into a packed accumulator at
+    byte offset v // 8.  The values are walked by residue v % 8, so the
+    pair bitmap is shifted up in place at most seven times
+    (``sumset.shift_up``), and every pass is a plain byte-aligned OR over
+    top/8 bytes.
     """
     check_bound(top)
     order = sorted(range(3), key=lambda i: -form.coefficients[i])
@@ -185,18 +187,14 @@ def _reachable(form: DiagonalTernaryForm, top: int) -> np.ndarray:
          for i in order]
     if min(v.size for v in s) == 0:
         return np.zeros(top + 1, dtype=bool)
-    packed = np.packbits(_pair_bits(s[1], s[0], top), bitorder="little")
-    size = packed.size
-    acc = np.zeros(size, dtype=np.uint8)
-    third = s[2]
-    for r in np.flatnonzero(np.bincount(third % 8, minlength=8)).tolist():
-        shifted = packed
-        if r:
-            # in little bit order the top r bits of a byte move to the next
-            shifted = packed << r
-            shifted[1:] |= packed[:-1] >> (8 - r)
-        for q in (third[third % 8 == r] // 8).tolist():
-            acc[q:] |= shifted[: size - q]
+    packed = pack(_pair_bits(s[1], s[0], top))
+    acc = bitmap(top + 1, False, packed=True)
+    r = 0
+    for v in sorted(s[2].tolist(), key=lambda v: v & 7):
+        shift_up(packed, (v & 7) - r)
+        r = v & 7
+        tail = acc[v >> 3 :]
+        np.bitwise_or(tail, packed[: tail.size], tail)
     return np.unpackbits(acc, count=top + 1, bitorder="little").view(bool)
 
 

@@ -5,9 +5,11 @@ sums of the two longest value streams are scattered into the bitmap in
 chunked outer products.  Each further stream is one fold, ``outside``: the n
 outside the sumset of a bitmap and a stream, by candidate elimination
 (``eliminate``) from an all-alive bitmap, so that a stream without 0, such as
-a set of offsets, is exact too.  Bitmaps of 2^20 entries and more lie on
-memory maps of their own (``bitmap``), so that the peak RSS does not turn on
-the layout of the heap.
+a set of offsets, is exact too.  The alive set is a packed bitmap, eight n
+to a byte, and each value ANDs a shifted packed complement of the bool
+bitmap into it (``pack``, ``shift_up``).  Bitmaps of 2^20 entries and more
+lie on memory maps of their own (``bitmap``), so that the peak RSS does not
+turn on the layout of the heap.
 
 Every exception list is re-verified at construction, and downstream
 elimination certificates rely on that.  The re-check shares no code with
@@ -36,35 +38,44 @@ from .polycore import (
     term_argument,
 )
 
-# Largest bound a range sieve takes; its two bool bitmaps then hold 200 MB.
+# Largest bound a range sieve takes; its bool bitmap then holds 100 MB, and
+# each elimination adds two packed bitmaps of 12.5 MB.
 MAX_RANGE_BOUND = 100_000_000
 
 # Most pair sums one outer product of the pair step holds (int64, 512 KiB).
 _PAIR_CHUNK = 1 << 16
 
 # Elimination leaves whole-bitmap passes for a candidate array once at most
-# 1/_SPARSE_SHARE of [0, bound] is alive.  From there the int64 candidates
-# (a quarter byte per n at 1/32) are fewer bytes than the bool bitmap that
-# each pass would read and write.  Bitmaps shorter than _DENSE_ONLY_BELOW
-# stay dense and are never counted: there one pass plus its count costs
-# less than the half-dozen numpy calls of one gather.  A count costs about
-# as much as a dense pass, so the bitmap is counted before the first pass
-# and then only before every _COUNT_EVERY-th.
-_SPARSE_SHARE = 32
+# 1/_SPARSE_SHARE of [0, bound] is alive.  A packed pass moves three bits
+# per n; a gather moves 16 bytes per survivor at or above its value and costs
+# a handful of numpy calls.  Shares from 256 to 1024 timed alike on the
+# prime scans and the large sieves (2-vCPU VM).  Bitmaps shorter than
+# _DENSE_ONLY_BELOW are unpacked and take one bool pass per value, and are
+# never counted: the 3808 screen eliminations of under 2^11 entries took
+# 0.27-0.31 s packed against 0.10-0.13 s as bool passes.  A count of a
+# packed bitmap costs about three passes, so the bitmap is counted before
+# the first pass and then only before every _COUNT_EVERY-th.
+_SPARSE_SHARE = 512
 _DENSE_ONLY_BELOW = 1 << 15
-_COUNT_EVERY = 8
+_COUNT_EVERY = 16
 
 # Bitmaps of at least this many entries lie on a memory map of their own
 # (``bitmap``); below it, numpy allocates them.
 _MAPPED_FROM = 1 << 20
 
 
-def bitmap(size: int, fill: bool) -> np.ndarray:
-    """Bool bitmap of ``size`` entries, all ``fill``.
+def bitmap(size: int, fill: bool, packed: bool = False) -> np.ndarray:
+    """Bitmap of ``size`` entries, all ``fill``.
 
-    A large bitmap lies on an anonymous memory map of its own, resident in
-    full from the start and unmapped as soon as the last array on it is
-    freed, so that the peak RSS is the sum of the bitmaps alive at once.
+    It is a bool array, or with ``packed`` a uint8 array holding eight
+    entries per byte in little bit order (entry n is bit n % 8 of byte
+    n // 8), padded with clear bits to whole 64-bit words, so that
+    ``shift_up`` and ``eliminate`` can work on it a word at a time.
+
+    A bitmap of _MAPPED_FROM entries or more, packed or not, lies on an
+    anonymous memory map of its own, resident in full from the start and
+    unmapped as soon as the last array on it is freed, so that the peak RSS
+    is the sum of the bitmaps alive at once.
     From malloc, whether a freed bitmap's memory stays resident, and
     whether the next bitmap reuses it, turns on the layout of the whole
     heap: the peak RSS of two runs differed by 2-3 MB for bounds a few
@@ -72,14 +83,52 @@ def bitmap(size: int, fill: bool) -> np.ndarray:
     pages cost about 0.3 ms per MB (2-vCPU VM).  tracemalloc cannot see a
     memory map, so while it traces, numpy allocates the bitmap.
     """
+    dtype, length = (np.uint8, -(-size // 64) * 8) if packed else (bool, size)
     if size < _MAPPED_FROM or not hasattr(mmap, "MAP_POPULATE") \
             or tracemalloc.is_tracing():
-        return np.ones(size, dtype=bool) if fill else np.zeros(size, dtype=bool)
-    bits = np.frombuffer(mmap.mmap(-1, size, mmap.MAP_PRIVATE
-                                   | mmap.MAP_POPULATE), dtype=bool)
-    if fill:
+        bits = np.zeros(length, dtype=dtype)
+    else:
+        bits = np.frombuffer(mmap.mmap(-1, length, mmap.MAP_PRIVATE
+                                       | mmap.MAP_POPULATE), dtype=dtype)
+    if fill and packed:
+        bits[: size // 8] = 0xFF
+        if size % 8:
+            bits[size // 8] = (1 << size % 8) - 1
+    elif fill:
         bits.fill(True)
     return bits
+
+
+def pack(bits: np.ndarray) -> np.ndarray:
+    """The bool bitmap ``bits`` as a packed bitmap from ``bitmap``, packed
+    _PAIR_CHUNK bytes at a time."""
+    packed = bitmap(bits.size, False, packed=True)
+    for i in range(0, bits.size, 8 * _PAIR_CHUNK):
+        part = np.packbits(bits[i : i + 8 * _PAIR_CHUNK], bitorder="little")
+        packed[i // 8 : i // 8 + part.size] = part
+    return packed
+
+
+def shift_up(packed: np.ndarray, r: int) -> None:
+    """Shift a packed bitmap from ``bitmap`` up by r bits in place, for
+    0 <= r < 64: bit n moves to n + r, the top r bits fall off, and the r
+    lowest come in clear.
+
+    The little bit order is the order of the bits in a little-endian 64-bit
+    word, so each word shifts up and takes the top r bits of the word below.
+    The words are shifted _PAIR_CHUNK bytes at a time from the top down, so
+    that each carry is read before its word moves and no temporary as large
+    as the bitmap is made.
+    """
+    if r:
+        words = packed.view("<u8")
+        step = max(1, _PAIR_CHUNK // 8)
+        for top in range(words.size, 0, -step):
+            low = max(top - step, 0)
+            carry = words[max(low - 1, 0) : top - 1] >> (64 - r)
+            part = words[low:top]
+            np.left_shift(part, r, part)
+            part[part.size - carry.size :] |= carry
 
 
 class ReverificationError(RuntimeError):
@@ -133,31 +182,73 @@ def sorted_distinct(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def set_bits(packed: np.ndarray) -> np.ndarray:
+    """Sorted int64 indices of the set bits of a packed bitmap, found
+    _PAIR_CHUNK bytes at a time: only the bytes with a bit set are
+    unpacked, as bool so that ``flatnonzero`` takes its fast path."""
+    found = [np.empty(0, dtype=np.int64)]
+    for i in range(0, packed.size, _PAIR_CHUNK):
+        chunk = packed[i : i + _PAIR_CHUNK]
+        at = np.flatnonzero(chunk)
+        bits = np.flatnonzero(np.unpackbits(chunk[at], bitorder="little")
+                              .view(bool))
+        found.append((at[bits >> 3] + i) * 8 + (bits & 7))
+    return np.concatenate(found)
+
+
 def eliminate(alive: np.ndarray, hit: np.ndarray,
               values: Sequence[int]) -> np.ndarray:
     """Sorted int64 indices n of ``alive`` with no v in ``values`` such that
     hit[n - v] is set.
 
-    ``alive`` and ``hit`` are bool bitmaps of one length; every value lies
-    in [0, len - 1].  ``alive`` is overwritten, and the caller should hold no
-    other reference to it, so that its memory is freed when the scan turns
-    sparse.  While many n are alive, each value costs one pass over the
-    bitmap; once few are, each costs one gather over the survivors.
+    ``alive`` is a packed bitmap from ``bitmap(hit.size, ..., packed=True)``
+    whose bits from hit.size on are clear, ``hit`` a bool bitmap, and every
+    value lies in [0, hit.size - 1].  ``alive`` is overwritten.  While many
+    n are alive, a value v = 8q + r costs one byte-aligned pass
+    ``alive[q:] &= shifted[:...]``, where ``shifted`` is the packed
+    complement of ``hit`` shifted up by r bits.  The values are walked by
+    residue r, so the one ``shifted`` buffer moves up at most seven times;
+    elimination does not depend on the order of the values.  Once at most
+    1/_SPARSE_SHARE of the n are alive, the survivors are unpacked, and each
+    remaining value, smallest first, costs one gather from ``hit`` over the
+    survivors at or above it, until none is left there.  A bitmap shorter
+    than _DENSE_ONLY_BELOW is unpacked at once and takes one bool pass per
+    value.
     """
-    size = alive.size
+    size = hit.size
+    if size < _DENSE_ONLY_BELOW:
+        bits = np.unpackbits(alive, count=size, bitorder="little").view(bool)
+        for v in values:
+            # bits[v:] &= ~hit[:...] in place: for booleans a > b is a and
+            # not b.  A positional ``out`` skips the keyword parsing, about
+            # 0.7 of the 1.7 us a call takes on these short bitmaps.
+            tail = bits[v:]
+            np.greater(tail, hit[: size - v], tail)
+        return np.flatnonzero(bits)
+    values = sorted(values, key=lambda v: v & 7)
     rest = len(values)
+    shifted = None
+    r = 0
     for i, v in enumerate(values):
-        if (size >= _DENSE_ONLY_BELOW and i % _COUNT_EVERY == 0
-                and np.count_nonzero(alive) * _SPARSE_SHARE <= size):
+        if (i % _COUNT_EVERY == 0 and _SPARSE_SHARE
+                * int(np.bitwise_count(alive.view("<u8")).sum()) <= size):
             rest = i
             break
-        # alive[v:] &= ~hit[:...] in place: for booleans a > b is a and not b
-        np.greater(alive[v:], hit[: size - v], out=alive[v:])
-    alive = np.flatnonzero(alive)
-    for v in values[rest:]:
-        if not alive.size:
-            break
+        if shifted is None:
+            shifted = pack(hit)
+            np.invert(shifted, out=shifted)
+        if v & 7 != r:
+            shift_up(shifted, (v & 7) - r)
+            r = v & 7
+            shifted[0] |= (1 << r) - 1  # n < v is never hit
+        tail = alive[v >> 3 :]
+        np.bitwise_and(tail, shifted[: tail.size], tail)
+    del shifted
+    alive = set_bits(alive)
+    for v in sorted(values[rest:]):
         start = int(np.searchsorted(alive, v))
+        if start == alive.size:
+            break  # no n >= v is alive, so no later value reaches one
         reached = hit[alive[start:] - v]
         if reached.any():
             alive = np.concatenate((alive[:start], alive[start:][~reached]))
@@ -168,7 +259,7 @@ def outside(bits: np.ndarray, stream: Sequence[int]) -> np.ndarray:
     """Sorted int64 n in [0, len - 1] outside the sumset ``bits`` + ``stream``:
     every n starts alive, and each value v of ``stream``, all in [0, len - 1],
     kills the n with bits[n - v] set."""
-    return eliminate(bitmap(bits.size, True), bits, stream)
+    return eliminate(bitmap(bits.size, True, packed=True), bits, stream)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polysum import sumset
+from polysum import primepoly, sumset
 from polysum.primepoly import (
     PrimePolyQuery,
     decomposed_among,
@@ -130,6 +130,53 @@ def test_scan_equals_witness_sweep(query, bound, share):
     with mock.patch.object(sumset, "_SPARSE_SHARE", share), \
             mock.patch.object(sumset, "_DENSE_ONLY_BELOW", 0):
         assert exception_scan(query, bound) == brute
+
+
+def _check_class_alive(query, c, bound, picks):
+    """The packed class bitmap against its definition, bit by bit, padding
+    included, with ``twos`` at the entries ``picks`` of the class."""
+    q, _ = query.prime_filter or (1, 0)
+    period = math.lcm(2, q)
+    size = bound // period + 1
+    twos = np.array(sorted({c + period * (i % size) for i in picks}),
+                    dtype=np.int64)
+    twos = np.concatenate([twos, twos + 1])  # another class: ignored
+    alive = primepoly._class_alive(query, c, period, bound, twos)
+    listed = set(twos.tolist())
+    expected = [2 <= n <= bound and _in_universe(query, n) and n not in listed
+                for n in range(c, c + period * alive.size * 8, period)]
+    assert alive.dtype == np.uint8
+    assert np.unpackbits(alive, bitorder="little").astype(bool).tolist() \
+        == expected
+
+
+# Coprime strides d of 3, 5, 7 and 29, bounds that leave a partial last
+# byte, and n in ``twos`` that share one byte: the clears of one byte must
+# not overwrite each other.
+@pytest.mark.parametrize("coefficient,prime_filter,bound,picks", [
+    (3, None, 2 * 8 * 3 * 5 + 3, [8, 9, 10, 13, 15]),
+    (5, None, 999, [0, 1, 2, 3, 4, 5, 6, 7]),
+    (7, (4, 1), 4 * 8 * 7 + 9, [16, 17, 23, 24]),
+    (29, None, 2 * 8 * 29 * 3 - 1, [8, 9, 11, 15, -1]),
+    (3 * 5 * 7 * 29, (4, 3), 30_011, [40, 41, 42, 47]),
+])
+def test_class_alive_cases(coefficient, prime_filter, bound, picks):
+    query = PrimePolyQuery(coefficient, universe="coprime",
+                           prime_filter=prime_filter)
+    q, _ = prime_filter or (1, 0)
+    for c in primepoly._universe_classes(query, math.lcm(2, q), bound):
+        _check_class_alive(query, c, bound, picks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_queries(), st.integers(2, 3000), st.data())
+def test_class_alive_equals_definition(query, bound, data):
+    q, _ = query.prime_filter or (1, 0)
+    classes = primepoly._universe_classes(query, math.lcm(2, q), bound)
+    if classes:
+        _check_class_alive(query, data.draw(st.sampled_from(classes)), bound,
+                           data.draw(st.lists(st.integers(0, 400),
+                                              max_size=12)))
 
 
 def _witness_sweep(query, bound):

@@ -173,6 +173,95 @@ def test_kernel_equals_brute_sumset(terms_, domain, bound, offsets, share,
     assert report.exceptions == offset_missing
 
 
+def _packed(alive):
+    """A bool bitmap as the packed bitmap ``sumset.bitmap`` makes."""
+    packed = sumset.bitmap(alive.size, False, packed=True)
+    part = np.packbits(alive, bitorder="little")
+    packed[: part.size] = part
+    return packed
+
+
+@st.composite
+def _eliminations(draw):
+    """An alive set, a hit set and values over [0, size), with sizes of
+    every residue mod 8, values of every residue up to size - 1, and value
+    lists that are empty or of a single residue."""
+    size = draw(st.integers(1, 70) | st.integers(100, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    alive = rng.random(size) < draw(st.sampled_from([0.1, 0.9, 1.0]))
+    hit = rng.random(size) < draw(st.sampled_from([0.0, 0.05, 0.5]))
+    values = draw(st.lists(st.integers(0, size - 1), max_size=40)
+                  | st.lists(st.just(size - 1), min_size=1, max_size=1))
+    if draw(st.booleans()) and values:
+        values = [v for v in values if v % 8 == values[0] % 8]
+    return alive, hit, values
+
+
+# Elimination against a set model.  A dense-only size of 0 sends every
+# bitmap through the packed passes, and 2**40 through the bool passes; a
+# share of 1 turns sparse before the first value, 2**40 never.
+@settings(max_examples=300, deadline=None)
+@given(_eliminations(), st.sampled_from([0, 1 << 40]),
+       st.sampled_from([1, 4, sumset._SPARSE_SHARE, 1 << 40]),
+       st.sampled_from([1, sumset._COUNT_EVERY]))
+@example((np.ones(64, dtype=bool), np.ones(64, dtype=bool), []), 0, 1 << 40, 1)
+@example((np.ones(9, dtype=bool), np.eye(9, dtype=bool)[8], [0, 8, 1, 7]),
+         0, 1 << 40, 1)
+def test_eliminate_equals_set_model(case, dense_only_below, share, every):
+    alive, hit, values = case
+    expected = [n for n in np.flatnonzero(alive).tolist()
+                if not any(v <= n and hit[n - v] for v in values)]
+    with mock.patch.object(sumset, "_DENSE_ONLY_BELOW", dense_only_below), \
+            mock.patch.object(sumset, "_SPARSE_SHARE", share), \
+            mock.patch.object(sumset, "_COUNT_EVERY", every):
+        found = sumset.eliminate(_packed(alive), hit, list(values))
+    assert found.dtype == np.int64
+    assert found.tolist() == expected
+
+
+def test_packed_bitmap_layout():
+    for size in (0, 1, 7, 8, 9, 63, 64, 65, sumset._MAPPED_FROM + 3):
+        for fill in (False, True):
+            packed = sumset.bitmap(size, fill, packed=True)
+            assert packed.dtype == np.uint8 and packed.size % 8 == 0
+            assert packed.size * 8 - size in range(64)
+            bits = np.unpackbits(packed, bitorder="little")
+            assert bits[:size].all() if fill else not bits[:size].any()
+            assert not bits[size:].any()
+            assert sumset.set_bits(packed).tolist() == (
+                list(range(size)) if fill else [])
+
+
+@given(st.lists(st.booleans(), max_size=300), st.integers(0, 63))
+def test_shift_up_moves_every_bit(bits, r):
+    bits = np.array(bits, dtype=bool)
+    packed = sumset.pack(bits)
+    top = packed.size * 8
+    sumset.shift_up(packed, r)
+    assert sumset.set_bits(packed).tolist() == [
+        n + r for n in np.flatnonzero(bits).tolist() if n + r < top]
+
+
+def test_offset_check_memory_per_integer():
+    # conjecture 1.2's first and last sums with their offsets at 2*10^6
+    # peak at 1.6 bytes per integer: the sum's bool bitmap, and two packed
+    # bitmaps of B/8 bytes for each fold.  Bool alive bitmaps for the
+    # folds took 2.2.
+    bound = 2_000_000
+    peaks = []
+    for m in (3, 10):
+        sum_ = parse_sum(f"p{m + 1}+p{m + 2}+p{m + 3}", N)
+        tracemalloc.start()
+        try:
+            report = offset_universal_check(sum_.terms, N, range(m - 2),
+                                            bound)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.exceptions == ()
+    assert max(peaks) < 1.75 * bound
+
+
 def test_sieve_memory_per_integer():
     # an unchunked p3 x p4 outer product alone would be 11 bytes per integer
     bound = 2_000_000
