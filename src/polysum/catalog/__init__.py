@@ -20,8 +20,7 @@ from ..qform import (
     FamilySet,
     ReductionEntry,
 )
-
-TermKey = tuple[int, int]
+from ..screening import TermKey, canonical_triple
 
 _EXPECTED_COUNTS = {
     "liouville-7": 7,
@@ -80,9 +79,7 @@ def _lines(name: str):
 
 
 def _triple_key(text: str) -> tuple[TermKey, ...]:
-    terms = parse_terms(text)
-    return tuple(sorted(((t.coefficient, t.order) for t in terms),
-                        key=lambda x: (x[1], x[0])))
+    return canonical_triple((t.coefficient, t.order) for t in parse_terms(text))
 
 
 @lru_cache(maxsize=1)

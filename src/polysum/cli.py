@@ -67,7 +67,8 @@ def _fmt_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_fmt_value(v) for v in value) + "]"
+        # every listed element is an int or a str
+        return "[" + ",".join(map(str, value)) + "]"
     return str(value)
 
 

@@ -42,7 +42,7 @@ class PolygonalSpec:
 
 @dataclass(frozen=True)
 class Term:
-    """A weighted polygonal term a * p_m.  Sorts by (order, coefficient)."""
+    """A weighted polygonal term a * p_m."""
 
     coefficient: int
     spec: PolygonalSpec
@@ -56,13 +56,6 @@ class Term:
     @property
     def order(self) -> int:
         return self.spec.order
-
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        return (self.spec.order, self.coefficient)
-
-    def __lt__(self, other: "Term") -> bool:
-        return self.sort_key < other.sort_key
 
     def __str__(self) -> str:
         a, m = self.coefficient, self.order

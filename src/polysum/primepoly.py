@@ -8,12 +8,13 @@ the 10^7-scale runs take a fraction of a second.  The scan runs by residue
 class: with Q = lcm(2, q) for a prime filter (q, r), or Q = 2 without one,
 every odd prime that passes lies in one class s mod Q, so each class c of n
 is eliminated on its own against the class-s primes, and a term value costs
-one pass over the B/Q entries of the one class it reaches.  The n = 2 + v,
-whose prime is 2, are killed by one scatter when 2 passes the filter.  The
-re-check ``decomposed_among`` splits the listed n by the same classes but
-shares no code with the scan.  All outputs are complete up to the scanned
-bound and nothing more: finiteness of the exception sets is a conjecture,
-not an artifact claim.
+one pass over the B/Q entries of the one class it reaches; ``sumset``'s
+layout helpers clear its packed alive bitmap.  The n = 2 + v, whose prime
+is 2, are killed by one scatter when 2 passes the filter.  The re-check
+``decomposed_among`` splits the listed n by the same classes but shares no
+code with the scan.  All outputs are complete up to the scanned bound and
+nothing more: finiteness of the exception sets is a conjecture, not an
+artifact claim.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .polycore import poly_value
-from .sumset import (RangeBitset, bitmap, eliminate, reached, set_bits,
-                     sorted_distinct)
+from .polycore import SumDomain, Term, poly_values_upto
+from .sumset import (RangeBitset, bitmap, clear_bits, clear_every, eliminate,
+                     reached, set_bits, sorted_distinct)
 
 _SEGMENT = 1 << 20
 MAX_SIEVE_BOUND = 12_000_000
@@ -66,17 +67,11 @@ class PrimePolyQuery:
                 raise ValueError("prime filter needs modulus >= 1, 0 <= r < q")
 
     def term_values(self, bound: int) -> list[int]:
-        """Sorted term values <= bound (x over N; squares are sign-symmetric)."""
-        vals = []
-        x = 0
-        while True:
-            v = (self.coefficient * x * x if self.shape == "square"
-                 else self.coefficient * poly_value(self.order, x))
-            if v > bound:
-                break
-            vals.append(v)
-            x += 1
-        return vals
+        """Sorted term values <= bound over x >= 0 (squares are
+        sign-symmetric).  p_m(x + 1) - p_m(x) = (m - 2)x + 1 > 0, so the
+        values increase and each value's index is its x."""
+        return poly_values_upto(Term(self.coefficient, self.order or 4),
+                                SumDomain.NATURALS, bound)
 
 
 @lru_cache(maxsize=4)
@@ -139,27 +134,17 @@ def _class_alive(query: PrimePolyQuery, c: int, period: int, bound: int,
     [2, bound], for a class c from ``_universe_classes``, that is not in
     ``twos`` (the n whose prime is 2).  Every class has the length of the
     class-s prime bitmap, as ``eliminate`` needs."""
-    alive = bitmap(bound // period + 1, True, packed=True)
-    end = (bound - c) // period + 1
-    alive[end // 8 : end // 8 + 1] &= (1 << end % 8) - 1
-    alive[end // 8 + 1 :] = 0
-    if c < 2:
-        alive[0] &= 0xFE
+    size = bound // period + 1
+    alive = bitmap(size, True, packed=True)
     if query.universe == "coprime":
         for d in _prime_divisors(query.coefficient):
             if period % d:
-                # c + period*i = 0 (mod d) at i = -c / period (mod d), so
-                # the clear bits repeat every d bytes
-                stride = np.ones(8 * d, dtype=bool)
-                stride[-c * pow(period, -1, d) % d :: d] = False
-                stride = np.packbits(stride, bitorder="little")
-                whole = alive.size - alive.size % d
-                rows = alive[:whole].reshape(-1, d)
-                rows &= stride
-                alive[whole:] &= stride[: alive.size - whole]
-    # several n may clear bits of one byte, so the ANDs are unbuffered
-    i = (twos[twos % period == c] - c) // period
-    np.bitwise_and.at(alive, i >> 3, ~np.left_shift(1, i & 7).astype(np.uint8))
+                # c + period*i = 0 (mod d) at i = -c / period (mod d)
+                clear_every(alive, -c * pow(period, -1, d) % d, d)
+    # the entries past the class's last n, entry 0 when n = c < 2, and twos
+    clear_bits(alive, np.concatenate((
+        np.arange((bound - c) // period + 1, size), np.arange(int(c < 2)),
+        (twos[twos % period == c] - c) // period)))
     return alive
 
 

@@ -2,8 +2,8 @@
 
 Exception sets are computed by explicit value-grid sieves (numpy), never by
 local or genus reasoning.  The sums of the two sparsest variables are
-scattered into a bool bitmap in chunks; the third variable is folded in by a
-bit-packed shift-or, one pass over top/8 bytes per value.  A bitmap over
+scattered into a bool bitmap in chunks; the third variable is folded in by
+``sumset.inside``, one packed pass over top/8 bytes per value.  A bitmap over
 [0, top] is refused before allocating when top exceeds
 ``sumset.MAX_RANGE_BOUND``, and so is a progression's int64 pair grid of
 more than ``_MAX_PAIR_CELLS`` sums.  A progression M*n + C is checked
@@ -26,8 +26,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .polycore import SumDomain, TripleSum, square_completion
-from .sumset import (MAX_RANGE_BOUND, _pair_bits, bitmap, check_bound, pack,
-                     range_sieve, reached, shift_up, sorted_distinct, sum_table)
+from .sumset import (MAX_RANGE_BOUND, _pair_bits, check_bound, inside,
+                     range_sieve, reached, sorted_distinct, sum_table)
 
 # Most sums the int64 pair grid of a progression may hold: as many bytes as
 # the largest supported bitmap.
@@ -170,32 +170,23 @@ def _variable_values(coef: int, cond: CongruenceCondition | None,
     return coef * np.flatnonzero(mark) ** 2
 
 
-def _reachable(form: DiagonalTernaryForm, top: int) -> np.ndarray:
-    """Boolean bitmap over [0, top] of values represented by the form.
-
-    The pair sums of the two largest coefficients go into a bool bitmap,
-    which is then packed (``sumset.pack``).  Each third value v ORs that
-    packed bitmap, shifted up by v % 8 bits, into a packed accumulator at
-    byte offset v // 8.  The values are walked by residue v % 8, so the
-    pair bitmap is shifted up in place at most seven times
-    (``sumset.shift_up``), and every pass is a plain byte-aligned OR over
-    top/8 bytes.
-    """
-    check_bound(top)
+def _streams(form: DiagonalTernaryForm, top: int) -> list[np.ndarray]:
+    """``_variable_values`` of each variable up to top, largest coefficient
+    first."""
     order = sorted(range(3), key=lambda i: -form.coefficients[i])
-    s = [_variable_values(form.coefficients[i], form.conditions[i], top)
-         for i in order]
+    return [_variable_values(form.coefficients[i], form.conditions[i], top)
+            for i in order]
+
+
+def _reachable(form: DiagonalTernaryForm, top: int) -> np.ndarray:
+    """Boolean bitmap over [0, top] of values represented by the form: the
+    pair sums of the two largest coefficients are scattered, and the third
+    variable's values are folded in by ``sumset.inside``."""
+    check_bound(top)
+    s = _streams(form, top)
     if min(v.size for v in s) == 0:
         return np.zeros(top + 1, dtype=bool)
-    packed = pack(_pair_bits(s[1], s[0], top))
-    acc = bitmap(top + 1, False, packed=True)
-    r = 0
-    for v in sorted(s[2].tolist(), key=lambda v: v & 7):
-        shift_up(packed, (v & 7) - r)
-        r = v & 7
-        tail = acc[v >> 3 :]
-        np.bitwise_or(tail, packed[: tail.size], tail)
-    return np.unpackbits(acc, count=top + 1, bitorder="little").view(bool)
+    return inside(_pair_bits(s[1], s[0], top), s[2].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +244,7 @@ def represented_among(form: DiagonalTernaryForm, ns: Iterable[int]
         return []
     top = int(ns[-1])
     check_bound(top)
-    idx = sorted(range(3), key=lambda i: -form.coefficients[i])
-    walked, *head = (
-        _variable_values(form.coefficients[i], form.conditions[i], top)
-        for i in idx)
+    walked, *head = _streams(form, top)
     return ns[reached(sum_table(head, top), ns, walked.tolist())].tolist()
 
 
@@ -347,9 +335,7 @@ def _progression_bitmap(form: DiagonalTernaryForm, multiplier: int,
     if top // multiplier > MAX_RANGE_BOUND:
         raise ValueError(f"quotient bitmap over [0, {top // multiplier}] "
                          f"above supported {MAX_RANGE_BOUND}")
-    idx = sorted(range(3), key=lambda i: -form.coefficients[i])
-    s = [_variable_values(form.coefficients[i], form.conditions[i], top)
-         for i in idx]
+    s = _streams(form, top)
     cells = s[0].size * s[1].size
     if cells > _MAX_PAIR_CELLS:
         raise ValueError(f"pair grid of {cells} sums above supported "

@@ -5,11 +5,11 @@ sums of the two longest value streams are scattered into the bitmap in
 chunked outer products.  Each further stream is one fold, ``outside``: the n
 outside the sumset of a bitmap and a stream, by candidate elimination
 (``eliminate``) from an all-alive bitmap, so that a stream without 0, such as
-a set of offsets, is exact too.  The alive set is a packed bitmap, eight n
-to a byte, and each value ANDs a shifted packed complement of the bool
-bitmap into it (``pack``, ``shift_up``).  Bitmaps of 2^20 entries and more
-lie on memory maps of their own (``bitmap``), so that the peak RSS does not
-turn on the layout of the heap.
+a set of offsets, is exact too.  Its twin ``inside`` returns the sumset
+itself by ORing shifted copies of the bitmap, for the dense form grids.
+This module owns the packed layout, eight n to a byte; no other module
+touches it.  Bitmaps of 2^20 entries and more lie on memory maps of their
+own (``bitmap``), so that the peak RSS does not turn on the heap's layout.
 
 Every exception list is re-verified at construction, and downstream
 elimination certificates rely on that.  The re-check shares no code with
@@ -260,6 +260,43 @@ def outside(bits: np.ndarray, stream: Sequence[int]) -> np.ndarray:
     every n starts alive, and each value v of ``stream``, all in [0, len - 1],
     kills the n with bits[n - v] set."""
     return eliminate(bitmap(bits.size, True, packed=True), bits, stream)
+
+
+def inside(bits: np.ndarray, stream: Sequence[int]) -> np.ndarray:
+    """Bool bitmap over [0, len - 1] of the sumset ``bits`` + ``stream``, for
+    values in [0, len - 1]: each v = 8q + r, walked by r as in ``eliminate``,
+    ORs the packed ``bits`` shifted up by r into a packed result from byte q.
+    It suits a dense result, ``outside`` a sparse one: x^2 + y^2 + z^2 at
+    10^7 took 0.27 s here and 0.33 s through ``outside`` (2-vCPU VM)."""
+    shifted = pack(bits)
+    acc = bitmap(bits.size, False, packed=True)
+    r = 0
+    for v in sorted(stream, key=lambda v: v & 7):
+        shift_up(shifted, (v & 7) - r)
+        r = v & 7
+        tail = acc[v >> 3 :]
+        np.bitwise_or(tail, shifted[: tail.size], tail)
+    return np.unpackbits(acc, count=bits.size, bitorder="little").view(bool)
+
+
+def clear_bits(packed: np.ndarray, ns: np.ndarray) -> None:
+    """Clear the entries ``ns`` (int64) of a packed bitmap from ``bitmap``.
+    Several n may share a byte, so the ANDs are unbuffered."""
+    np.bitwise_and.at(packed, ns >> 3,
+                      ~np.left_shift(1, ns & 7).astype(np.uint8))
+
+
+def clear_every(packed: np.ndarray, start: int, step: int) -> None:
+    """Clear the entries start, start + step, ... of a packed bitmap from
+    ``bitmap``, for 0 <= start < step: the cleared bits repeat every
+    ``step`` bytes, so one ``step``-byte pattern is ANDed into each row."""
+    keep = np.ones(8 * step, dtype=bool)
+    keep[start::step] = False
+    keep = np.packbits(keep, bitorder="little")
+    whole = packed.size - packed.size % step
+    rows = packed[:whole].reshape(-1, step)
+    rows &= keep
+    packed[whole:] &= keep[: packed.size - whole]
 
 
 @dataclass(frozen=True)

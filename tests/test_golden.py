@@ -1,0 +1,73 @@
+"""Byte-identical CLI output: the SHA-256 of stdout and the exit status of
+small commands covering every subcommand and both formats.
+
+A change that means to alter the output regenerates a digest with
+
+    PYTHONPATH=src python -m polysum.cli ARGV > out; echo $?; sha256sum out
+
+and says in its description why the output changed.
+"""
+
+import hashlib
+
+import pytest
+
+from polysum import cli
+
+GOLDEN = [
+    ("except --sum p4+p5+p8 --bound 20000", 0,
+     "357883759d713d8dafc623ed96264e3b7d2746598d3ade3e5f3686179fb45b9e"),
+    ("except --sum p8+p8+2p8 --domain Z --bound 20000", 0,
+     "a5a589d4d594fdeac5f261ce1122bac11cb86ae72ef31b4eb6aed677738b01e7"),
+    ("except --sum p20 --offsets 1,5 --bound 20000", 0,
+     "7dbf0f73de5d0e299a9aa64f33e58f8a4c317f53563ab3c3e2760e217ff1acf1"),
+    ("except --sum 5p8+7p9+11p10+13p12+3p20 --bound 20000", 0,
+     "061be1cac497e0a7523b78f35cf22a37c6d7946b3ebbfff09bf496b6fe959d60"),
+    ("except --sum p4+p4+p4 --bound 5000 --format csv", 0,
+     "6ff97a5edbd433ece2586cb928d25f5affec478371a1c1e960b4930b048f829f"),
+    ("screen --preset thm-1.3", 0,
+     "f871d44bc895a28f632bd39a9e1e833d17ae09d4493ccb9a38631d8fb8e0b9f5"),
+    ("screen --preset unique-29", 0,
+     "841328101353379bfaf3501345714879053d8882f9f1d10f393bdb3523c0c3fe"),
+    ("qform-except --form 1,1,1 --bound 20000", 0,
+     "3976e2baae34386e5e2a2a96594f6d7a737ed8a21c1debaff24124142bcf4f37"),
+    ("qform-except --form 1,3,24 --bound 20000 --format csv", 0,
+     "85545f22a29e4d7caf49549cc8d2a30ca8430c7b35947a24d0775c16781713a9"),
+    ("qform-verify-catalog --bound 10000", 0,
+     "1c838e7ed077d958495bb270d788d4361cb15112ba3ed8cd145ada34f9f60231"),
+    ("reduce --sum p3+p4+p5", 0,
+     "02f7494e134315d573e8ec2f4256d7e9935e1f9f59d06bb98bea6bfbafe1d9a3"),
+    ("verify-reduction --bound 2000", 0,
+     "90a29bf9fea31932a428152ade145f150012ac14098ae079f6b16b4317e4d7ea"),
+    ("verify-reduction --sum p3+p4+p5 --domain Z --bound 2000", 0,
+     "cecc2444b5fb20ae48e428a739aaed39c196222d888c1bac15c80d84264d81ae"),
+    ("prime-scan --a 3 --bound 20000", 0,
+     "f28c1f950090d62de36f6195045264fb0da633e485604152b6d56b0b5f11cb03"),
+    ("prime-scan --a 15 --bound 20000 --format csv", 0,
+     "c03396ea2b198abf63d8e6e18941cc3523cdf4a14d77a32dead28d4f1d9c0cec"),
+    ("prime-scan --a 2 --universe all --bound 20000", 0,
+     "c9644bc6190654509cc6d4f8a98e1d682f9924e3404b08651306b476f0a085a3"),
+    ("prime-scan --a 2 --shape polygonal --order 5 --universe odd"
+     " --prime-mod 4 --prime-residue 1 --bound 20000", 0,
+     "5f256b8f8ad2884c6c6eef73db25b1c89c5733deab4e4e6474def52dadbc5f55"),
+    ("descent-check --op split2n --args 11", 0,
+     "48c3e9df213d6a86f9a7debba04ecc69809ef044b742745662ecc6eb70b4e1b8"),
+    ("descent-check --op mod5 --args 3,4", 0,
+     "2ec0acfb48a885ee3bdea7beb60149679ce093b2cd1a830ea02e631c5eff5250"),
+    ("descent-check --op split2n --args 3", 2,
+     "26e40bb719cdbda5400bdb4b0b0e4568424deb19bf8287b76720d7e15e52f6ba"),
+    ("conjecture --preset 1.2 --bound 5000", 0,
+     "08e608529b11ad2374d9ac8f97c0f999d01c1d6d85dd04323b15950025d1e988"),
+    ("conjecture --preset 1.7 --bound 20000", 1,
+     "d0e6481c3c6ad07e25473c63d1dbb95945bec3af570b4702f004ca63b38f1391"),
+    ("conjecture --preset 1.8-spot --bound 1000", 0,
+     "ebe1c2475dc3c799a08227e69c8c8c232da4a125b7023f4451291dcf8f6b6856"),
+]
+
+
+@pytest.mark.parametrize("argv,status,digest", GOLDEN,
+                         ids=[argv for argv, _, _ in GOLDEN])
+def test_golden_stdout(capsys, argv, status, digest):
+    assert cli.main(argv.split()) == status
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

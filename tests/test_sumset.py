@@ -184,12 +184,13 @@ def _packed(alive):
 @st.composite
 def _eliminations(draw):
     """An alive set, a hit set and values over [0, size), with sizes of
-    every residue mod 8, values of every residue up to size - 1, and value
-    lists that are empty or of a single residue."""
+    every residue mod 8, values of every residue up to size - 1, hit sets
+    all clear to all set, and value lists that are empty or of a single
+    residue."""
     size = draw(st.integers(1, 70) | st.integers(100, 600))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     alive = rng.random(size) < draw(st.sampled_from([0.1, 0.9, 1.0]))
-    hit = rng.random(size) < draw(st.sampled_from([0.0, 0.05, 0.5]))
+    hit = rng.random(size) < draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
     values = draw(st.lists(st.integers(0, size - 1), max_size=40)
                   | st.lists(st.just(size - 1), min_size=1, max_size=1))
     if draw(st.booleans()) and values:
@@ -240,6 +241,24 @@ def test_shift_up_moves_every_bit(bits, r):
     sumset.shift_up(packed, r)
     assert sumset.set_bits(packed).tolist() == [
         n + r for n in np.flatnonzero(bits).tolist() if n + r < top]
+
+
+# The dense fold against a set model, on the hit bitmaps and values of
+# ``_eliminations``; a chunk of 8 bytes makes ``pack`` and ``shift_up`` work
+# one word at a time.
+@settings(max_examples=300, deadline=None)
+@given(_eliminations(), st.sampled_from([8, sumset._PAIR_CHUNK]))
+@example((None, np.ones(64, dtype=bool), []), sumset._PAIR_CHUNK)
+@example((None, np.zeros(9, dtype=bool), [0, 8, 1, 7]), 8)
+@example((None, np.ones(9, dtype=bool), [8, 0]), 8)
+def test_inside_equals_set_model(case, chunk):
+    _, bits, values = case
+    expected = sorted({n + v for n in np.flatnonzero(bits).tolist()
+                       for v in values if n + v < bits.size})
+    with mock.patch.object(sumset, "_PAIR_CHUNK", chunk):
+        found = sumset.inside(bits, list(values))
+    assert found.dtype == bool and found.shape == bits.shape
+    assert np.flatnonzero(found).tolist() == expected
 
 
 def test_offset_check_memory_per_integer():
@@ -426,7 +445,10 @@ def test_rechecks_call_no_kernel_function():
                (sumset, "range_sieve"), (qform, "_pair_bits"),
                (qform, "_reachable"), (qform, "range_sieve"),
                (primepoly, "eliminate"), (primepoly, "exception_scan"),
-               (primepoly, "_universe_classes"), (primepoly, "_class_alive")]
+               (primepoly, "_universe_classes"), (primepoly, "_class_alive"),
+               (sumset, "inside"), (qform, "inside"),
+               (sumset, "clear_bits"), (primepoly, "clear_bits"),
+               (sumset, "clear_every"), (primepoly, "clear_every")]
     with contextlib.ExitStack() as stack:
         for module, name in kernels:
             stack.enter_context(mock.patch.object(module, name, refuse))
