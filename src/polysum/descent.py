@@ -6,11 +6,32 @@ identities.  Sign choices ("without loss of generality" in the usual
 arguments) are made deterministic: the second argument is negated when
 needed, otherwise the first.  Outputs are not unique; callers should check
 the stated postcondition, not a particular pair.
+
+The split ``2n = x^2 + 9y^2 + 18z^2`` starts from a three-square form
+n = u^2 + v^2 + w^2 with 3 | w, the first in the order "w up over the
+multiples of 3, then u up from 0".  Below ``_TABLE_CAP`` the u search is one
+lookup in a first-witness table over the two-square rests: entry r is the
+least u with 2u^2 <= r and r - u^2 a square, or -1.  The table is built by
+scattering u^2 + v^2 (v >= u) for u from the largest down, one slice per u,
+so the smallest u is written last.  It is kept at module level, built on
+first use with 2^16 entries, and rebuilt at the least doubling that covers
+a larger n; at most it holds 2^22 int16 entries (8 MB).  From the cap up
+the search runs instead: a two-square test of each rest, then u walks up.
+An n above ``MAX_SPLIT_N`` is refused, since that search takes O(sqrt(n))
+steps per w.
 """
 
 from __future__ import annotations
 
 from math import isqrt
+
+import numpy as np
+
+from .qform import three_square_excluded
+
+MAX_SPLIT_N = 10 ** 14
+_TABLE_START = 1 << 16
+_TABLE_CAP = 1 << 22
 
 
 class ZeroInputError(ValueError):
@@ -170,18 +191,60 @@ def _three_squares_with_multiple_of_3(n: int) -> tuple[int, int, int] | None:
     return None
 
 
+def _first_witness_table(size: int) -> memoryview:
+    """Entry r < size: the least u with 2u^2 <= r and r - u^2 a square, or
+    -1.  Each u scatters its own slice, because numpy promises no order
+    among duplicate indices of one fancy assignment."""
+    first = np.full(size, -1, dtype=np.int16)
+    squares = np.arange(isqrt(size - 1) + 1, dtype=np.int64) ** 2
+    for u in range(isqrt((size - 1) // 2), -1, -1):
+        first[u * u + squares[u : isqrt(size - 1 - u * u) + 1]] = u
+    # a memoryview reads entries as Python ints, three times faster than
+    # numpy scalars and free of int16 overflow in u * u
+    return memoryview(first)
+
+
+_first_u = memoryview(np.empty(0, dtype=np.int16))
+
+
+def _tabled_three_squares(n: int) -> tuple[int, int, int] | None:
+    """The (u, v, w) of _three_squares_with_multiple_of_3 for n < _TABLE_CAP,
+    with one table lookup per w."""
+    global _first_u
+    if n >= len(_first_u):
+        size = _TABLE_START
+        while size <= n:
+            size *= 2
+        _first_u = _first_witness_table(size)
+    first = _first_u
+    w = 0
+    while w * w <= n:
+        rest = n - w * w
+        u = first[rest]
+        if u >= 0:
+            return u, isqrt(rest - u * u), w
+        w += 3
+    return None
+
+
 def split_two_n(n: int) -> tuple[int, int, int]:
     """For n = 2 (mod 3) not of the form 4^k(8l+7): 2n = x^2 + 9y^2 + 18z^2.
 
     Found by locating a three-square representation of n whose multiple-of-3
     slot exists (exactly one slot is divisible by 3 in this residue class)
-    and recombining the other two.
+    and recombining the other two.  Below _TABLE_CAP the representation is
+    read from the cached first-witness table, grown by doubling to cover n;
+    from the cap up to MAX_SPLIT_N it is searched for.  Both give the same
+    triple.  An n above MAX_SPLIT_N raises ValueError.
     """
-    from .qform import three_square_excluded
-
+    if n > MAX_SPLIT_N:
+        raise ValueError(f"n {n} above supported {MAX_SPLIT_N}")
     if n % 3 != 2 or three_square_excluded(n):
         raise PreconditionError(f"{n} is not 2 mod 3 with a three-square form")
-    found = _three_squares_with_multiple_of_3(n)
+    if n < _TABLE_CAP:
+        found = _tabled_three_squares(n)
+    else:
+        found = _three_squares_with_multiple_of_3(n)
     if found is None:  # unreachable: guaranteed by the precondition
         raise PreconditionError(f"no suitable three-square split of {n}")
     u, v, w = found

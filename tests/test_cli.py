@@ -123,6 +123,13 @@ def test_descent_check(capsys):
     assert status == 2
 
 
+def test_descent_check_refuses_split_above_limit(capsys):
+    status, out = run(capsys, "descent-check", "--op", "split2n",
+                      "--args", "100000000000000000000001")
+    assert status == 2
+    assert out.count("error=") == 1 and "above supported" in out
+
+
 def test_conjecture_spot(capsys):
     status, out = run(capsys, "conjecture", "--preset", "1.3", "--bound", "2000")
     assert status == 0

@@ -1,9 +1,11 @@
 import random
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from polysum import descent
 from polysum.descent import (
     PreconditionError,
     ZeroInputError,
@@ -169,6 +171,50 @@ def test_split_two_n_equals_unskipped_search():
     for n in range(2, 20_001, 3):
         if not three_square_excluded(n):
             assert split_two_n(n) == _reference_split_two_n(n), n
+
+
+def _valid_split_ns(lo, hi):
+    return [n for n in range(lo, hi)
+            if n % 3 == 2 and not three_square_excluded(n)]
+
+
+@pytest.fixture
+def cold_table(monkeypatch):
+    monkeypatch.setattr(descent, "_first_u", memoryview(np.empty(0, np.int16)))
+
+
+@pytest.mark.parametrize("largest_first", [True, False])
+def test_split_two_n_across_table_doublings(cold_table, largest_first):
+    ns = sorted(_valid_split_ns(2**16 - 40, 2**16 + 40)
+                + _valid_split_ns(2**17 - 40, 2**17 + 40),
+                reverse=largest_first)
+    for n in ns:
+        assert split_two_n(n) == _reference_split_two_n(n), n
+    assert len(descent._first_u) == 2**18
+
+
+def test_split_two_n_above_table_cap(cold_table):
+    cap = descent._TABLE_CAP
+    for n in _valid_split_ns(cap - 10, cap + 30):
+        assert split_two_n(n) == _reference_split_two_n(n), n
+    assert len(descent._first_u) == cap
+
+
+def test_first_witness_table_equals_brute_force():
+    size = 2**12
+    expected = [-1] * size
+    for u in range(isqrt(size) + 1):
+        for v in range(u, isqrt(size) + 1):
+            if u * u + v * v < size and expected[u * u + v * v] < 0:
+                expected[u * u + v * v] = u
+    assert descent._first_witness_table(size).tolist() == expected
+
+
+def test_split_two_n_refuses_n_above_limit():
+    n = descent.MAX_SPLIT_N + 1
+    assert n % 3 == 2 and not three_square_excluded(n)
+    with pytest.raises(ValueError, match=str(descent.MAX_SPLIT_N)):
+        split_two_n(n)
 
 
 def test_two_square_test_equals_brute_force():
