@@ -214,9 +214,10 @@ def decomposed_among(query: PrimePolyQuery, ns: Iterable[int],
 
     Independent of the scan: the table is the unfiltered sieve_primes(bound).
     The prime 2, when it passes a prime filter (q, r), is one membership
-    test of n - 2 among the term values.  For the n of each class c mod
-    lcm(2, q) only the term values v that leave p = n - v odd and = r
-    (mod q) are walked."""
+    test of n - 2 among the term values.  An odd p = n - v passes when
+    n - v = t (mod lcm(2, q)) for an odd t among r, r + q.  So for each
+    such t, each class c that holds a listed n and is some v + t walks only
+    its own v, and the residues of the n and the v are taken once."""
     ns = sorted_distinct(np.fromiter(ns, dtype=np.int64))
     if ns.size and ns[-1] > bound:
         raise ValueError(f"sieve bound {bound} below n = {ns[-1]}")
@@ -228,10 +229,16 @@ def decomposed_among(query: PrimePolyQuery, ns: Iterable[int],
     if 2 % q == r:
         at = np.minimum(np.searchsorted(values, ns - 2), values.size - 1)
         hit = values[at] == ns - 2
-    for c in range(period):
-        left = (c - values) % period
-        walked = values[(left % 2 == 1) & (left % q == r)]
-        if walked.size:
-            in_class = ns % period == c
-            hit[in_class] |= reached(table, ns[in_class], walked.tolist())
+    classes = ns % period
+    held = np.bincount(classes) > 0
+    for t in range(r, period, q):
+        if t % 2 == 0:
+            continue
+        targets = (values + t) % period
+        walked = np.zeros(held.size, dtype=bool)
+        walked[targets[targets < held.size]] = True
+        for c in np.flatnonzero(held & walked).tolist():
+            in_class = classes == c
+            hit[in_class] |= reached(table, ns[in_class],
+                                     values[targets == c].tolist())
     return ns[hit].tolist()

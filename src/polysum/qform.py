@@ -33,6 +33,9 @@ from .sumset import (MAX_RANGE_BOUND, _pair_bits, check_bound, inside,
 # the largest supported bitmap.
 _MAX_PAIR_CELLS = MAX_RANGE_BOUND // 8
 
+# Each canonical reduction is verified on [0, this bound] when it is built.
+_REDUCTION_CHECK_BOUND = 500
+
 
 class ConstructionCheckError(AssertionError):
     """A reduction failed its range verification at construction."""
@@ -274,7 +277,7 @@ def three_square_excluded(n: int) -> bool:
 # reductions
 # ---------------------------------------------------------------------------
 
-def canonical_reduction(sum_: TripleSum, check_bound: int = 500) -> ReductionEntry:
+def canonical_reduction(sum_: TripleSum) -> ReductionEntry:
     """Convert a polygonal sum into an equivalent conditioned-form statement.
 
     The multiplier is the lcm of the square-completion stretches 8(m-2) of
@@ -282,7 +285,7 @@ def canonical_reduction(sum_: TripleSum, check_bound: int = 500) -> ReductionEnt
     form coefficient M*a/(8(m-2)) on the substituted variable
     y = (2m-4)x - (m-4), contributing c*(m-4)^2 to the constant; square
     terms keep a free variable with coefficient M*a.  The equivalence is
-    verified on [0, check_bound] at construction.
+    verified on [0, _REDUCTION_CHECK_BOUND] at construction.
     """
     terms = sum_.terms
     domain = sum_.domain
@@ -311,7 +314,7 @@ def canonical_reduction(sum_: TripleSum, check_bound: int = 500) -> ReductionEnt
         raise ValueError("canonical_reduction expects a three-term sum")
     entry = ReductionEntry(sum_, M, constant,
                            DiagonalTernaryForm(tuple(coeffs), tuple(conds)))
-    ok, counterexample = verify_reduction(entry, check_bound)
+    ok, counterexample = verify_reduction(entry, _REDUCTION_CHECK_BOUND)
     if not ok:
         raise ConstructionCheckError(
             f"reduction of {sum_} fails at n={counterexample}")

@@ -1,22 +1,20 @@
 """Range sieves and membership tests for sums of weighted polygonal terms.
 
-A range sieve builds a numpy bool bitmap over [0, bound] in two steps.  The
-sums of the two longest value streams are scattered into the bitmap in
-chunked outer products.  Each further stream is one fold, ``outside``: the n
-outside the sumset of a bitmap and a stream, by candidate elimination
-(``eliminate``) from an all-alive bitmap, so that a stream without 0, such as
-a set of offsets, is exact too.  Its twin ``inside`` returns the sumset
-itself by ORing shifted copies of the bitmap, for the dense form grids.
-This module owns the packed layout, eight n to a byte; no other module
-touches it.  Bitmaps of 2^20 entries and more lie on memory maps of their
-own (``bitmap``), so that the peak RSS does not turn on the heap's layout.
+``range_sieve`` scatters the sums of the two longest value streams into a
+bool bitmap over [0, bound], then folds in each further stream with
+``outside``: the n outside the sumset of a bitmap and a stream, found by
+candidate elimination (``eliminate``), so a stream without 0 is exact too.
+An exception list is the survivors of one last ``outside``: the shortest
+stream shifted by every offset walks the sieve of the other terms, or for
+one or two terms the offsets alone walk the pair bitmap.  ``inside``, the
+OR twin of ``outside``, returns the sumset itself, for the form grids.
+Only this module knows the packed layout and the memory maps (``bitmap``).
 
-Every exception list is re-verified at construction, and downstream
-elimination certificates rely on that.  The re-check shares no code with
-the sieve, and the form and prime re-checks use it too: ``sum_table``
-scatters the sums of some value streams into a bool table row by row, and
-``reached`` subtracts each walked value from every listed n at once in one
-gather from that table.
+Every exception list is re-verified at construction, and elimination
+certificates rely on that.  The re-check shares no code with the sieve, and
+the form and prime re-checks use it too: ``sum_table`` scatters the sums of
+some streams into a bool table, and ``reached`` subtracts each walked value
+from every listed n at once, in one gather from that table.
 """
 
 from __future__ import annotations
@@ -59,8 +57,7 @@ _SPARSE_SHARE = 512
 _DENSE_ONLY_BELOW = 1 << 15
 _COUNT_EVERY = 16
 
-# Bitmaps of at least this many entries lie on a memory map of their own
-# (``bitmap``); below it, numpy allocates them.
+# Bitmaps of at least this many entries lie on memory maps (``bitmap``).
 _MAPPED_FROM = 1 << 20
 
 
@@ -211,9 +208,7 @@ def eliminate(alive: np.ndarray, hit: np.ndarray,
     elimination does not depend on the order of the values.  Once at most
     1/_SPARSE_SHARE of the n are alive, the survivors are unpacked, and each
     remaining value, smallest first, costs one gather from ``hit`` over the
-    survivors at or above it, until none is left there.  A bitmap shorter
-    than _DENSE_ONLY_BELOW is unpacked at once and takes one bool pass per
-    value.
+    survivors at or above it, until none is left there.
     """
     size = hit.size
     if size < _DENSE_ONLY_BELOW:
@@ -313,12 +308,8 @@ class RangeBitset:
         return int(np.count_nonzero(self.bits))
 
     def missing(self) -> list[int]:
-        """Sorted positions in [0, bound] with the bit unset, found
-        _PAIR_CHUNK entries at a time rather than in a complement of the
-        whole bitmap."""
-        return np.concatenate([
-            np.flatnonzero(~self.bits[i : i + _PAIR_CHUNK]) + i
-            for i in range(0, self.bits.size, _PAIR_CHUNK)]).tolist()
+        """Sorted positions in [0, bound] with the bit unset."""
+        return outside(self.bits, [0]).tolist()
 
     def first_missing(self, count: int = 1) -> list[int]:
         """The first ``count`` positions with the bit unset (fewer if the
@@ -409,12 +400,25 @@ def _verify_non_representable(terms: Sequence[Term], domain: SumDomain,
                                   int(ns[np.argmax(hit)]))
 
 
+def _report(sum_: TripleSum, offsets: tuple, bound: int) -> ExceptionReport:
+    """The re-verified survivors of one last ``outside`` (module docstring)."""
+    check_bound(bound)
+    domain = sum_.domain
+    terms = sorted(sum_.terms,
+                   key=lambda t: len(poly_values_upto(t, domain, bound)))
+    walk = np.asarray([r for r in offsets if r <= bound], dtype=np.int64)
+    if len(terms) > 2:
+        walk = sorted_distinct(np.add.outer(
+            poly_values_upto(terms.pop(0), domain, bound), walk).ravel())
+    missing = tuple(outside(range_sieve(terms, domain, bound).bits,
+                            walk[walk <= bound].tolist()).tolist())
+    _verify_non_representable(sum_.terms, domain, missing, offsets)
+    return ExceptionReport(sum_, bound, missing, offsets)
+
+
 def exceptions(sum_: TripleSum, bound: int) -> ExceptionReport:
     """Exact list of non-representable n <= bound, mandatory re-verified."""
-    bitset = range_sieve(sum_.terms, sum_.domain, bound)
-    missing = tuple(bitset.missing())
-    _verify_non_representable(sum_.terms, sum_.domain, missing)
-    return ExceptionReport(sum_, bound, missing)
+    return _report(sum_, (0,), bound)
 
 
 def member_with_witness(sum_: TripleSum, n: int) -> Witness | None:
@@ -456,14 +460,10 @@ def member_with_witness(sum_: TripleSum, n: int) -> Witness | None:
 
 
 def offset_universal_check(terms: Sequence[Term], domain: SumDomain,
-                           offsets: Iterable[int],
-                           bound: int) -> ExceptionReport:
+                           offsets: Iterable[int], bound: int
+                           ) -> ExceptionReport:
     """Exceptions of union over r in offsets of (sumset + r) on [0, bound]."""
     offsets = tuple(sorted(set(offsets)))
     if not offsets or min(offsets) < 0:
         raise ValueError("offsets must be a nonempty set of integers >= 0")
-    # the offsets are one more value stream over the sumset bitmap
-    missing = tuple(outside(range_sieve(terms, domain, bound).bits,
-                            [r for r in offsets if r <= bound]).tolist())
-    _verify_non_representable(terms, domain, missing, offsets)
-    return ExceptionReport(TripleSum(terms, domain), bound, missing, offsets)
+    return _report(TripleSum(terms, domain), offsets, bound)

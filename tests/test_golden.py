@@ -62,6 +62,16 @@ GOLDEN = [
      "d0e6481c3c6ad07e25473c63d1dbb95945bec3af570b4702f004ca63b38f1391"),
     ("conjecture --preset 1.8-spot --bound 1000", 0,
      "ebe1c2475dc3c799a08227e69c8c8c232da4a125b7023f4451291dcf8f6b6856"),
+    ("except --sum p4+p4 --bound 20000", 0,
+     "8346d5cdfae266598de8d0dc38cf6abd0e5de4854bf6672ee9ec971bf574d451"),
+    ("except --sum p4+p4 --offsets 0,3 --bound 20000", 0,
+     "83fa6e91bafd85e7308e4d66f83ceb87f0dc7aab80c53602c84cea7e53b036d6"),
+    ("except --sum p3+p4+p5+p6+p7 --offsets 0,2,9 --bound 20000", 0,
+     "bece90f65aff7ce20452f8d30bd97278a1ef35aaacecb8d60c69fa8d0f153fd2"),
+    ("except --sum p5+p5+p5 --domain Z --offsets 1,2 --bound 20000", 0,
+     "0ac2fc9141fecae2e5a84ee419c4c256f78c90f3be6ddb3464f8dccf33a75ace"),
+    ("prime-scan --a 2 --prime-mod 10007 --prime-residue 1 --bound 20000", 0,
+     "27487e1774af47062685170246b3cb0231c428b3884235c3141439f92b0ff332"),
 ]
 
 

@@ -220,7 +220,7 @@ def test_scan_at_every_small_bound(query):
 # The re-check against a per-n witness sweep over the scan's own list with
 # some n injected, in any order and with repeats.
 @settings(max_examples=100, deadline=None)
-@given(_queries(_FILTERS | st.sampled_from([4, 6]).flatmap(
+@given(_queries(_FILTERS | st.sampled_from([4, 6, 10007]).flatmap(
            lambda q: st.tuples(st.just(q), st.integers(0, q - 1)))),
        st.integers(2, 3000), st.data())
 def test_decomposed_among_equals_witness_sweep(query, bound, data):
@@ -230,6 +230,18 @@ def test_decomposed_among_equals_witness_sweep(query, bound, data):
     assert decomposed_among(query, listed, bound) == [
         n for n in sorted(set(listed))
         if decomposition_witness(query, n, bound) is not None]
+
+
+def test_recheck_walks_only_classes_holding_a_listed_n():
+    # a filter (q, 1) splits the n into 2q classes mod lcm(2, q); an empty
+    # list walks none of them, and one listed n walks at most its own
+    query = PrimePolyQuery(2, prime_filter=(100003, 1))
+    with mock.patch.object(primepoly, "reached", wraps=sumset.reached) as spy:
+        assert decomposed_among(query, [], 10**6) == []
+        assert spy.call_count == 0
+        # 1 + 2*7^2 is in the class of the primes 1 + v, but 1 is no prime
+        assert decomposed_among(query, [1 + 2 * 7**2], 10**6) == []
+        assert spy.call_count == 1
 
 
 def test_decomposed_among_refuses_n_above_bound():

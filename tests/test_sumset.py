@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polysum import primepoly, qform, sumset
-from polysum.polycore import SumDomain, Term, parse_sum, poly_value
+from polysum.polycore import SumDomain, Term, TripleSum, parse_sum, poly_value
 from polysum.sumset import (
     MAX_RANGE_BOUND,
     ReverificationError,
@@ -166,6 +166,8 @@ def test_kernel_equals_brute_sumset(terms_, domain, bound, offsets, share,
             mock.patch.object(sumset, "_PAIR_CHUNK", chunk):
         bits = range_sieve(terms_, domain, bound)
         report = offset_universal_check(terms_, domain, offsets, bound)
+        plain = exceptions(TripleSum(terms_, domain), bound)
+    assert plain.exceptions == tuple(missing)
     assert bits.bits.shape == (bound + 1,)
     assert bits.missing() == missing
     assert bits.first_missing(2) == missing[:2]
@@ -279,6 +281,21 @@ def test_offset_check_memory_per_integer():
             tracemalloc.stop()
         assert report.exceptions == ()
     assert max(peaks) < 1.75 * bound
+
+
+def test_one_elimination_per_exception_list():
+    # the shortest stream, shifted by the offsets, is walked in the one
+    # elimination after the pair scatter; no bitmap is rebuilt from its
+    # survivors, rescanned or eliminated again
+    real = sumset.eliminate
+    counts = []
+    for run in (lambda: exceptions(parse_sum("p4+p5+p8", N), 100_000),
+                lambda: offset_universal_check(terms("p4+p5+p6"), N,
+                                               range(3), 100_000)):
+        with mock.patch.object(sumset, "eliminate", wraps=real) as spy:
+            run()
+        counts.append(spy.call_count)
+    assert counts == [1, 1]
 
 
 def test_sieve_memory_per_integer():
