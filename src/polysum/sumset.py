@@ -1,7 +1,8 @@
 """Range sieves and membership tests for sums of weighted polygonal terms.
 
 ``range_sieve`` scatters the sums of the two longest value streams into a
-bool bitmap over [0, bound], then folds in each further stream with
+bool bitmap over [0, bound], in tiles that keep the writes in cache
+(``_pair_bits``), then folds in each further stream with
 ``outside``: the n outside the sumset of a bitmap and a stream, found by
 candidate elimination (``eliminate``), so a stream without 0 is exact too.
 An exception list is the survivors of one last ``outside``: the shortest
@@ -42,6 +43,15 @@ MAX_RANGE_BOUND = 100_000_000
 
 # Most pair sums one outer product of the pair step holds (int64, 512 KiB).
 _PAIR_CHUNK = 1 << 16
+
+# Value width W of the pair step's tiles: the sums of tiles k and l lie in
+# [(k + l)W, (k + l + 2)W), 512 KiB of bool bitmap.  Narrower tiles pay numpy
+# calls per tile pair, wider ones leave L2.  p4+p4, ms, best of 7, 2-vCPU VM:
+#   W       2^15  2^16  2^17  2^18  2^19  2^20  2^21  untiled
+#   4*10^6    50    23    23    24    31    36    51       51
+#   10^7     266    84    53    49    57    89   104      195
+#   10^8       -     -  2197   892   664   779   989     2293  (best of 3)
+_PAIR_TILE = 1 << 18
 
 # Elimination leaves whole-bitmap passes for a candidate array once at most
 # 1/_SPARSE_SHARE of [0, bound] is alive.  A packed pass moves three bits
@@ -180,16 +190,18 @@ def sorted_distinct(a: np.ndarray) -> np.ndarray:
 
 
 def set_bits(packed: np.ndarray) -> np.ndarray:
-    """Sorted int64 indices of the set bits of a packed bitmap, found
-    _PAIR_CHUNK bytes at a time: only the bytes with a bit set are
-    unpacked, as bool so that ``flatnonzero`` takes its fast path."""
+    """Sorted int64 indices of the set bits of a packed bitmap, _PAIR_CHUNK
+    bytes at a time, unpacked as bool for ``flatnonzero``'s fast path: the
+    whole chunk if over 2/3 of its bytes are nonzero, else those bytes."""
     found = [np.empty(0, dtype=np.int64)]
     for i in range(0, packed.size, _PAIR_CHUNK):
         chunk = packed[i : i + _PAIR_CHUNK]
         at = np.flatnonzero(chunk)
-        bits = np.flatnonzero(np.unpackbits(chunk[at], bitorder="little")
-                              .view(bool))
-        found.append((at[bits >> 3] + i) * 8 + (bits & 7))
+        dense = 3 * at.size > 2 * chunk.size
+        bits = np.flatnonzero(np.unpackbits(chunk if dense else chunk[at],
+                                            bitorder="little").view(bool))
+        found.append(np.add(bits, 8 * i, out=bits) if dense
+                     else (at[bits >> 3] + i) * 8 + (bits & 7))
     return np.concatenate(found)
 
 
@@ -344,17 +356,34 @@ def check_bound(bound: int) -> None:
 
 def _pair_bits(first: Sequence[int], second: Sequence[int],
                bound: int) -> np.ndarray:
-    """Bitmap over [0, bound] of first + second, one outer product of at
-    most _PAIR_CHUNK sums per chunk of ``second``."""
+    """Bitmap over [0, bound] of first + second, sorted streams of values
+    in [0, bound].  Both are cut into tiles of value width _PAIR_TILE, and
+    the tile pairs (k, l) are walked by k + l, so that the sums of one
+    diagonal land in a window of two tiles rather than sweeping the whole
+    bitmap once per row.  Outer products of at most _PAIR_CHUNK sums share
+    one buffer; only a diagonal whose sums can exceed bound is masked."""
     bits = bitmap(bound + 1, False)
     row = np.asarray(first, dtype=np.int64)
-    step = max(1, _PAIR_CHUNK // row.size)
-    for i in range(0, len(second), step):
-        col = np.asarray(second[i : i + step], dtype=np.int64)
-        # the chunk's smallest value decides which of ``first`` can fit
-        cut = row[: np.searchsorted(row, bound - col[0], side="right")]
-        sums = (col[:, None] + cut).ravel()
-        bits[sums[sums <= bound]] = True
+    col = np.asarray(second, dtype=np.int64)
+    rows, cols = [row], [col]  # one tile, as for every screen's sieve
+    if bound >= _PAIR_TILE:
+        # tile t holds the values in [tW, (t + 1)W)
+        cuts = np.arange(_PAIR_TILE, bound + 1, _PAIR_TILE)
+        rows, cols = (np.split(v, np.searchsorted(v, cuts))
+                      for v in (row, col))
+    buf = np.empty(min(max(_PAIR_CHUNK, row.size), row.size * col.size),
+                   dtype=np.int64)
+    for d in range(len(rows)):
+        masked = (d + 2) * _PAIR_TILE - 2 > bound
+        for r, c in zip(rows[: d + 1], cols[d::-1]):
+            if not (r.size and c.size):
+                continue
+            step = max(1, _PAIR_CHUNK // r.size)
+            for i in range(0, c.size, step):
+                part = c[i : i + step]
+                sums = buf[: part.size * r.size]
+                np.add.outer(part, r, out=sums.reshape(part.size, r.size))
+                bits[sums[sums <= bound] if masked else sums] = True
     return bits
 
 

@@ -72,6 +72,11 @@ GOLDEN = [
      "0ac2fc9141fecae2e5a84ee419c4c256f78c90f3be6ddb3464f8dccf33a75ace"),
     ("prime-scan --a 2 --prime-mod 10007 --prime-residue 1 --bound 20000", 0,
      "27487e1774af47062685170246b3cb0231c428b3884235c3141439f92b0ff332"),
+    # bounds of several pair-step tiles
+    ("except --sum p4+p4+p5 --bound 1000000", 0,
+     "e8a5504ccfef3400569c91e4adf08939ba9cb263f868a4ad17d2ec66fdccc917"),
+    ("qform-except --form 1,1,1 --bound 1000000", 0,
+     "cdd90ea492118eceea73dbc24fe12c5853bb3dbca5d1c93629f98dbb138846a3"),
 ]
 
 

@@ -16,6 +16,7 @@ from polysum.qform import (
     ReductionEntry,
     _progression_bitmap,
     _reachable,
+    _streams,
     canonical_reduction,
     mapped_exception_scan,
     qf_exception_set,
@@ -175,6 +176,25 @@ def test_reachable_memory_per_integer():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * top
+
+
+def test_tiled_pair_step_memory_per_integer():
+    # with one outer product per chunk of the second stream, the grid of
+    # x^2 + y^2 + z^2 at 2*10^6 peaked at 2.30 bytes per integer, and its
+    # pair step alone at 1.58: the tiles hold no more at once
+    top = 2_000_000
+    form = DiagonalTernaryForm((1, 1, 1))
+    first, second = _streams(form, top)[1::-1]
+    peaks = []
+    for run in (lambda: _reachable(form, top),
+                lambda: sumset._pair_bits(first, second, top)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] / top)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 2.35 and peaks[1] < 1.65
 
 
 def test_value_grid_above_limit_is_refused_before_allocation():

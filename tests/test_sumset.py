@@ -1,4 +1,5 @@
 import contextlib
+import math
 import mmap
 import random
 import tracemalloc
@@ -261,6 +262,72 @@ def test_inside_equals_set_model(case, chunk):
         found = sumset.inside(bits, list(values))
     assert found.dtype == bool and found.shape == bits.shape
     assert np.flatnonzero(found).tolist() == expected
+
+
+@st.composite
+def _pair_streams(draw):
+    """A tile width, a bound up to 3000, often next to a tile edge, and two
+    sorted streams of values in [0, bound], as lists or int64 arrays.  The
+    second is {0}, a few values, as long as the first, or the squares; the
+    values of a short or narrow stream leave whole tiles empty."""
+    tile = draw(st.sampled_from([8, 13, 64]))
+    bound = draw(st.integers(0, 3000)
+                 | st.sampled_from([0, 1, tile - 1, tile, tile + 1, 2 * tile]))
+    values = st.integers(0, bound)
+    lo = draw(values)
+    narrow = st.integers(lo, min(bound, lo + 2 * tile))
+    first = draw(st.lists(values, max_size=200)
+                 | st.lists(narrow, max_size=40))
+    second = draw(st.just([0]) | st.lists(values, max_size=3)
+                  | st.lists(values, max_size=200)
+                  | st.just([k * k for k in range(math.isqrt(bound) + 1)]))
+    streams = [sorted(set(first)), sorted(set(second))]
+    if draw(st.booleans()):
+        streams = [np.array(v, dtype=np.int64) for v in streams]
+    return tile, bound, *streams
+
+
+# The tile walk of the pair step against a set of pair sums, with tiles of
+# 8 to 64 values so that bounds up to 3000 cross many of them, and outer
+# products of 1 or 7 sums.
+@settings(max_examples=300, deadline=None)
+@given(_pair_streams(), st.sampled_from([1, 7, sumset._PAIR_CHUNK]))
+@example((8, 0, [0], [0]), sumset._PAIR_CHUNK)
+@example((8, 1, [0, 1], [0, 1]), 1)
+@example((8, 7, [0, 1, 4], [0]), 7)
+@example((8, 8, [0, 1, 4, 8], np.array([0, 1, 4, 8])), 7)
+@example((8, 9, np.array([0, 1, 4, 9]), np.array([0, 8])), sumset._PAIR_CHUNK)
+@example((8, 3000, list(range(0, 3001, 3)), [2990]), 7)
+@example((64, 3000, [], [0, 1]), 1)
+def test_pair_bits_equals_set_model(case, chunk):
+    tile, bound, first, second = case
+    expected = sorted({int(a + b) for a in first for b in second
+                       if a + b <= bound})
+    with mock.patch.object(sumset, "_PAIR_TILE", tile), \
+            mock.patch.object(sumset, "_PAIR_CHUNK", chunk):
+        bits = sumset._pair_bits(first, second, bound)
+    assert bits.dtype == bool and bits.shape == (bound + 1,)
+    assert np.flatnonzero(bits).tolist() == expected
+
+
+@pytest.mark.parametrize("share", [0, 0.01, 1 / 6, 0.9, 1])
+@pytest.mark.parametrize("size", [1, 1001, 2 * 8 * sumset._PAIR_CHUNK + 13])
+def test_set_bits_equals_flatnonzero(share, size):
+    bits = np.random.default_rng(size).random(size) < share
+    assert sumset.set_bits(_packed(bits)).tolist() == \
+        np.flatnonzero(bits).tolist()
+
+
+def test_set_bits_mixes_dense_and_sparse_chunks():
+    # 8-byte chunks of 64 entries each, from all clear to all set, so that
+    # whole unpacks and gathers alternate within one bitmap
+    rng = np.random.default_rng(7)
+    share = np.repeat(rng.permutation([0, 0.01, 0.5, 1 / 6, 0.9, 1] * 4), 64)
+    bits = rng.random(share.size - 27) < share[27:]
+    with mock.patch.object(sumset, "_PAIR_CHUNK", 8):
+        found = sumset.set_bits(_packed(bits))
+    assert found.dtype == np.int64
+    assert found.tolist() == np.flatnonzero(bits).tolist()
 
 
 def test_offset_check_memory_per_integer():
