@@ -3,7 +3,8 @@
 Exception sets are computed by explicit value-grid sieves (numpy), never by
 local or genus reasoning.  The sums of the two sparsest variables are
 scattered into a bool bitmap in chunks; the third variable is folded in by
-``sumset.inside``, one packed pass over top/8 bytes per value.  A bitmap over
+``sumset.inside``, packed shift-ors into one cache-sized window of the
+result at a time.  A bitmap over
 [0, top] is refused before allocating when top exceeds
 ``sumset.MAX_RANGE_BOUND``, and so is a progression's int64 pair grid of
 more than ``_MAX_PAIR_CELLS`` sums.  A progression M*n + C is checked
@@ -160,7 +161,8 @@ class ReductionEntry:
 
 def _variable_values(coef: int, cond: CongruenceCondition | None,
                      top: int) -> np.ndarray:
-    """Sorted distinct values coef * y^2 <= top over allowed y."""
+    """Sorted distinct values coef * y^2 <= top over allowed y.  A coef
+    above top admits only y = 0, and may not fit in int64."""
     if top < 0:
         return np.empty(0, dtype=np.int64)
     ymax = isqrt(top // coef)
@@ -170,7 +172,8 @@ def _variable_values(coef: int, cond: CongruenceCondition | None,
         ys = ys[(ys >= lo) & np.isin(np.mod(ys, cond.modulus), cond.residues)]
     mark = np.zeros(ymax + 1, dtype=bool)
     mark[np.abs(ys)] = True  # flatnonzero is then sorted and distinct
-    return coef * np.flatnonzero(mark) ** 2
+    squares = np.flatnonzero(mark) ** 2
+    return coef * squares if ymax else squares
 
 
 def _streams(form: DiagonalTernaryForm, top: int) -> list[np.ndarray]:

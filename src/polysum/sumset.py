@@ -8,7 +8,8 @@ candidate elimination (``eliminate``), so a stream without 0 is exact too.
 An exception list is the survivors of one last ``outside``: the shortest
 stream shifted by every offset walks the sieve of the other terms, or for
 one or two terms the offsets alone walk the pair bitmap.  ``inside``, the
-OR twin of ``outside``, returns the sumset itself, for the form grids.
+OR twin of ``outside``, returns the sumset itself, for the form grids,
+filling its packed result one cache-sized window at a time.
 Only this module knows the packed layout and the memory maps (``bitmap``).
 
 Every exception list is re-verified at construction, and elimination
@@ -52,6 +53,17 @@ _PAIR_CHUNK = 1 << 16
 #   10^7     266    84    53    49    57    89   104      195
 #   10^8       -     -  2197   892   664   779   989     2293  (best of 3)
 _PAIR_TILE = 1 << 18
+
+# Bytes of the packed result that ``inside`` fills at a time, with every
+# value below the window's end, before it moves on: the window stays in L2
+# (2 MiB per core on the 2-vCPU VM) while the shifted copies stream through.
+# Narrower windows pay numpy calls per value and window, wider ones leave
+# L2.  x^2 + y^2 + z^2, s, best of 5 (10^7) or 2 (10^8), 2-vCPU VM; the
+# last column is one pass over the whole result per value:
+#   window  2^15   2^16   2^17   2^18   2^19   2^20   whole
+#   10^7    0.24   0.19   0.12   0.10   0.11   0.17   0.17
+#   10^8       -    6.1    4.3    3.6    3.2    5.0    9.6
+_FOLD_WINDOW = 1 << 18
 
 # Elimination leaves whole-bitmap passes for a candidate array once at most
 # 1/_SPARSE_SHARE of [0, bound] is alive.  A packed pass moves three bits
@@ -271,18 +283,42 @@ def outside(bits: np.ndarray, stream: Sequence[int]) -> np.ndarray:
 
 def inside(bits: np.ndarray, stream: Sequence[int]) -> np.ndarray:
     """Bool bitmap over [0, len - 1] of the sumset ``bits`` + ``stream``, for
-    values in [0, len - 1]: each v = 8q + r, walked by r as in ``eliminate``,
-    ORs the packed ``bits`` shifted up by r into a packed result from byte q.
-    It suits a dense result, ``outside`` a sparse one: x^2 + y^2 + z^2 at
-    10^7 took 0.27 s here and 0.33 s through ``outside`` (2-vCPU VM)."""
+    values in [0, len - 1]: each v = 8q + r ORs the packed ``bits`` shifted
+    up by r into a packed result from byte q.
+
+    The values are walked by r as in ``eliminate``, so the one ``shifted``
+    buffer moves up at most seven times.  Within a residue the result is
+    filled one window [lo, hi) of _FOLD_WINDOW bytes at a time, so that it
+    stays in cache while every value with q < hi, smallest first, ORs into
+    it: ``shifted[lo - q : hi - q]`` for q <= lo, and from byte q on for
+    lo < q < hi.  It suits a dense result, ``outside`` a sparse one:
+    x^2 + y^2 + z^2 at 10^7 took 0.10-0.13 s here, 0.16-0.18 s as one pass
+    over the whole result per value, and 0.22-0.26 s through ``outside``
+    (2-vCPU VM)."""
     shifted = pack(bits)
     acc = bitmap(bits.size, False, packed=True)
+    classes: list[list[int]] = [[] for _ in range(8)]
+    for v in sorted(stream):
+        classes[v & 7].append(v)
+    size = acc.size
     r = 0
-    for v in sorted(stream, key=lambda v: v & 7):
-        shift_up(shifted, (v & 7) - r)
-        r = v & 7
-        tail = acc[v >> 3 :]
-        np.bitwise_or(tail, shifted[: tail.size], tail)
+    for cls, values in enumerate(classes):
+        if not values:
+            continue
+        shift_up(shifted, cls - r)
+        r = cls
+        for lo in range(0, size, _FOLD_WINDOW):
+            hi = min(lo + _FOLD_WINDOW, size)
+            window = acc[lo:hi]
+            for v in values:
+                q = v >> 3
+                if q >= hi:
+                    break
+                if q <= lo:
+                    np.bitwise_or(window, shifted[lo - q : hi - q], window)
+                else:
+                    tail = acc[q:hi]
+                    np.bitwise_or(tail, shifted[: hi - q], tail)
     return np.unpackbits(acc, count=bits.size, bitorder="little").view(bool)
 
 
@@ -409,6 +445,7 @@ def _verify_non_representable(terms: Sequence[Term], domain: SumDomain,
                               offsets: Sequence[int] = (0,)) -> None:
     """Exhaustively re-check that no n in ns is (value sum + offset), for
     offsets >= 0; raise ReverificationError naming the smallest n that is.
+    An offset above max ns reaches none of them and is dropped.
 
     The sums of all terms but the last go into a ``sum_table`` over
     [0, max ns], and every v + r over the last term's values v and the
@@ -421,8 +458,9 @@ def _verify_non_representable(terms: Sequence[Term], domain: SumDomain,
         return
     top = int(ns[-1])
     head = [poly_values_upto(t, domain, top) for t in terms[:-1]] or [[0]]
+    near = np.asarray([r for r in offsets if r <= top], dtype=np.int64)
     walked = np.add.outer(poly_values_upto(terms[-1], domain, top),
-                          np.asarray(offsets, dtype=np.int64)).ravel()
+                          near).ravel()
     hit = reached(sum_table(head, top), ns, sorted_distinct(walked).tolist())
     if hit.any():
         raise ReverificationError(TripleSum(terms, domain),

@@ -251,6 +251,27 @@ def test_qform_except_rechecks_a_large_limit(capsys):
     assert status == 0 and "truncated=false" in out and "count=16664 " in out
 
 
+def test_qform_coefficient_above_int64_runs(capsys):
+    # a coefficient above the bound contributes only z = 0, so the form
+    # misses what 1,1,11 misses on [0, 10]
+    status, out = run(capsys, "qform-except", "--form",
+                      "1,1,99999999999999999999", "--bound", "10")
+    assert status == 0
+    status, small = run(capsys, "qform-except", "--form", "1,1,11",
+                        "--bound", "10")
+    assert status == 0 and "count=3 " in small and "result=[3,6,7] " in small
+    assert out == small.replace("form=1,1,11", "form=1,1,99999999999999999999")
+
+
+def test_offset_above_int64_runs(capsys):
+    # an offset above the bound reaches no n in [0, 10], in the sieve and
+    # in the re-check
+    status, out = run(capsys, "except", "--sum", "p4+p4+p4", "--offsets",
+                      "99999999999999999999", "--bound", "10")
+    assert status == 0
+    assert "count=11 " in out and "result=[0,1,2,3,4,5,6,7,8,9,10] " in out
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-reduction", "--sum", "p11+p13+p19", "--domain", "Z"],
     ["reduce", "--sum", "p31+p33+p39"],

@@ -77,6 +77,11 @@ GOLDEN = [
      "e8a5504ccfef3400569c91e4adf08939ba9cb263f868a4ad17d2ec66fdccc917"),
     ("qform-except --form 1,1,1 --bound 1000000", 0,
      "cdd90ea492118eceea73dbc24fe12c5853bb3dbca5d1c93629f98dbb138846a3"),
+    # results of three fold windows
+    ("qform-except --form 1,1,1 --bound 5000000", 0,
+     "c5c9d9f0a7825cc65c582da4984e7579c1ac58aaa256d6ad078eee90b06ad507"),
+    ("qform-except --form 2,3,5 --bound 5000000", 0,
+     "9ea1a1da7c5314eefb8d67be22638028ed978a324cb3d7bf055374d6d627135f"),
 ]
 
 

@@ -17,6 +17,7 @@ from polysum.qform import (
     _progression_bitmap,
     _reachable,
     _streams,
+    _variable_values,
     canonical_reduction,
     mapped_exception_scan,
     qf_exception_set,
@@ -142,13 +143,16 @@ def _conditions(draw):
 
 # The third value is the one with the smallest coefficient; across
 # coefficients 1-30 its values fall in every residue class mod 8, and the
-# tops in every class too.  A pair chunk of 1 sum scatters one row per value.
+# tops in every class too.  A pair chunk of 1 sum scatters one row per value,
+# and a fold window of 8 bytes cuts a top of 3000 into 47 windows.
 @settings(max_examples=150, deadline=None)
 @given(st.tuples(*[st.integers(1, 30)] * 3), st.tuples(*[_conditions()] * 3),
-       st.integers(0, 3000), st.sampled_from([1, 64, sumset._PAIR_CHUNK]))
-def test_reachable_equals_brute_sumset(coeffs, conds, top, chunk):
+       st.integers(0, 3000), st.sampled_from([1, 64, sumset._PAIR_CHUNK]),
+       st.sampled_from([8, sumset._FOLD_WINDOW]))
+def test_reachable_equals_brute_sumset(coeffs, conds, top, chunk, window):
     form = DiagonalTernaryForm(coeffs, conds)
-    with mock.patch.object(sumset, "_PAIR_CHUNK", chunk):
+    with mock.patch.object(sumset, "_PAIR_CHUNK", chunk), \
+            mock.patch.object(sumset, "_FOLD_WINDOW", window):
         bits = _reachable(form, top)
     assert bits.dtype == bool and bits.shape == (top + 1,)
     assert np.flatnonzero(bits).tolist() == _brute_reachable(form, top)
@@ -165,17 +169,24 @@ def test_reachable_every_shift_and_top_residue():
     assert shifts == set(range(8))
 
 
+# 250 000 packed bytes at 2*10^6 fit one fold window; 2^12-byte windows cut
+# them into 62, and the window loop allocates nothing of its own
+_MEMORY_WINDOWS = [sumset._FOLD_WINDOW, 1 << 12]
+
+
 def test_reachable_memory_per_integer():
     # the packed accumulator and shifted copy are top/8 bytes each; the bool
     # pair bitmap and the unpacked result are never held together
     top = 2_000_000
-    tracemalloc.start()
-    try:
-        _reachable(DiagonalTernaryForm((1, 1, 1)), top)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * top
+    for window in _MEMORY_WINDOWS:
+        tracemalloc.start()
+        try:
+            with mock.patch.object(sumset, "_FOLD_WINDOW", window):
+                _reachable(DiagonalTernaryForm((1, 1, 1)), top)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * top, window
 
 
 def test_tiled_pair_step_memory_per_integer():
@@ -185,16 +196,30 @@ def test_tiled_pair_step_memory_per_integer():
     top = 2_000_000
     form = DiagonalTernaryForm((1, 1, 1))
     first, second = _streams(form, top)[1::-1]
-    peaks = []
-    for run in (lambda: _reachable(form, top),
-                lambda: sumset._pair_bits(first, second, top)):
-        tracemalloc.start()
-        try:
-            run()
-            peaks.append(tracemalloc.get_traced_memory()[1] / top)
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] < 2.35 and peaks[1] < 1.65
+    for window in _MEMORY_WINDOWS:
+        peaks = []
+        for run in (lambda: _reachable(form, top),
+                    lambda: sumset._pair_bits(first, second, top)):
+            tracemalloc.start()
+            try:
+                with mock.patch.object(sumset, "_FOLD_WINDOW", window):
+                    run()
+                peaks.append(tracemalloc.get_traced_memory()[1] / top)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 2.35 and peaks[1] < 1.65, window
+
+
+def test_variable_values_of_a_coefficient_above_top():
+    # only y = 0 fits, and the product with a coefficient past int64 is
+    # never formed
+    coef = 10**20
+    for cond, values in [(None, [0]),
+                         (CongruenceCondition(3, (0, 1)), [0]),
+                         (CongruenceCondition(2, (1,)), []),
+                         (CongruenceCondition(1, (0,), lower=1), [])]:
+        found = _variable_values(coef, cond, 10)
+        assert found.dtype == np.int64 and found.tolist() == values, cond
 
 
 def test_value_grid_above_limit_is_refused_before_allocation():

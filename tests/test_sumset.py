@@ -248,17 +248,28 @@ def test_shift_up_moves_every_bit(bits, r):
 
 # The dense fold against a set model, on the hit bitmaps and values of
 # ``_eliminations``; a chunk of 8 bytes makes ``pack`` and ``shift_up`` work
-# one word at a time.
+# one word at a time, and a fold window of 8 or 16 bytes cuts a bitmap of
+# 600 entries into up to 10 windows.
 @settings(max_examples=300, deadline=None)
-@given(_eliminations(), st.sampled_from([8, sumset._PAIR_CHUNK]))
-@example((None, np.ones(64, dtype=bool), []), sumset._PAIR_CHUNK)
-@example((None, np.zeros(9, dtype=bool), [0, 8, 1, 7]), 8)
-@example((None, np.ones(9, dtype=bool), [8, 0]), 8)
-def test_inside_equals_set_model(case, chunk):
+@given(_eliminations(), st.sampled_from([8, sumset._PAIR_CHUNK]),
+       st.sampled_from([8, 16, sumset._FOLD_WINDOW]))
+@example((None, np.ones(64, dtype=bool), []), sumset._PAIR_CHUNK,
+         sumset._FOLD_WINDOW)
+@example((None, np.zeros(9, dtype=bool), [0, 8, 1, 7]), 8, 8)
+@example((None, np.ones(9, dtype=bool), [8, 0]), 8, sumset._FOLD_WINDOW)
+# 40 packed bytes in windows of 16, the last one cut to 8; byte offsets
+# q = 10, 21 and 37 inside the windows [0, 16), [16, 32) and [32, 40); and
+# the classes 1 and 4-7 empty.  Then windows of 8 with only the classes 3
+# and 6, each with a q inside a window, and the values out of order.
+@example((None, np.eye(300, dtype=bool)[0] | np.eye(300, dtype=bool)[77],
+          [170, 80, 0, 16, 2, 299]), 8, 16)
+@example((None, np.ones(300, dtype=bool), [294, 3, 94, 11, 6, 51]), 8, 8)
+def test_inside_equals_set_model(case, chunk, window):
     _, bits, values = case
     expected = sorted({n + v for n in np.flatnonzero(bits).tolist()
                        for v in values if n + v < bits.size})
-    with mock.patch.object(sumset, "_PAIR_CHUNK", chunk):
+    with mock.patch.object(sumset, "_PAIR_CHUNK", chunk), \
+            mock.patch.object(sumset, "_FOLD_WINDOW", window):
         found = sumset.inside(bits, list(values))
     assert found.dtype == bool and found.shape == bits.shape
     assert np.flatnonzero(found).tolist() == expected
