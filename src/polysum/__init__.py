@@ -2,7 +2,6 @@
 sums and diagonal ternary quadratic forms."""
 
 from .polycore import (
-    PolygonalSpec,
     SumDomain,
     Term,
     TripleSum,
@@ -27,7 +26,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExceptionReport",
-    "PolygonalSpec",
     "RangeBitset",
     "SumDomain",
     "Term",

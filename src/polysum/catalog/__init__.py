@@ -106,6 +106,10 @@ def _witness_tables() -> dict[str, WitnessTable]:
     for ident, domain, triple, witness in _lines("witnesses.txt"):
         grouped.setdefault(ident, []).append((_triple_key(triple), int(witness)))
         domains[ident] = SumDomain.parse(domain)
+    if set(grouped) != set(_WITNESS_TABLES):
+        raise AssertionError(
+            f"witness tables: expected {sorted(_WITNESS_TABLES)}, "
+            f"found {sorted(grouped)}")
     return {ident: WitnessTable(ident, domains[ident], tuple(entries))
             for ident, entries in grouped.items()}
 

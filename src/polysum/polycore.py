@@ -29,33 +29,18 @@ class SumDomain(Enum):
         raise ValueError(f"unknown domain {text!r}")
 
 
-@dataclass(frozen=True, order=True)
-class PolygonalSpec:
-    """The order m of an m-gonal number, m >= 3."""
+@dataclass(frozen=True)
+class Term:
+    """A weighted polygonal term a * p_m, with order m >= 3."""
 
+    coefficient: int
     order: int
 
     def __post_init__(self) -> None:
         if self.order < 3:
             raise ValueError(f"polygonal order must be >= 3, got {self.order}")
-
-
-@dataclass(frozen=True)
-class Term:
-    """A weighted polygonal term a * p_m."""
-
-    coefficient: int
-    spec: PolygonalSpec
-
-    def __post_init__(self) -> None:
-        if isinstance(self.spec, int):
-            object.__setattr__(self, "spec", PolygonalSpec(self.spec))
         if self.coefficient < 1:
             raise ValueError(f"coefficient must be >= 1, got {self.coefficient}")
-
-    @property
-    def order(self) -> int:
-        return self.spec.order
 
     def __str__(self) -> str:
         a, m = self.coefficient, self.order
@@ -112,9 +97,8 @@ def parse_sum(text: str, domain: SumDomain) -> TripleSum:
 # values
 # ---------------------------------------------------------------------------
 
-def poly_value(spec: PolygonalSpec | int, x: int) -> int:
+def poly_value(m: int, x: int) -> int:
     """The x-th m-gonal value ((m-2)x^2 - (m-4)x) / 2; x may be negative."""
-    m = spec.order if isinstance(spec, PolygonalSpec) else spec
     if m < 3:
         raise ValueError(f"order must be >= 3, got {m}")
     return ((m - 2) * x * x - (m - 4) * x) // 2
@@ -171,7 +155,7 @@ def poly_values_with_args(term: Term, domain: SumDomain,
 # membership and square completion
 # ---------------------------------------------------------------------------
 
-def square_completion(term: Term | PolygonalSpec | int) -> tuple[int, int, int, int]:
+def square_completion(m: int) -> tuple[int, int, int, int]:
     """Return (stretch, offset, step, residue) with
 
         stretch * p_m(x) + offset == (step * x - residue)**2   for all x,
@@ -179,16 +163,10 @@ def square_completion(term: Term | PolygonalSpec | int) -> tuple[int, int, int, 
     namely (8(m-2), (m-4)^2, 2m-4, m-4).  The identity depends only on the
     order, not on a term's coefficient.
     """
-    if isinstance(term, Term):
-        m = term.order
-    elif isinstance(term, PolygonalSpec):
-        m = term.order
-    else:
-        m = term
     return 8 * (m - 2), (m - 4) ** 2, 2 * m - 4, m - 4
 
 
-def is_generalized_polygonal(spec: PolygonalSpec | int, n: int,
+def is_generalized_polygonal(m: int, n: int,
                              domain: SumDomain = SumDomain.INTEGERS) -> int | None:
     """Return an argument x with p_m(x) == n, or None.
 
@@ -200,7 +178,6 @@ def is_generalized_polygonal(spec: PolygonalSpec | int, n: int,
     """
     if n < 0:
         return None
-    m = spec.order if isinstance(spec, PolygonalSpec) else spec
     stretch, offset, step, residue = square_completion(m)
     disc = stretch * n + offset
     w = isqrt(disc)
@@ -226,4 +203,4 @@ def term_argument(term: Term, value: int, domain: SumDomain) -> int | None:
     a = term.coefficient
     if value % a != 0:
         return None
-    return is_generalized_polygonal(term.spec, value // a, domain)
+    return is_generalized_polygonal(term.order, value // a, domain)

@@ -12,9 +12,11 @@ one pass over the B/Q entries of the one class it reaches; ``sumset``'s
 layout helpers clear its packed alive bitmap.  The n = 2 + v, whose prime
 is 2, are killed by one scatter when 2 passes the filter.  The re-check
 ``decomposed_among`` splits the listed n by the same classes but shares no
-code with the scan.  All outputs are complete up to the scanned bound and
-nothing more: finiteness of the exception sets is a conjecture, not an
-artifact claim.
+code with the scan.  Bounds and filter moduli above ``MAX_SIEVE_BOUND``
+are refused: below any accepted bound such a modulus q admits at most the
+prime r, and the cap keeps the residue arithmetic mod Q in int64.  All
+outputs are complete up to the scanned bound and nothing more: finiteness
+of the exception sets is a conjecture, not an artifact claim.
 """
 
 from __future__ import annotations
@@ -65,6 +67,9 @@ class PrimePolyQuery:
             q, r = self.prime_filter
             if q < 1 or not 0 <= r < q:
                 raise ValueError("prime filter needs modulus >= 1, 0 <= r < q")
+            if q > MAX_SIEVE_BOUND:
+                raise ValueError(f"prime filter modulus {q} above supported "
+                                 f"{MAX_SIEVE_BOUND}")
 
     def term_values(self, bound: int) -> list[int]:
         """Sorted term values <= bound over x >= 0 (squares are
@@ -148,6 +153,15 @@ def _class_alive(query: PrimePolyQuery, c: int, period: int, bound: int,
     return alive
 
 
+def _odd_class(q: int, r: int) -> int | None:
+    """The odd class s mod lcm(2, q) of the k = r (mod q), or None when
+    q and r are both even: r itself when r is odd, else r + q when q is
+    odd."""
+    if r % 2:
+        return r
+    return r + q if q % 2 else None
+
+
 def exception_scan(query: PrimePolyQuery, bound: int) -> list[int]:
     """All n in the universe, 2 <= n <= bound, with no decomposition
     n = p + term(x) where p passes the prime filter.
@@ -162,7 +176,7 @@ def exception_scan(query: PrimePolyQuery, bound: int) -> list[int]:
         raise ValueError("bound must be >= 2")
     q, r = query.prime_filter or (1, 0)
     period = math.lcm(2, q)
-    s = next((k for k in range(1, period, 2) if k % q == r), None)
+    s = _odd_class(q, r)
     values = np.asarray(query.term_values(bound - 2), dtype=np.int64)
     twos = values + 2 if 2 % q == r else values[:0]
     if s is not None:

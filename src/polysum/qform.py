@@ -190,8 +190,6 @@ def _reachable(form: DiagonalTernaryForm, top: int) -> np.ndarray:
     variable's values are folded in by ``sumset.inside``."""
     check_bound(top)
     s = _streams(form, top)
-    if min(v.size for v in s) == 0:
-        return np.zeros(top + 1, dtype=bool)
     return inside(_pair_bits(s[1], s[0], top), s[2].tolist())
 
 
@@ -292,7 +290,7 @@ def canonical_reduction(sum_: TripleSum) -> ReductionEntry:
     """
     terms = sum_.terms
     domain = sum_.domain
-    stretches = [square_completion(t)[0] for t in terms if t.order != 4]
+    stretches = [square_completion(t.order)[0] for t in terms if t.order != 4]
     M = lcm(*stretches) if stretches else 1
     coeffs: list[int] = []
     conds: list[CongruenceCondition | None] = []
@@ -303,7 +301,7 @@ def canonical_reduction(sum_: TripleSum) -> ReductionEntry:
             coeffs.append(M * t.coefficient)
             conds.append(None)
             continue
-        stretch, offset, step, residue = square_completion(t)
+        stretch, offset, step, residue = square_completion(m)
         c = M * t.coefficient // stretch
         coeffs.append(c)
         constant += c * offset

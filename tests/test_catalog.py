@@ -33,6 +33,23 @@ def test_witness_table_lookup():
     assert catalog.load("witness-2").domain is SumDomain.INTEGERS
 
 
+def test_missing_witness_table_fails_fast(monkeypatch):
+    real_lines = catalog._lines
+
+    def dropped(name):
+        return (row for row in real_lines(name) if row[0] != "witness-8.4")
+
+    monkeypatch.setattr(catalog, "_lines", dropped)
+    catalog._witness_tables.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="witness-8.4"):
+            catalog.load("witness-2")
+    finally:
+        catalog._witness_tables.cache_clear()
+    monkeypatch.undo()
+    assert catalog.load("witness-8.4").identifier == "witness-8.4"
+
+
 def test_unknown_identifier():
     with pytest.raises(catalog.UnknownIdentifierError):
         catalog.load("no-such-list")

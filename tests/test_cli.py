@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polysum import catalog, cli, qform, sumset
+from polysum import catalog, cli, primepoly, qform, sumset
 from polysum.polycore import poly_value
 
 
@@ -306,6 +307,30 @@ def test_square_shape_with_order_is_usage_error(capsys):
     assert status == 2 and captured.out == ""
     (line,) = captured.err.splitlines()
     assert line == "error: square shape takes no order"
+
+
+@pytest.mark.parametrize("modulus, residue", [
+    ("99999999999999999999", "1"),  # past int64
+    ("2000000000", "2"),  # past the cap but within int64
+])
+def test_prime_mod_above_sieve_limit_is_usage_error(capsys, modulus, residue):
+    start = time.perf_counter()
+    status = cli.main(["prime-scan", "--a", "2", "--prime-mod", modulus,
+                       "--prime-residue", residue, "--bound", "10"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == "" and elapsed < 1.0
+    (line,) = captured.err.splitlines()
+    assert line == (f"error: prime filter modulus {modulus} above supported "
+                    f"{primepoly.MAX_SIEVE_BOUND}")
+
+
+def test_prime_mod_at_sieve_limit_runs(capsys):
+    # 12000000 and 2 are both even, so no odd prime passes: every n is listed
+    status, out = run(capsys, "prime-scan", "--a", "2", "--prime-mod",
+                      "12000000", "--prime-residue", "2", "--bound", "10")
+    assert status == 0
+    assert "count=4 " in out and "result=[3,5,7,9] " in out
 
 
 @pytest.mark.parametrize("argv, search_bound", [

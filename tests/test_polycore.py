@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polysum.polycore import (
-    PolygonalSpec,
     SumDomain,
     Term,
     TripleSum,
@@ -54,7 +53,7 @@ def test_values_upto(a, m, domain, bound, expected):
 
 def test_order_validation():
     with pytest.raises(ValueError):
-        PolygonalSpec(2)
+        Term(1, 2)
     with pytest.raises(ValueError):
         Term(0, 5)
 
@@ -82,7 +81,7 @@ def test_naturals_variant():
     (9, (56, 25, 14, 5)),
 ])
 def test_square_completion_values(m, expected):
-    assert square_completion(Term(1, m)) == expected
+    assert square_completion(m) == expected
 
 
 def test_completion_identity_exhaustive():

@@ -185,6 +185,22 @@ def _witness_sweep(query, bound):
             and decomposition_witness(query, n, bound) is None]
 
 
+def test_odd_class_equals_linear_search():
+    for q in range(1, 61):
+        period = math.lcm(2, q)
+        for r in range(q):
+            expected = next((k for k in range(1, period, 2) if k % q == r),
+                            None)
+            assert primepoly._odd_class(q, r) == expected, (q, r)
+
+
+def test_prime_filter_modulus_cap():
+    cap = primepoly.MAX_SIEVE_BOUND
+    assert PrimePolyQuery(2, prime_filter=(cap, 1)).prime_filter == (cap, 1)
+    with pytest.raises(ValueError, match="above supported"):
+        PrimePolyQuery(2, prime_filter=(cap + 1, 1))
+
+
 # Filters under which no odd prime passes: only p = 2 can reach any n.
 @pytest.mark.parametrize("prime_filter", [(2, 0), (4, 2), (6, 0), (6, 2)])
 @pytest.mark.parametrize("query_args", [

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polysum import catalog, sumset
 from polysum.polycore import SumDomain, parse_sum
@@ -145,10 +145,16 @@ def _conditions(draw):
 # coefficients 1-30 its values fall in every residue class mod 8, and the
 # tops in every class too.  A pair chunk of 1 sum scatters one row per value,
 # and a fold window of 8 bytes cuts a top of 3000 into 47 windows.
+# A condition with no residues empties its variable's stream; with the
+# coefficients falling by slot, slot i is the i-th stream of _reachable.
 @settings(max_examples=150, deadline=None)
 @given(st.tuples(*[st.integers(1, 30)] * 3), st.tuples(*[_conditions()] * 3),
        st.integers(0, 3000), st.sampled_from([1, 64, sumset._PAIR_CHUNK]),
        st.sampled_from([8, sumset._FOLD_WINDOW]))
+@example((7, 3, 1), (CongruenceCondition(4, ()), None, None), 2000, 64, 8)
+@example((7, 3, 1), (None, CongruenceCondition(5, ()), None), 2000, 64, 8)
+@example((7, 3, 1), (None, None, CongruenceCondition(3, ())), 2000, 1,
+         sumset._FOLD_WINDOW)
 def test_reachable_equals_brute_sumset(coeffs, conds, top, chunk, window):
     form = DiagonalTernaryForm(coeffs, conds)
     with mock.patch.object(sumset, "_PAIR_CHUNK", chunk), \

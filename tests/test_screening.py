@@ -1,5 +1,6 @@
 import dataclasses
 from itertools import product
+from typing import Iterable, Sequence
 
 import pytest
 
@@ -11,7 +12,6 @@ from polysum.screening import (
     PRESETS,
     EliminationCertificate,
     _frontier_slots,
-    _gaps_of_sets,
     _screen,
     _sibling_slots,
     _worst_gaps,
@@ -103,6 +103,20 @@ def test_two_gap_certificates_verify(preset):
     assert all(max(len(c.witnesses), c.gap_count) == 2
                for c in report.eliminations)
     assert all(verify_certificate(c) for c in report.eliminations)
+
+
+def _gaps_of_sets(value_sets: Sequence[Iterable[int]], bound: int,
+                  count: int) -> list[int]:
+    sums = {0}
+    for vs in value_sets:
+        sums = {s + v for s in sums for v in vs if s + v <= bound}
+    out = []
+    for n in range(bound + 1):
+        if n not in sums:
+            out.append(n)
+            if len(out) == count:
+                break
+    return out
 
 
 def _reference_assignment_gaps_ok(fixed_sets, open_count, bound, gap_count,
