@@ -17,6 +17,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import catalog, descent
 from .polycore import SumDomain, parse_sum
 from .primepoly import (
@@ -57,6 +59,10 @@ class UsageError(Exception):
     """Bad invocation arguments; exits with status 2."""
 
 
+# Entries of an array that ``_fmt_value`` turns into Python ints at a time.
+_FORMAT_SLICE = 1 << 16
+
+
 @dataclass
 class ReportRecord:
     kind: str
@@ -64,8 +70,18 @@ class ReportRecord:
 
 
 def _fmt_value(value) -> str:
+    """The text of one field.  An int64 array, such as an exception list,
+    is the one kind of value formatted in slices of _FORMAT_SLICE entries,
+    so that no Python list as long as the array is built."""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, np.ndarray):
+        parts = [",".join(map(str, value[i : i + _FORMAT_SLICE].tolist()))
+                 for i in range(0, value.size, _FORMAT_SLICE)] or [""]
+        # brackets on the first and last slices: no copy of the whole text
+        parts[0] = "[" + parts[0]
+        parts[-1] += "]"
+        return ",".join(parts)
     if isinstance(value, (list, tuple)):
         # every listed element is an int or a str
         return "[" + ",".join(map(str, value)) + "]"
@@ -112,8 +128,8 @@ def _cmd_except(args) -> int:
         report = exceptions(sum_, args.bound)
     rec = ReportRecord("exceptions", {
         "sum": str(sum_), "domain": sum_.domain.value, "bound": report.bound,
-        "offsets": list(report.offsets), "count": len(report.exceptions),
-        "result": list(report.exceptions)})
+        "offsets": list(report.offsets), "count": report.exceptions.size,
+        "result": report.exceptions})
     _print([rec], args.format)
     return 0
 
@@ -164,11 +180,11 @@ def _cmd_qform_except(args) -> int:
         raise UsageError(f"--limit must be >= 0, got {args.limit}")
     form = _parse_form(args.form)
     found = qf_exception_set(form, args.bound)
-    listed = found[: args.limit].tolist()
+    listed = found[: args.limit]
     # each listed exception is re-checked apart from the value-grid sieve
     failed = [ReportRecord("reverify-failed", {
         "form": str(form), "bound": args.bound, "n": n})
-        for n in represented_among(form, listed)]
+        for n in represented_among(form, listed).tolist()]
     if failed:
         sys.stderr.write(emit_report(failed, "lines"))
         return 1
@@ -250,13 +266,13 @@ def _query_fields(query: PrimePolyQuery) -> dict:
                          if prime_filter else "")}
 
 
-def _reverify_prime_exceptions(query: PrimePolyQuery, found: list[int],
+def _reverify_prime_exceptions(query: PrimePolyQuery, found: np.ndarray,
                                bound: int) -> int:
     """Re-check the reported exceptions with ``decomposed_among``; write a
     reverify-failed record, with a witness, to stderr for each one that has
     a decomposition.  Returns the exit status: 0 when all hold, 1 otherwise."""
     failed = []
-    for n in decomposed_among(query, found, bound):
+    for n in decomposed_among(query, found, bound).tolist():
         p, x = decomposition_witness(query, n, bound)
         failed.append(ReportRecord("reverify-failed", {
             **_query_fields(query), "bound": bound, "n": n, "p": p, "x": x}))
@@ -276,10 +292,9 @@ def _cmd_prime_scan(args) -> int:
         universe=args.universe, prime_filter=prime_filter)
     found = prime_exception_scan(query, args.bound)
     rec = ReportRecord("prime-scan", {
-        **_query_fields(query), "bound": args.bound, "count": len(found),
-        "max": found[-1] if found else "",
-        "result": found if len(found) <= args.limit else found[: args.limit],
-        "truncated": len(found) > args.limit})
+        **_query_fields(query), "bound": args.bound, "count": found.size,
+        "max": found[-1] if found.size else "",
+        "result": found[: args.limit], "truncated": found.size > args.limit})
     _print([rec], args.format)
     return _reverify_prime_exceptions(query, found, args.bound)
 
@@ -319,11 +334,11 @@ def _conjecture_12(bound: int) -> tuple[list[ReportRecord], int]:
         sum_ = parse_sum(f"p{m+1}+p{m+2}+p{m+3}", SumDomain.NATURALS)
         report = offset_universal_check(sum_.terms, sum_.domain,
                                         range(0, m - 2), bound)
-        ok = not report.exceptions
+        ok = report.exceptions.size == 0
         records.append(ReportRecord("conjecture", {
             "preset": "1.2", "m": m, "sum": str(sum_), "bound": bound,
             "offsets": list(range(0, m - 2)), "holds": ok,
-            "result": list(report.exceptions[:10])}))
+            "result": report.exceptions[:10]}))
         status |= 0 if ok else 1
     return records, status
 
@@ -334,10 +349,10 @@ def _conjecture_triples(preset: str, list_id: str, bound: int
     for triple in catalog.load(list_id).entries:
         text = format_triple(triple)
         report = exceptions(parse_sum(text, SumDomain.NATURALS), bound)
-        ok = not report.exceptions
+        ok = report.exceptions.size == 0
         records.append(ReportRecord("conjecture", {
             "preset": preset, "sum": text, "bound": bound, "holds": ok,
-            "result": list(report.exceptions[:10])}))
+            "result": report.exceptions[:10]}))
         status |= 0 if ok else 1
     return records, status
 
@@ -357,12 +372,12 @@ def _conjecture_17(bound: int) -> tuple[list[ReportRecord], int]:
         found = prime_exception_scan(query, bound)
         status |= _reverify_prime_exceptions(query, found, bound)
         if want_list is not None:
-            ok = found == want_list
+            ok = np.array_equal(found, want_list)
         else:
-            ok = bool(found) and found[-1] == want_max
+            ok = found.size > 0 and int(found[-1]) == want_max
         records.append(ReportRecord("conjecture", {
             "preset": "1.7", "check": label, "bound": bound, "holds": ok,
-            "count": len(found), "max": found[-1] if found else ""}))
+            "count": found.size, "max": found[-1] if found.size else ""}))
         status |= 0 if ok else 1
     return records, status
 
@@ -375,11 +390,11 @@ def _conjecture_18_spot(bound: int) -> tuple[list[ReportRecord], int]:
         text = format_triple(triple)
         z_exc = exceptions(parse_sum(text, SumDomain.INTEGERS), bound).exceptions
         n_exc = exceptions(parse_sum(text, SumDomain.NATURALS), bound).exceptions
-        ok = not z_exc and bool(n_exc)
+        ok = z_exc.size == 0 and n_exc.size > 0
         records.append(ReportRecord("conjecture", {
             "preset": "1.8-spot", "sum": text, "bound": bound, "holds": ok,
-            "z-exceptions": list(z_exc[:5]), "n-first-exception":
-                n_exc[0] if n_exc else ""}))
+            "z-exceptions": z_exc[:5], "n-first-exception":
+                n_exc[0] if n_exc.size else ""}))
         status |= 0 if ok else 1
     return records, status
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -162,9 +162,10 @@ def _odd_class(q: int, r: int) -> int | None:
     return r + q if q % 2 else None
 
 
-def exception_scan(query: PrimePolyQuery, bound: int) -> list[int]:
+def exception_scan(query: PrimePolyQuery, bound: int) -> np.ndarray:
     """All n in the universe, 2 <= n <= bound, with no decomposition
-    n = p + term(x) where p passes the prime filter.
+    n = p + term(x) where p passes the prime filter, as a sorted int64
+    array.
 
     With Q = lcm(2, q) for a prime filter (q, r), or Q = 2 without one,
     every odd prime that passes lies in the one odd class s = r (mod q) mod
@@ -195,14 +196,19 @@ def exception_scan(query: PrimePolyQuery, bound: int) -> list[int]:
         else:
             survivors = set_bits(_class_alive(query, c, period, bound, twos))
         found.append(c + period * survivors)
-    # the classes are disjoint, so this only interleaves them
-    return sorted_distinct(np.concatenate(found)).tolist()
+    if len(found) == 1:
+        return found[0]
+    # the classes are disjoint and each is sorted, so a merge of the runs
+    # interleaves them
+    found = np.concatenate(found)
+    found.sort(kind="stable")
+    return found
 
 
 def max_exception(query: PrimePolyQuery, bound: int) -> int | None:
     """Maximum of exception_scan, or None when the scan is empty."""
     found = exception_scan(query, bound)
-    return found[-1] if found else None
+    return int(found[-1]) if found.size else None
 
 
 def decomposition_witness(query: PrimePolyQuery, n: int,
@@ -222,37 +228,53 @@ def decomposition_witness(query: PrimePolyQuery, n: int,
     return None
 
 
-def decomposed_among(query: PrimePolyQuery, ns: Iterable[int],
-                     bound: int) -> list[int]:
-    """The n <= bound in ns that have a decomposition, sorted and distinct.
+def decomposed_among(query: PrimePolyQuery,
+                     ns: Sequence[int] | np.ndarray, bound: int) -> np.ndarray:
+    """The n <= bound in ns (an int sequence or array, as
+    ``sumset.sorted_distinct`` takes) that have a decomposition, as a sorted
+    int64 array.
 
     Independent of the scan: the table is the unfiltered sieve_primes(bound).
     The prime 2, when it passes a prime filter (q, r), is one membership
-    test of n - 2 among the term values.  An odd p = n - v passes when
-    n - v = t (mod lcm(2, q)) for an odd t among r, r + q.  So for each
-    such t, each class c that holds a listed n and is some v + t walks only
-    its own v, and the residues of the n and the v are taken once."""
-    ns = sorted_distinct(np.fromiter(ns, dtype=np.int64))
+    test of each v + 2 among the n.  An odd p = n - v passes when
+    n - v = t (mod lcm(2, q)) for an odd t among r, r + q.  The n of the
+    classes that some v + t reaches are sorted by class once, and so are
+    the v by the class v + t, so that each such class walks only its own v
+    against its own slice of the n."""
+    ns = sorted_distinct(ns)
     if ns.size and ns[-1] > bound:
         raise ValueError(f"sieve bound {bound} below n = {ns[-1]}")
     table = sieve_primes(bound).bits
     values = np.asarray(query.term_values(bound - 2), dtype=np.int64)
     q, r = query.prime_filter or (1, 0)
     period = math.lcm(2, q)
-    hit = np.zeros(ns.size, dtype=bool)
-    if 2 % q == r:
-        at = np.minimum(np.searchsorted(values, ns - 2), values.size - 1)
-        hit = values[at] == ns - 2
+    found = [ns[:0]]
+    if 2 % q == r and ns.size:
+        twos = values + 2
+        at = np.minimum(np.searchsorted(ns, twos), ns.size - 1)
+        found.append(twos[ns[at] == twos])
+    # per odd t, the class v + t of each v
+    reach = [(values + t) % period for t in range(r, period, q) if t % 2]
+    walked = np.zeros(period, dtype=bool)
+    for targets in reach:
+        walked[targets] = True
+    # the listed n of the walked classes, each class a contiguous slice
     classes = ns % period
-    held = np.bincount(classes) > 0
-    for t in range(r, period, q):
-        if t % 2 == 0:
-            continue
-        targets = (values + t) % period
-        walked = np.zeros(held.size, dtype=bool)
-        walked[targets[targets < held.size]] = True
-        for c in np.flatnonzero(held & walked).tolist():
-            in_class = classes == c
-            hit[in_class] |= reached(table, ns[in_class],
-                                     values[targets == c].tolist())
-    return ns[hit].tolist()
+    keep = walked[classes]
+    listed, classes = ns[keep], classes[keep]
+    order = np.argsort(classes, kind="stable")
+    listed, classes = listed[order], classes[order]
+    starts = np.flatnonzero(np.diff(classes, prepend=-1))
+    ends = np.append(starts[1:], classes.size)
+    held = classes[starts]
+    for targets in reach:
+        # the v by the class v + t they reach, each class a contiguous slice
+        order = np.argsort(targets, kind="stable")
+        targets = targets[order]
+        lo = np.searchsorted(targets, held)
+        hi = np.searchsorted(targets, held, side="right")
+        for i in np.flatnonzero(lo < hi).tolist():
+            part = listed[starts[i] : ends[i]]
+            found.append(part[reached(table, part,
+                                      values[order[lo[i] : hi[i]]].tolist())])
+    return sorted_distinct(np.concatenate(found))

@@ -235,34 +235,37 @@ def qf_exception_set(form: DiagonalTernaryForm, bound: int) -> np.ndarray:
     return np.flatnonzero(~_reachable(form, bound))
 
 
-def represented_among(form: DiagonalTernaryForm, ns: Iterable[int]
-                      ) -> list[int]:
-    """The n in ns that the form represents, sorted and distinct.
+def represented_among(form: DiagonalTernaryForm,
+                      ns: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The n in ns (an int sequence or array, as ``sumset.sorted_distinct``
+    takes) that the form represents, as a sorted int64 array.
 
     Independent of ``_reachable``: the values of the two smaller
     coefficients go into a ``sum_table`` up to max(ns), and the values of
     the largest are walked against it by ``reached``.
     """
-    ns = sorted_distinct(np.fromiter(ns, dtype=np.int64))
+    ns = sorted_distinct(ns)
     if ns.size == 0:
-        return []
+        return ns[:0]
     top = int(ns[-1])
     check_bound(top)
     walked, *head = _streams(form, top)
-    return ns[reached(sum_table(head, top), ns, walked.tolist())].tolist()
+    return ns[reached(sum_table(head, top), ns, walked.tolist())]
 
 
 def verify_catalog_form(form: DiagonalTernaryForm, families: FamilySet,
-                        bound: int) -> tuple[bool, list[int], list[int]]:
+                        bound: int) -> tuple[bool, np.ndarray, np.ndarray]:
     """Compare sieved exceptions with the family description on [0, bound].
 
-    Returns (equal, sieve-only, family-only).
+    Returns (equal, sieve-only, family-only), the n listed by one side only
+    as sorted int64 arrays.
     """
     missed = ~_reachable(form, bound)
     listed = families.bitmap(bound)
-    sieve_only = np.flatnonzero(missed & ~listed).tolist()
-    family_only = np.flatnonzero(listed & ~missed).tolist()
-    return not sieve_only and not family_only, sieve_only, family_only
+    sieve_only = np.flatnonzero(missed & ~listed)
+    family_only = np.flatnonzero(listed & ~missed)
+    return (sieve_only.size == 0 and family_only.size == 0, sieve_only,
+            family_only)
 
 
 def three_square_excluded(n: int) -> bool:
@@ -387,12 +390,13 @@ def verify_reduction(entry: ReductionEntry, bound: int
 
 
 def mapped_exception_scan(form: DiagonalTernaryForm, multiplier: int,
-                          constant: int, bound: int) -> list[int]:
-    """{n <= bound : multiplier*n + constant not represented by form}."""
+                          constant: int, bound: int) -> np.ndarray:
+    """{n <= bound : multiplier*n + constant not represented by form}, as a
+    sorted int64 array."""
     if multiplier < 1:
         raise ValueError("multiplier must be >= 1")
     hit = _progression_bitmap(form, multiplier, constant, bound)
-    return np.flatnonzero(~hit).tolist()
+    return np.flatnonzero(~hit)
 
 
 # ---------------------------------------------------------------------------

@@ -189,12 +189,15 @@ def reached(table: np.ndarray, ns: np.ndarray, walked: Iterable[int]
     return hit
 
 
-def sorted_distinct(a: np.ndarray) -> np.ndarray:
-    """The distinct entries of ``a``, sorted in place.  ``np.unique`` would
-    import ``numpy.ma``, and an increasing ``a``, such as a sieve's exception
-    list, skips the sort, whose first call costs about 0.3 MB of RSS."""
+def sorted_distinct(ns: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The distinct entries of an int sequence or array as a sorted int64
+    array.  An increasing int64 array, such as an exception list, is
+    returned itself, and no array passed in is modified.  ``np.unique``
+    would import ``numpy.ma``, and an increasing array skips the sort, whose
+    first call costs about 0.3 MB of RSS."""
+    a = np.asarray(ns, dtype=np.int64)
     if not (a[1:] > a[:-1]).all():
-        a.sort()
+        a = np.sort(a)
         keep = np.ones(a.size, dtype=bool)
         keep[1:] = a[1:] != a[:-1]
         a = a[keep]
@@ -355,9 +358,9 @@ class RangeBitset:
     def count(self) -> int:
         return int(np.count_nonzero(self.bits))
 
-    def missing(self) -> list[int]:
-        """Sorted positions in [0, bound] with the bit unset."""
-        return outside(self.bits, [0]).tolist()
+    def missing(self) -> np.ndarray:
+        """Sorted int64 positions in [0, bound] with the bit unset."""
+        return outside(self.bits, [0])
 
     def first_missing(self, count: int = 1) -> list[int]:
         """The first ``count`` positions with the bit unset (fewer if the
@@ -372,13 +375,15 @@ class RangeBitset:
         return found
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExceptionReport:
-    """Non-representable n <= bound for a polygonal sum, re-verified."""
+    """Non-representable n <= bound for a polygonal sum, re-verified, as a
+    sorted int64 array.  Reports compare and hash by identity, as arrays
+    do not compare by value."""
 
     sum: TripleSum
     bound: int
-    exceptions: tuple[int, ...]
+    exceptions: np.ndarray
     offsets: tuple[int, ...] = field(default=(0,))
 
 
@@ -441,11 +446,12 @@ def range_sieve(terms: Sequence[Term], domain: SumDomain,
 
 
 def _verify_non_representable(terms: Sequence[Term], domain: SumDomain,
-                              ns: Iterable[int],
+                              ns: Sequence[int] | np.ndarray,
                               offsets: Sequence[int] = (0,)) -> None:
-    """Exhaustively re-check that no n in ns is (value sum + offset), for
-    offsets >= 0; raise ReverificationError naming the smallest n that is.
-    An offset above max ns reaches none of them and is dropped.
+    """Exhaustively re-check that no n in ns (an int sequence or array, as
+    ``sorted_distinct`` takes) is (value sum + offset), for offsets >= 0;
+    raise ReverificationError naming the smallest n that is.  An offset
+    above max ns reaches none of them and is dropped.
 
     The sums of all terms but the last go into a ``sum_table`` over
     [0, max ns], and every v + r over the last term's values v and the
@@ -453,7 +459,7 @@ def _verify_non_representable(terms: Sequence[Term], domain: SumDomain,
     calls neither ``_pair_bits`` nor ``eliminate``, so that a fault in the
     sieve kernel cannot hide in its own re-check.
     """
-    ns = sorted_distinct(np.fromiter(ns, dtype=np.int64))
+    ns = sorted_distinct(ns)
     if not ns.size:
         return
     top = int(ns[-1])
@@ -477,8 +483,8 @@ def _report(sum_: TripleSum, offsets: tuple, bound: int) -> ExceptionReport:
     if len(terms) > 2:
         walk = sorted_distinct(np.add.outer(
             poly_values_upto(terms.pop(0), domain, bound), walk).ravel())
-    missing = tuple(outside(range_sieve(terms, domain, bound).bits,
-                            walk[walk <= bound].tolist()).tolist())
+    missing = outside(range_sieve(terms, domain, bound).bits,
+                      walk[walk <= bound].tolist())
     _verify_non_representable(sum_.terms, domain, missing, offsets)
     return ExceptionReport(sum_, bound, missing, offsets)
 

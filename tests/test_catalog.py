@@ -122,9 +122,9 @@ def test_conjecture_18_entries_hold_at_1e4():
 
     for triple in catalog.load("conj-1.8").entries:
         s = triple_to_sum(triple, SumDomain.INTEGERS)
-        assert range_sieve(s.terms, SumDomain.INTEGERS, 10_000).missing() == []
+        assert range_sieve(s.terms, SumDomain.INTEGERS, 10_000).missing().size == 0
         n = triple_to_sum(triple, SumDomain.NATURALS)
-        assert range_sieve(n.terms, SumDomain.NATURALS, 10_000).missing() != []
+        assert range_sieve(n.terms, SumDomain.NATURALS, 10_000).missing().size > 0
 
 
 def test_regular_forms_shape():

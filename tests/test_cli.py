@@ -180,7 +180,8 @@ def test_internal_key_error_is_not_usage_error(monkeypatch):
 def test_prime_scan_reverify_failure(capsys, monkeypatch):
     real_scan = cli.prime_exception_scan
     monkeypatch.setattr(cli, "prime_exception_scan",
-                        lambda query, bound: real_scan(query, bound) + [9999])
+                        lambda query, bound: np.append(real_scan(query, bound),
+                                                       9999))
     status = cli.main(["prime-scan", "--a", "2", "--bound", "10000"])
     captured = capsys.readouterr()
     assert status == 1
@@ -244,6 +245,26 @@ def test_qform_except_memory_per_integer(capsys):
         tracemalloc.stop()
     assert status == 0 and "count=333331 " in out
     assert peak < 4 * bound
+
+
+# Dense exception lists printed in full: the 249502 n missed by p + 2x^2 and
+# the 388621 n missed by x^2 + y^2 took 56 and 92 bytes per integer as Python
+# lists and tuples; as int64 arrays, formatted a slice at a time, 21 and 24.
+@pytest.mark.parametrize("argv,count", [
+    ("prime-scan --a 2 --universe all --bound 500000 --limit 500000", 249502),
+    ("except --sum p4+p4 --bound 500000", 388621),
+])
+def test_dense_record_memory_per_integer(capsys, argv, count):
+    bound = 500_000
+    tracemalloc.start()
+    try:
+        status, out = run(capsys, *argv.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0 and f"count={count} " in out
+    assert "truncated=true" not in out
+    assert peak < 35 * bound
 
 
 def test_qform_except_rechecks_a_large_limit(capsys):

@@ -82,6 +82,13 @@ GOLDEN = [
      "c5c9d9f0a7825cc65c582da4984e7579c1ac58aaa256d6ad078eee90b06ad507"),
     ("qform-except --form 2,3,5 --bound 5000000", 0,
      "9ea1a1da7c5314eefb8d67be22638028ed978a324cb3d7bf055374d6d627135f"),
+    # records of several _FORMAT_SLICE-entry slices
+    ("prime-scan --a 2 --universe all --bound 300000 --limit 1000000", 0,
+     "cb0e0f0f858b0eaaae258f76775d9c910ccd8b9c4a9fbb563d176ef3b66e3868"),
+    ("except --sum p4+p4 --bound 300000 --format csv", 0,
+     "a3b0996d76af8b3d2535306cc1cafa002f90033bd4a3ae8353ea478ed5fa865d"),
+    ("except --sum p4+p4+p4 --bound 600000", 0,
+     "3e7f82e21411c1400334f28a11af4a6a92368d7232667ad618b6f02b5e957164"),
 ]
 
 

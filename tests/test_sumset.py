@@ -31,7 +31,7 @@ def terms(text):
 
 def test_three_triangular_covers_everything():
     bits = range_sieve(terms("p3+p3+p3"), N, 100)
-    assert bits.missing() == []
+    assert bits.missing().size == 0
 
 
 def test_single_term_stream():
@@ -41,12 +41,12 @@ def test_single_term_stream():
 
 def test_square_pentagonal_octagonal_misses_19():
     bits = range_sieve(terms("p4+p5+p8"), N, 10_000)
-    assert bits.missing() == [19]
+    assert bits.missing().tolist() == [19]
 
 
 def test_exceptions_reports():
     report = exceptions(parse_sum("p3+p5+p32", N), 10_000)
-    assert report.exceptions == (31,)
+    assert report.exceptions.tolist() == [31]
     report = exceptions(parse_sum("p5+p5+11p5", Z), 50)
     assert 43 in report.exceptions
 
@@ -79,11 +79,11 @@ def test_offset_check():
     # oracle: {0,1,3} + {0,1,2} covers [0,5] (3+2=5), dropping the shift
     # by 2 leaves 5 uncovered
     report = offset_universal_check(terms("p3"), N, {0, 1, 2}, 5)
-    assert report.exceptions == ()
+    assert report.exceptions.size == 0
     report = offset_universal_check(terms("p3"), N, {0, 1}, 5)
-    assert report.exceptions == (5,)
+    assert report.exceptions.tolist() == [5]
     report = offset_universal_check(terms("p4+p5+p6"), N, {0}, 2000)
-    assert report.exceptions == ()
+    assert report.exceptions.size == 0
 
 
 def test_offset_requires_nonempty():
@@ -114,7 +114,7 @@ def test_pair_identity_sumsets_match():
         for k in range(3, 13):
             lhs = exceptions(parse_sum(f"p3+p3+{c}p{k}", N), 10_000)
             rhs = exceptions(parse_sum(f"2p3+p4+{c}p{k}", N), 10_000)
-            assert lhs.exceptions == rhs.exceptions
+            assert np.array_equal(lhs.exceptions, rhs.exceptions)
 
 
 def test_hexagonal_triangular_sumset_over_z():
@@ -160,20 +160,21 @@ def test_kernel_equals_brute_sumset(terms_, domain, bound, offsets, share,
                                     chunk):
     sums = _brute_sumset(terms_, domain, bound)
     missing = [n for n in range(bound + 1) if n not in sums]
-    offset_missing = tuple(n for n in range(bound + 1)
-                           if all(n - r not in sums for r in offsets))
+    offset_missing = [n for n in range(bound + 1)
+                      if all(n - r not in sums for r in offsets)]
     with mock.patch.object(sumset, "_SPARSE_SHARE", share), \
             mock.patch.object(sumset, "_DENSE_ONLY_BELOW", 0), \
             mock.patch.object(sumset, "_PAIR_CHUNK", chunk):
         bits = range_sieve(terms_, domain, bound)
         report = offset_universal_check(terms_, domain, offsets, bound)
         plain = exceptions(TripleSum(terms_, domain), bound)
-    assert plain.exceptions == tuple(missing)
+    assert plain.exceptions.dtype == np.int64
+    assert plain.exceptions.tolist() == missing
     assert bits.bits.shape == (bound + 1,)
-    assert bits.missing() == missing
+    assert bits.missing().tolist() == missing
     assert bits.first_missing(2) == missing[:2]
     assert bits.count() == len(sums)
-    assert report.exceptions == offset_missing
+    assert report.exceptions.tolist() == offset_missing
 
 
 def _packed(alive):
@@ -357,7 +358,7 @@ def test_offset_check_memory_per_integer():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert report.exceptions == ()
+        assert report.exceptions.size == 0
     assert max(peaks) < 1.75 * bound
 
 
@@ -428,7 +429,7 @@ def test_missing_across_chunk_edges():
     bits = np.ones(2 * chunk + 5, dtype=bool)
     unset = [0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, 2 * chunk + 4]
     bits[unset] = False
-    assert sumset.RangeBitset(bits.size - 1, bits).missing() == unset
+    assert sumset.RangeBitset(bits.size - 1, bits).missing().tolist() == unset
 
 
 def test_first_missing_across_chunk_edges():
@@ -519,7 +520,8 @@ def test_reverification_calls_no_kernel_function():
             mock.patch.object(sumset, "range_sieve", refuse):
         _verify_non_representable(terms("p4+p4+p4"), N, missing)
         with pytest.raises(ReverificationError):
-            _verify_non_representable(terms("p4+p4+p4"), N, missing + [5000])
+            _verify_non_representable(terms("p4+p4+p4"), N,
+                                      np.append(missing, 5000))
 
 
 def test_rechecks_call_no_kernel_function():
@@ -531,7 +533,7 @@ def test_rechecks_call_no_kernel_function():
     sum_terms = terms("p4+p5+p8")
     sum_missing = range_sieve(sum_terms, N, 5000).missing()
     form = qform.DiagonalTernaryForm((1, 1, 1))
-    form_missing = qform.qf_exception_set(form, 5000).tolist()
+    form_missing = qform.qf_exception_set(form, 5000)
     query = primepoly.PrimePolyQuery(2, "polygonal", 5, "odd", (4, 1))
     prime_missing = primepoly.exception_scan(query, 5000)
     prime_hit = next(n for n in range(3, 5000, 2)
@@ -549,13 +551,42 @@ def test_rechecks_call_no_kernel_function():
             stack.enter_context(mock.patch.object(module, name, refuse))
         _verify_non_representable(sum_terms, N, sum_missing)
         with pytest.raises(ReverificationError) as exc:
-            _verify_non_representable(sum_terms, N, sum_missing + [20])
+            _verify_non_representable(sum_terms, N,
+                                      np.append(sum_missing, 20))
         assert exc.value.n == 20
-        assert qform.represented_among(form, form_missing) == []
-        assert qform.represented_among(form, form_missing + [3]) == [3]
-        assert primepoly.decomposed_among(query, prime_missing, 5000) == []
+        assert qform.represented_among(form, form_missing).size == 0
+        assert qform.represented_among(
+            form, np.append(form_missing, 3)).tolist() == [3]
+        assert primepoly.decomposed_among(query, prime_missing,
+                                          5000).size == 0
         assert primepoly.decomposed_among(
-            query, prime_missing + [prime_hit], 5000) == [prime_hit]
+            query, np.append(prime_missing, prime_hit),
+            5000).tolist() == [prime_hit]
+
+
+def test_rechecks_neither_copy_nor_change_their_lists():
+    # an increasing int64 array is taken as it is, and any other list is
+    # sorted in a copy, so a caller's array comes back unchanged
+    increasing = np.array([3, 7, 19], dtype=np.int64)
+    assert sumset.sorted_distinct(increasing) is increasing
+    shuffled = np.array([19, 3, 7, 3], dtype=np.int64)
+    assert sumset.sorted_distinct(shuffled).tolist() == [3, 7, 19]
+    assert sumset.sorted_distinct((19, 3, 7, 3)).tolist() == [3, 7, 19]
+    assert shuffled.tolist() == [19, 3, 7, 3]
+    sum_missing = range_sieve(terms("p4+p4+p4"), N, 5000).missing()
+    form = qform.DiagonalTernaryForm((1, 1, 1))
+    form_missing = qform.qf_exception_set(form, 5000)
+    query = primepoly.PrimePolyQuery(2, universe="all")
+    prime_missing = primepoly.exception_scan(query, 5000)
+    for listed, recheck in [
+            (sum_missing, lambda ns: _verify_non_representable(
+                terms("p4+p4+p4"), N, ns)),
+            (form_missing, lambda ns: qform.represented_among(form, ns)),
+            (prime_missing, lambda ns: primepoly.decomposed_among(
+                query, ns, 5000))]:
+        descending = listed[::-1].copy()
+        recheck(descending)
+        assert np.array_equal(descending, listed[::-1])
 
 
 def test_reverification_memory_per_integer():
