@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import sys
 import time
 from dataclasses import dataclass, field
@@ -69,49 +68,56 @@ class ReportRecord:
     fields: dict = field(default_factory=dict)
 
 
-def _fmt_value(value) -> str:
-    """The text of one field.  An int64 array, such as an exception list,
-    is the one kind of value formatted in slices of _FORMAT_SLICE entries,
-    so that no Python list as long as the array is built."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
+def _value_pieces(value):
+    """The text of one field, in pieces.  An int64 array, such as an
+    exception list, is the one kind of value formatted in slices of
+    _FORMAT_SLICE entries, so that no Python list as long as the array is
+    built."""
     if isinstance(value, np.ndarray):
-        parts = [",".join(map(str, value[i : i + _FORMAT_SLICE].tolist()))
-                 for i in range(0, value.size, _FORMAT_SLICE)] or [""]
-        # brackets on the first and last slices: no copy of the whole text
-        parts[0] = "[" + parts[0]
-        parts[-1] += "]"
-        return ",".join(parts)
-    if isinstance(value, (list, tuple)):
+        yield "["
+        for i in range(0, value.size, _FORMAT_SLICE):
+            yield ("," if i else "") + ",".join(
+                map(str, value[i : i + _FORMAT_SLICE].tolist()))
+        yield "]"
+    elif isinstance(value, bool):
+        yield "true" if value else "false"
+    elif isinstance(value, (list, tuple)):
         # every listed element is an int or a str
-        return "[" + ",".join(map(str, value)) + "]"
-    return str(value)
+        yield "[" + ",".join(map(str, value)) + "]"
+    else:
+        yield str(value)
 
 
-def emit_report(records: list[ReportRecord], fmt: str) -> str:
-    """Render records: 'lines' = one sorted key=value record per line,
-    'csv' = header row plus one row per record."""
+def _fmt_value(value) -> str:
+    """The text of one field, whole, as the csv writer takes it."""
+    return "".join(_value_pieces(value))
+
+
+def emit_report(records: list[ReportRecord], fmt: str, stream) -> None:
+    """Write records to ``stream``: 'lines' = one sorted key=value record
+    per line, written piece by piece, so that the text of a long field is
+    never copied whole; 'csv' = header row plus one row per record."""
     if fmt == "lines":
-        out = []
         for rec in records:
-            pairs = [f"kind={rec.kind}"]
-            pairs += [f"{k}={_fmt_value(v)}" for k, v in sorted(rec.fields.items())]
-            out.append(" ".join(pairs))
-        return "\n".join(out) + "\n"
-    if fmt == "csv":
+            stream.write(f"kind={rec.kind}")
+            for k, v in sorted(rec.fields.items()):
+                stream.write(f" {k}=")
+                for piece in _value_pieces(v):
+                    stream.write(piece)
+            stream.write("\n")
+    elif fmt == "csv":
         keys = sorted({k for rec in records for k in rec.fields})
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["kind"] + keys)
         for rec in records:
             writer.writerow([rec.kind] +
                             [_fmt_value(rec.fields.get(k, "")) for k in keys])
-        return buf.getvalue()
-    raise ValueError(f"unknown format {fmt!r}")
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
 
 
 def _print(records: list[ReportRecord], fmt: str) -> None:
-    sys.stdout.write(emit_report(records, fmt))
+    emit_report(records, fmt, sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +192,7 @@ def _cmd_qform_except(args) -> int:
         "form": str(form), "bound": args.bound, "n": n})
         for n in represented_among(form, listed).tolist()]
     if failed:
-        sys.stderr.write(emit_report(failed, "lines"))
+        emit_report(failed, "lines", sys.stderr)
         return 1
     rec = ReportRecord("qform-except", {
         "form": str(form), "bound": args.bound, "count": found.size,
@@ -277,7 +283,7 @@ def _reverify_prime_exceptions(query: PrimePolyQuery, found: np.ndarray,
         failed.append(ReportRecord("reverify-failed", {
             **_query_fields(query), "bound": bound, "n": n, "p": p, "x": x}))
     if failed:
-        sys.stderr.write(emit_report(failed, "lines"))
+        emit_report(failed, "lines", sys.stderr)
     return 1 if failed else 0
 
 
@@ -523,9 +529,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ReverificationError as exc:
-        sys.stderr.write(emit_report([ReportRecord("reverify-failed", {
+        emit_report([ReportRecord("reverify-failed", {
             "sum": str(exc.sum), "domain": exc.sum.domain.value,
-            "n": exc.n})], "lines"))
+            "n": exc.n})], "lines", sys.stderr)
         return 1
     print(f"elapsed: {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return status

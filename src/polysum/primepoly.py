@@ -9,12 +9,17 @@ class: with Q = lcm(2, q) for a prime filter (q, r), or Q = 2 without one,
 every odd prime that passes lies in one class s mod Q, so each class c of n
 is eliminated on its own against the class-s primes, and a term value costs
 one pass over the B/Q entries of the one class it reaches; ``sumset``'s
-layout helpers clear its packed alive bitmap.  The n = 2 + v, whose prime
-is 2, are killed by one scatter when 2 passes the filter.  The re-check
+layout helpers clear its packed alive bitmap.  The class-s primes are
+packed and inverted once per (bound, s, Q) and cached read-only
+(``_class_miss``).  The n = 2 + v, whose prime is 2, are killed by one
+scatter when 2 passes the filter.  A filter with few candidates
+k = r (mod q) up to the bound, such as a modulus above the bound, which
+leaves r alone, scatters the sums of its passing primes and the term
+values at once, over the classes mod 2, and eliminates nothing, so that
+its cost no longer grows with Q.  The re-check
 ``decomposed_among`` splits the listed n by the same classes but shares no
 code with the scan.  Bounds and filter moduli above ``MAX_SIEVE_BOUND``
-are refused: below any accepted bound such a modulus q admits at most the
-prime r, and the cap keeps the residue arithmetic mod Q in int64.  All
+are refused: the cap keeps the residue arithmetic mod Q in int64.  All
 outputs are complete up to the scanned bound and nothing more: finiteness
 of the exception sets is a conjecture, not an artifact claim.
 """
@@ -34,6 +39,11 @@ from .sumset import (RangeBitset, bitmap, clear_bits, clear_every, eliminate,
 
 _SEGMENT = 1 << 20
 MAX_SIEVE_BOUND = 12_000_000
+
+# Entries of a class of primes that ``_class_miss`` copies and packs at a
+# time: a class at 10^7 took 2.7 ms so, and 3.0-4.0 ms with 2^16 or fewer,
+# or 2^23 (2-vCPU VM).
+_CLASS_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -133,12 +143,13 @@ def _universe_classes(query: PrimePolyQuery, period: int,
 
 
 def _class_alive(query: PrimePolyQuery, c: int, period: int, bound: int,
-                 twos: np.ndarray) -> np.ndarray:
+                 scattered: np.ndarray) -> np.ndarray:
     """Packed bitmap (``bitmap(..., packed=True)``) over i in
     [0, bound // period] of whether n = c + period*i is a universe n in
     [2, bound], for a class c from ``_universe_classes``, that is not in
-    ``twos`` (the n whose prime is 2).  Every class has the length of the
-    class-s prime bitmap, as ``eliminate`` needs."""
+    ``scattered`` (the n that ``exception_scan`` kills by one scatter).
+    Every class has the length of the class-s prime bitmap, as
+    ``eliminate`` needs."""
     size = bound // period + 1
     alive = bitmap(size, True, packed=True)
     if query.universe == "coprime":
@@ -146,10 +157,11 @@ def _class_alive(query: PrimePolyQuery, c: int, period: int, bound: int,
             if period % d:
                 # c + period*i = 0 (mod d) at i = -c / period (mod d)
                 clear_every(alive, -c * pow(period, -1, d) % d, d)
-    # the entries past the class's last n, entry 0 when n = c < 2, and twos
+    # the entries past the class's last n, entry 0 when n = c < 2, and the
+    # scattered n
     clear_bits(alive, np.concatenate((
         np.arange((bound - c) // period + 1, size), np.arange(int(c < 2)),
-        (twos[twos % period == c] - c) // period)))
+        (scattered[scattered % period == c] - c) // period)))
     return alive
 
 
@@ -162,6 +174,31 @@ def _odd_class(q: int, r: int) -> int | None:
     return r + q if q % 2 else None
 
 
+@lru_cache(maxsize=4)
+def _class_miss(bound: int, s: int, period: int) -> np.ndarray:
+    """Read-only packed bitmap (``bitmap(..., packed=True)``) over i in
+    [0, bound // period] of whether s + period*i is no prime up to bound:
+    the complement of the class-s primes, as ``eliminate`` takes it.
+
+    It is packed from ``sieve_primes(bound)`` _CLASS_CHUNK entries of the
+    class at a time, each strided slice copied into one contiguous buffer
+    first: a strided ``packbits`` of a class at 10^7 took 8-12 ms.  No
+    code writes to it: ``eliminate`` shifts a copy."""
+    primes = sieve_primes(bound).bits
+    size = bound // period + 1
+    miss = bitmap(size, False, packed=True)
+    held = len(range(s, bound + 1, period))
+    buf = np.empty(min(held, _CLASS_CHUNK), dtype=bool)
+    for lo in range(0, held, _CLASS_CHUNK):
+        part = buf[: min(_CLASS_CHUNK, held - lo)]
+        part[:] = primes[s + period * lo :: period][: part.size]
+        part = np.packbits(part, bitorder="little")
+        miss[lo // 8 : lo // 8 + part.size] = part
+    np.invert(miss, out=miss)
+    miss.flags.writeable = False
+    return miss
+
+
 def exception_scan(query: PrimePolyQuery, bound: int) -> np.ndarray:
     """All n in the universe, 2 <= n <= bound, with no decomposition
     n = p + term(x) where p passes the prime filter, as a sorted int64
@@ -170,31 +207,45 @@ def exception_scan(query: PrimePolyQuery, bound: int) -> np.ndarray:
     With Q = lcm(2, q) for a prime filter (q, r), or Q = 2 without one,
     every odd prime that passes lies in the one odd class s = r (mod q) mod
     Q, if there is one.  Each class c of n is eliminated on its own against
-    that class of primes, walking only the term values v = c - s (mod Q) as
-    shifts (v - c + s) / Q; n = 2 + v, whose prime is 2, is killed by one
-    scatter when 2 passes the filter."""
+    that class of primes (``_class_miss``, cached), walking only the term
+    values v = c - s (mod Q) as shifts (v - c + s) / Q; n = 2 + v, whose
+    prime is 2, is killed by one scatter when 2 passes the filter.
+
+    A filter with few candidates k = r (mod q) up to the bound, such as a
+    modulus above the bound, which leaves r alone, skips the classes mod
+    Q: when the sums of every candidate and term value fit in one byte per
+    integer of [0, bound] as int64, the sums p + v of the passing primes p
+    are one scatter over the classes mod 2, and nothing is eliminated."""
     if bound < 2:
         raise ValueError("bound must be >= 2")
     q, r = query.prime_filter or (1, 0)
-    period = math.lcm(2, q)
-    s = _odd_class(q, r)
     values = np.asarray(query.term_values(bound - 2), dtype=np.int64)
-    twos = values + 2 if 2 % q == r else values[:0]
+    candidates = range(r, bound + 1, q)
+    if q > 1 and 8 * len(candidates) * values.size <= bound:
+        period, s = 2, None
+        candidates = np.arange(r, bound + 1, q)
+        passing = candidates[sieve_primes(bound).bits[candidates]]
+        scattered = np.add.outer(passing, values).ravel()
+        scattered = scattered[scattered <= bound]
+    else:
+        period, s = math.lcm(2, q), _odd_class(q, r)
+        # the n = 2 + v, whose prime is 2
+        scattered = values + 2 if 2 % q == r else values[:0]
     if s is not None:
-        primes = bitmap(bound // period + 1, False)
-        in_class = sieve_primes(bound).bits[s::period]
-        primes[: in_class.size] = in_class
+        miss = _class_miss(bound, s, period)
         values = values[values <= bound - s]
     found = []
     for c in _universe_classes(query, period, bound):
-        # the bitmap is passed inline, so that eliminate holds its only
-        # reference and frees it once the class turns sparse
+        # the alive bitmap is passed inline, so that eliminate holds its
+        # only reference and frees it once the class turns sparse
         if s is not None:
             shifts = values[(values - c + s) % period == 0]
-            survivors = eliminate(_class_alive(query, c, period, bound, twos),
-                                  primes, ((shifts - c + s) // period).tolist())
+            survivors = eliminate(
+                _class_alive(query, c, period, bound, scattered),
+                miss, ((shifts - c + s) // period).tolist())
         else:
-            survivors = set_bits(_class_alive(query, c, period, bound, twos))
+            survivors = set_bits(
+                _class_alive(query, c, period, bound, scattered))
         found.append(c + period * survivors)
     if len(found) == 1:
         return found[0]

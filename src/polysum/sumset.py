@@ -5,6 +5,9 @@ bool bitmap over [0, bound], in tiles that keep the writes in cache
 (``_pair_bits``), then folds in each further stream with
 ``outside``: the n outside the sumset of a bitmap and a stream, found by
 candidate elimination (``eliminate``), so a stream without 0 is exact too.
+``eliminate`` takes the packed complement of the hit set, ``miss``: its
+dense passes AND a shifted ``miss`` into the packed alive bitmap, and its
+sparse phase tests bits of ``miss`` for a block of values at once.
 An exception list is the survivors of one last ``outside``: the shortest
 stream shifted by every offset walks the sieve of the other terms, or for
 one or two terms the offsets alone walk the pair bitmap.  ``inside``, the
@@ -67,20 +70,53 @@ _FOLD_WINDOW = 1 << 18
 
 # Elimination leaves whole-bitmap passes for a candidate array once at most
 # 1/_SPARSE_SHARE of [0, bound] is alive.  A packed pass moves three bits
-# per n; a gather moves 16 bytes per survivor at or above its value and costs
-# a handful of numpy calls.  Shares from 256 to 1024 timed alike on the
-# prime scans and the large sieves (2-vCPU VM).  Bitmaps shorter than
-# _DENSE_ONLY_BELOW are unpacked and take one bool pass per value, and are
-# never counted: the 3808 screen eliminations of under 2^11 entries took
-# 0.27-0.31 s packed against 0.10-0.13 s as bool passes.  A count of a
-# packed bitmap costs about three passes, so the bitmap is counted before
-# the first pass and then only before every _COUNT_EVERY-th.
+# per n; a gather moves a few tens of bytes per value and survivor at or
+# above it, and each block of values costs a handful of numpy calls.  Shares
+# from 256 to 1024 timed alike on the prime scans and the large sieves
+# (2-vCPU VM).  ``outside`` folds a bitmap shorter than _DENSE_ONLY_BELOW
+# by one bool pass per value, and never counts it: the 3808 screen
+# eliminations of under 2^11 entries took 0.27-0.31 s packed against
+# 0.10-0.13 s as bool passes.  A count of a packed bitmap costs about three
+# passes, so the bitmap is counted before the first pass and then only
+# before every _COUNT_EVERY-th.
 _SPARSE_SHARE = 512
 _DENSE_ONLY_BELOW = 1 << 15
 _COUNT_EVERY = 16
 
+# Most cells (values times survivors) of one sparse gather of ``eliminate``.
+# Smaller blocks pay numpy calls per value, larger ones waste cells below
+# each value and leave L2.  Sparse phases of the prime-scan and sumset-sweep
+# rounds, gathers and ms, best of 15, 2-vCPU VM:
+#   cells          1   2^11  2^12  2^13  2^14  2^15  2^16  2^17
+#   prime-scan  2816    596   420   270   166   112    80    62
+#               49.9   17.8  16.7  16.0  14.9  17.0  22.1  42.2
+#   sumset-sweep 832    132    90    68    48    38    32    26
+#                9.9    3.2   3.7   4.2   4.2   6.2  15.2  29.1
+_GATHER_CELLS = 1 << 14
+
+# Nonzero 64-bit words that ``set_bits`` unpacks at a time: their bits and
+# indices are the temporaries beside the result.  Packed bitmaps of 5*10^6
+# entries, 10^4 set, and of 2*10^6 entries, 90 % set; ms, best of 7, and the
+# tracemalloc peak over the result of the second (2-vCPU VM):
+#   words      2^7   2^8   2^9  2^10  2^11  2^12  2^13  whole chunks
+#   sparse    1.68  1.17  1.00  0.89  0.85  0.86  0.88      1.70
+#   dense     6.98  5.04  4.70  4.36  4.55  5.08  6.29      5.76
+#   peak      1.03  1.04  1.05  1.09  1.16  1.30  1.58      2.03
+_UNPACK_WORDS = 1 << 10
+
 # Bitmaps of at least this many entries lie on memory maps (``bitmap``).
 _MAPPED_FROM = 1 << 20
+
+
+def _buffer(length: int, dtype) -> np.ndarray:
+    """A zeroed bool or uint8 array of ``length`` entries for ``bitmap``, on
+    an anonymous memory map of its own when it holds _MAPPED_FROM bitmap
+    entries or more."""
+    if length * (8 if dtype is np.uint8 else 1) < _MAPPED_FROM \
+            or not hasattr(mmap, "MAP_POPULATE") or tracemalloc.is_tracing():
+        return np.zeros(length, dtype=dtype)
+    return np.frombuffer(mmap.mmap(-1, length, mmap.MAP_PRIVATE
+                                   | mmap.MAP_POPULATE), dtype=dtype)
 
 
 def bitmap(size: int, fill: bool, packed: bool = False) -> np.ndarray:
@@ -88,8 +124,9 @@ def bitmap(size: int, fill: bool, packed: bool = False) -> np.ndarray:
 
     It is a bool array, or with ``packed`` a uint8 array holding eight
     entries per byte in little bit order (entry n is bit n % 8 of byte
-    n // 8), padded with clear bits to whole 64-bit words, so that
-    ``shift_up`` and ``eliminate`` can work on it a word at a time.
+    n // 8), padded with at least seven clear bits to whole 64-bit words, so
+    that ``shift_up`` and ``eliminate`` can work on it a word at a time and
+    a shift by fewer than 8 bits drops no entry.
 
     A bitmap of _MAPPED_FROM entries or more, packed or not, lies on an
     anonymous memory map of its own, resident in full from the start and
@@ -102,13 +139,8 @@ def bitmap(size: int, fill: bool, packed: bool = False) -> np.ndarray:
     pages cost about 0.3 ms per MB (2-vCPU VM).  tracemalloc cannot see a
     memory map, so while it traces, numpy allocates the bitmap.
     """
-    dtype, length = (np.uint8, -(-size // 64) * 8) if packed else (bool, size)
-    if size < _MAPPED_FROM or not hasattr(mmap, "MAP_POPULATE") \
-            or tracemalloc.is_tracing():
-        bits = np.zeros(length, dtype=dtype)
-    else:
-        bits = np.frombuffer(mmap.mmap(-1, length, mmap.MAP_PRIVATE
-                                       | mmap.MAP_POPULATE), dtype=dtype)
+    bits = (_buffer(-(-(size + 7) // 64) * 8, np.uint8) if packed
+            else _buffer(size, bool))
     if fill and packed:
         bits[: size // 8] = 0xFF
         if size % 8:
@@ -204,84 +236,135 @@ def sorted_distinct(ns: Sequence[int] | np.ndarray) -> np.ndarray:
     return a
 
 
-def set_bits(packed: np.ndarray) -> np.ndarray:
-    """Sorted int64 indices of the set bits of a packed bitmap, _PAIR_CHUNK
-    bytes at a time, unpacked as bool for ``flatnonzero``'s fast path: the
-    whole chunk if over 2/3 of its bytes are nonzero, else those bytes."""
-    found = [np.empty(0, dtype=np.int64)]
-    for i in range(0, packed.size, _PAIR_CHUNK):
-        chunk = packed[i : i + _PAIR_CHUNK]
-        at = np.flatnonzero(chunk)
-        dense = 3 * at.size > 2 * chunk.size
-        bits = np.flatnonzero(np.unpackbits(chunk if dense else chunk[at],
+def set_bits(packed: np.ndarray, count: int | None = None) -> np.ndarray:
+    """Sorted int64 indices of the set bits of a packed bitmap from
+    ``bitmap``, of which there are ``count`` when the caller has counted
+    them.  The result is allocated once, at its full size.  The nonzero
+    64-bit words are found first, and only they are unpacked, _UNPACK_WORDS
+    of them at a time, so that the unpacked bits and their indices stay
+    small beside the result; a run of consecutive words is unpacked in
+    place, others are gathered first."""
+    words = packed.view("<u8")
+    if count is None:
+        count = int(np.bitwise_count(words).sum())
+    found = np.empty(count, dtype=np.int64)
+    nonzero = np.flatnonzero(words)
+    at = 0
+    for i in range(0, nonzero.size, _UNPACK_WORDS):
+        held = nonzero[i : i + _UNPACK_WORDS]
+        first = int(held[0])
+        run = int(held[-1]) - first == held.size - 1
+        part = words[first : first + held.size] if run else words[held]
+        bits = np.flatnonzero(np.unpackbits(part.view(np.uint8),
                                             bitorder="little").view(bool))
-        found.append(np.add(bits, 8 * i, out=bits) if dense
-                     else (at[bits >> 3] + i) * 8 + (bits & 7))
-    return np.concatenate(found)
+        end = at + bits.size
+        if run:
+            np.add(bits, 64 * first, out=found[at:end])
+        else:
+            np.add(held[bits >> 6] << 6, bits & 63, out=found[at:end])
+        at = end
+    return found
 
 
-def eliminate(alive: np.ndarray, hit: np.ndarray,
+# Bit b of a byte, for the sparse gathers of ``eliminate``.
+_BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)
+
+
+def eliminate(alive: np.ndarray, miss: np.ndarray,
               values: Sequence[int]) -> np.ndarray:
     """Sorted int64 indices n of ``alive`` with no v in ``values`` such that
-    hit[n - v] is set.
+    bit n - v of ``miss`` is clear.
 
-    ``alive`` is a packed bitmap from ``bitmap(hit.size, ..., packed=True)``
-    whose bits from hit.size on are clear, ``hit`` a bool bitmap, and every
-    value lies in [0, hit.size - 1].  ``alive`` is overwritten.  While many
-    n are alive, a value v = 8q + r costs one byte-aligned pass
-    ``alive[q:] &= shifted[:...]``, where ``shifted`` is the packed
-    complement of ``hit`` shifted up by r bits.  The values are walked by
-    residue r, so the one ``shifted`` buffer moves up at most seven times;
-    elimination does not depend on the order of the values.  Once at most
-    1/_SPARSE_SHARE of the n are alive, the survivors are unpacked, and each
-    remaining value, smallest first, costs one gather from ``hit`` over the
-    survivors at or above it, until none is left there.
+    ``alive`` and ``miss`` are packed bitmaps of one length from ``bitmap``,
+    ``alive``'s padding bits clear; ``miss`` is the complement of the hit
+    set, and its padding bits do not matter.  Every value lies in
+    [0, 8 * alive.size).  ``alive`` is overwritten, and so is ``miss``
+    unless it is read-only, as a cached bitmap is: it is then copied before
+    its first shift.  While many n are alive, a value v = 8q + r costs one
+    byte-aligned pass ``alive[q:] &= miss[:...]`` with ``miss`` shifted up
+    by r bits.  The values are walked by residue r, so ``miss`` moves up at
+    most seven times; elimination does not depend on the order of the
+    values.  Once at most 1/_SPARSE_SHARE of the n are alive, the survivors
+    are unpacked, and the remaining values, smallest first, are tested in
+    blocks: one 2-D gather of bits n - v + r of the shifted ``miss`` over
+    the survivors n at or above the block's smallest v, for as many values
+    as keep the block within _GATHER_CELLS cells, until no survivor is left
+    at or above the next value.
     """
-    size = hit.size
-    if size < _DENSE_ONLY_BELOW:
-        bits = np.unpackbits(alive, count=size, bitorder="little").view(bool)
-        for v in values:
-            # bits[v:] &= ~hit[:...] in place: for booleans a > b is a and
-            # not b.  A positional ``out`` skips the keyword parsing, about
-            # 0.7 of the 1.7 us a call takes on these short bitmaps.
-            tail = bits[v:]
-            np.greater(tail, hit[: size - v], tail)
-        return np.flatnonzero(bits)
+    size = 8 * alive.size
+    # Python sorts: a numpy sort's first call in a process costs about
+    # 0.4 MB of RSS, and an int64 copy of the values about 0.1 MB more on
+    # the sumset-sweep workload
     values = sorted(values, key=lambda v: v & 7)
     rest = len(values)
-    shifted = None
+    count = None
     r = 0
     for i, v in enumerate(values):
-        if (i % _COUNT_EVERY == 0 and _SPARSE_SHARE
-                * int(np.bitwise_count(alive.view("<u8")).sum()) <= size):
-            rest = i
-            break
-        if shifted is None:
-            shifted = pack(hit)
-            np.invert(shifted, out=shifted)
+        if i % _COUNT_EVERY == 0:
+            count = int(np.bitwise_count(alive.view("<u8")).sum())
+            if _SPARSE_SHARE * count <= size:
+                rest = i
+                break
         if v & 7 != r:
-            shift_up(shifted, (v & 7) - r)
+            if not miss.flags.writeable:
+                work = _buffer(miss.size, np.uint8)
+                work[:] = miss
+                miss = work
+            shift_up(miss, (v & 7) - r)
             r = v & 7
-            shifted[0] |= (1 << r) - 1  # n < v is never hit
-        tail = alive[v >> 3 :]
-        np.bitwise_and(tail, shifted[: tail.size], tail)
-    del shifted
-    alive = set_bits(alive)
-    for v in sorted(values[rest:]):
-        start = int(np.searchsorted(alive, v))
+            miss[0] |= (1 << r) - 1  # n < v is never hit
+        # no view of alive outlives the loop, so that the packed bitmap is
+        # freed once set_bits has read it
+        q = v >> 3
+        np.bitwise_and(alive[q:], miss[: alive.size - q], alive[q:])
+    else:
+        count = None  # passes ran after the last count
+    alive = set_bits(alive, count)
+    values = np.array(sorted(values[rest:]), dtype=np.int64)
+    i = 0
+    while i < values.size:
+        start = int(np.searchsorted(alive, values[i]))
         if start == alive.size:
             break  # no n >= v is alive, so no later value reaches one
-        reached = hit[alive[start:] - v]
-        if reached.any():
-            alive = np.concatenate((alive[:start], alive[start:][~reached]))
+        part = alive[start:]
+        # no value above the largest survivor reaches one
+        stop = int(np.searchsorted(values, part[-1], side="right"))
+        block = values[i : min(stop, i + max(1, _GATHER_CELLS // part.size))]
+        i += block.size
+        at = part - (block - r)[:, None]  # bit n - v + r of the shifted miss
+        reach = at >= r  # n >= v
+        np.maximum(at, 0, out=at)
+        bit = _BIT[at & 7]
+        bit &= miss[np.right_shift(at, 3, out=at)]
+        killed = bit == 0
+        killed &= reach
+        dead = killed.any(axis=0)
+        if dead.any():
+            alive = np.concatenate((alive[:start], part[~dead]))
     return alive
 
 
 def outside(bits: np.ndarray, stream: Sequence[int]) -> np.ndarray:
     """Sorted int64 n in [0, len - 1] outside the sumset ``bits`` + ``stream``:
     every n starts alive, and each value v of ``stream``, all in [0, len - 1],
-    kills the n with bits[n - v] set."""
-    return eliminate(bitmap(bits.size, True, packed=True), bits, stream)
+    kills the n with bits[n - v] set.
+
+    ``eliminate`` walks ``bits`` packed and inverted once.  A bitmap shorter
+    than _DENSE_ONLY_BELOW takes one bool pass per value instead, which
+    costs less there than the packed set-up."""
+    size = bits.size
+    if size < _DENSE_ONLY_BELOW:
+        alive = np.ones(size, dtype=bool)
+        for v in stream:
+            # alive[v:] &= ~bits[:...] in place: for booleans a > b is a and
+            # not b.  A positional ``out`` skips the keyword parsing, about
+            # 0.7 of the 1.7 us a call takes on these short bitmaps.
+            tail = alive[v:]
+            np.greater(tail, bits[: size - v], tail)
+        return np.flatnonzero(alive)
+    miss = pack(bits)
+    np.invert(miss, out=miss)
+    return eliminate(bitmap(size, True, packed=True), miss, stream)
 
 
 def inside(bits: np.ndarray, stream: Sequence[int]) -> np.ndarray:

@@ -194,9 +194,9 @@ def test_prime_scan_reverify_failure(capsys, monkeypatch):
 
 def test_sum_reverify_failure(capsys, monkeypatch):
     # a kernel that drops the representable 20 from the sumset of p4+p5+p8
-    real_eliminate = sumset.eliminate
-    monkeypatch.setattr(sumset, "eliminate", lambda alive, hit, values:
-                        np.union1d(real_eliminate(alive, hit, values), [20]))
+    real_outside = sumset.outside
+    monkeypatch.setattr(sumset, "outside", lambda bits, stream:
+                        np.union1d(real_outside(bits, stream), [20]))
     status = cli.main(["except", "--sum", "p4+p5+p8", "--bound", "10000"])
     captured = capsys.readouterr()
     assert status == 1
@@ -265,6 +265,35 @@ def test_dense_record_memory_per_integer(capsys, argv, count):
     assert status == 0 and f"count={count} " in out
     assert "truncated=true" not in out
     assert peak < 35 * bound
+
+
+class _Length:
+    """A stdout that keeps only the length of the text written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+
+def test_record_text_is_never_copied_whole(monkeypatch):
+    # the 999 002 n of a dense list at 2*10^6 are 7.4 MB of text, written in
+    # slices: the scan's class lists and their merge peak at 9.7 bytes per
+    # integer, and whole copies of the text took 16.3
+    bound = 2_000_000
+    stdout = _Length()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    tracemalloc.start()
+    try:
+        status = cli.main(["prime-scan", "--a", "2", "--universe", "all",
+                           "--bound", str(bound), "--limit", "1000000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0 and stdout.size == 7_437_627
+    assert peak < 12 * bound
 
 
 def test_qform_except_rechecks_a_large_limit(capsys):

@@ -89,6 +89,15 @@ GOLDEN = [
      "a3b0996d76af8b3d2535306cc1cafa002f90033bd4a3ae8353ea478ed5fa865d"),
     ("except --sum p4+p4+p4 --bound 600000", 0,
      "3e7f82e21411c1400334f28a11af4a6a92368d7232667ad618b6f02b5e957164"),
+    # packed eliminations down to blocked sparse gathers, with and without a
+    # prime filter
+    ("prime-scan --a 29 --bound 300000", 0,
+     "69e234bd34c885f48e50327951d4f4fc0bfb7cc55c58d147e42ad0edabc2218b"),
+    ("conjecture --preset 1.7 --bound 300000", 0,
+     "8f9400de127fe8c9debd819a0eb3edd3ff5ab2de90872f83a533731db61d425a"),
+    # a filter modulus above the bound
+    ("prime-scan --a 2 --prime-mod 12000000 --prime-residue 1 --bound 100000",
+     0, "4482a2d49fa73d98f2f56a1185892be8ff9fcccf86960772d9a1d63dc2a915bb"),
 ]
 
 

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polysum import primepoly, sumset
 from polysum.primepoly import (
@@ -117,19 +117,54 @@ def _in_universe(query, n):
     return True
 
 
-# With no dense-only size, the share decides when the scan leaves whole-bitmap
-# passes for a candidate array: 1 switches before the first term value,
-# 2**40 never switches.
+# The share decides when the scan leaves whole-bitmap passes for a candidate
+# array: 1 switches before the first term value, 2**40 never switches.  A
+# gather block of 1 cell tests one term value at a time, 2**20 all at once.
+# A filter with few candidates up to the bound scatters the sums of its
+# passing primes: the examples take a modulus above the bound, which leaves
+# at most the prime r itself, with r prime, r not prime, r = 2 and r above
+# the bound, and moduli below the bound with one to six candidates.
 @settings(max_examples=100, deadline=None)
 @given(_queries(), st.integers(2, 3000),
-       st.sampled_from([1, sumset._SPARSE_SHARE, 1 << 40]))
-def test_scan_equals_witness_sweep(query, bound, share):
+       st.sampled_from([1, sumset._SPARSE_SHARE, 1 << 40]),
+       st.sampled_from([1, 3, 1 << 20]))
+@example(PrimePolyQuery(2, universe="all", prime_filter=(3001, 1999)), 3000,
+         sumset._SPARSE_SHARE, 1)
+@example(PrimePolyQuery(6, "polygonal", 5, "coprime", (4000, 2001)), 3000,
+         1, 3)
+@example(PrimePolyQuery(3, "polygonal", 7, "odd", (4096, 2)), 3000,
+         1 << 40, 1 << 20)
+@example(PrimePolyQuery(2, universe="all", prime_filter=(4096, 2)), 1000,
+         1, 1)
+@example(PrimePolyQuery(5, universe="all", prime_filter=(5000, 4001)), 3000,
+         1, 1)
+@example(PrimePolyQuery(1, universe="all", prime_filter=(500, 7)), 3000,
+         1, 1)
+@example(PrimePolyQuery(4, "polygonal", 6, "odd", (1500, 2)), 3000, 1, 1)
+def test_scan_equals_witness_sweep(query, bound, share, cells):
     brute = [n for n in range(2, bound + 1)
              if _in_universe(query, n)
              and decomposition_witness(query, n, bound) is None]
     with mock.patch.object(sumset, "_SPARSE_SHARE", share), \
-            mock.patch.object(sumset, "_DENSE_ONLY_BELOW", 0):
+            mock.patch.object(sumset, "_GATHER_CELLS", cells):
         assert exception_scan(query, bound).tolist() == brute
+
+
+def test_scans_leave_a_cached_class_unchanged():
+    # each elimination shifts its own copy of the class-1 primes mod 2; the
+    # cached class is read-only and keeps its bytes from scan to scan
+    bound = 100_000
+    query = PrimePolyQuery(3, universe="all")
+    first = exception_scan(query, bound)
+    miss = primepoly._class_miss(bound, 1, 2)
+    before = miss.tobytes()
+    assert not miss.flags.writeable
+    assert np.array_equal(exception_scan(query, bound), first)
+    assert primepoly._class_miss(bound, 1, 2) is miss
+    assert miss.tobytes() == before
+    primes = sieve_primes(bound).bits[1::2]
+    assert np.array_equal(np.unpackbits(miss, count=primes.size,
+                                        bitorder="little"), ~primes)
 
 
 def _check_class_alive(query, c, bound, picks):

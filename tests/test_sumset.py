@@ -141,9 +141,10 @@ _TERMS = st.lists(st.builds(Term, st.integers(1, 30), st.integers(3, 40)),
                   min_size=1, max_size=6)
 
 
-# With no dense-only size, the share decides when elimination leaves
-# whole-bitmap passes for a candidate array: 1 switches before the first
-# value, 2**40 never switches.
+# A dense-only size of 0 sends every fold through the packed passes, and
+# 2**40 through the bool passes.  With no dense-only size, the share decides
+# when elimination leaves whole-bitmap passes for a candidate array: 1
+# switches before the first value, 2**40 never switches.
 # A pair chunk of 1 sum scatters one row per value.  The examples give an
 # offsets stream longer than every term's stream ({0, 30, 1200} and
 # {0, 25, 950, 2775}), and offsets that all lie above the bound.
@@ -152,18 +153,20 @@ _TERMS = st.lists(st.builds(Term, st.integers(1, 30), st.integers(3, 40)),
        st.sets(st.integers(0, 40) | st.integers(0, 3500), min_size=1,
                max_size=4),
        st.sampled_from([1, sumset._SPARSE_SHARE, 1 << 40]),
-       st.sampled_from([1, 64, sumset._PAIR_CHUNK]))
+       st.sampled_from([1, 64, sumset._PAIR_CHUNK]),
+       st.sampled_from([0, 1 << 40]))
 @example([Term(30, 40), Term(25, 38)], N, 3000, {1, 2, 5, 7, 30},
-         sumset._SPARSE_SHARE, sumset._PAIR_CHUNK)
-@example([Term(1, 5), Term(2, 7)], Z, 100, {101, 3500}, 1 << 40, 64)
+         sumset._SPARSE_SHARE, sumset._PAIR_CHUNK, 0)
+@example([Term(1, 5), Term(2, 7)], Z, 100, {101, 3500}, 1 << 40, 64, 0)
+@example([Term(1, 5), Term(2, 7)], Z, 100, {0, 3, 101}, 1, 64, 1 << 40)
 def test_kernel_equals_brute_sumset(terms_, domain, bound, offsets, share,
-                                    chunk):
+                                    chunk, dense_only_below):
     sums = _brute_sumset(terms_, domain, bound)
     missing = [n for n in range(bound + 1) if n not in sums]
     offset_missing = [n for n in range(bound + 1)
                       if all(n - r not in sums for r in offsets)]
     with mock.patch.object(sumset, "_SPARSE_SHARE", share), \
-            mock.patch.object(sumset, "_DENSE_ONLY_BELOW", 0), \
+            mock.patch.object(sumset, "_DENSE_ONLY_BELOW", dense_only_below), \
             mock.patch.object(sumset, "_PAIR_CHUNK", chunk):
         bits = range_sieve(terms_, domain, bound)
         report = offset_universal_check(terms_, domain, offsets, bound)
@@ -202,26 +205,37 @@ def _eliminations(draw):
     return alive, hit, values
 
 
-# Elimination against a set model.  A dense-only size of 0 sends every
-# bitmap through the packed passes, and 2**40 through the bool passes; a
-# share of 1 turns sparse before the first value, 2**40 never.
+# Elimination against a set model, with the hit set passed as its packed
+# complement.  A share of 1 turns sparse before the first value, 2**40
+# never.  A gather block of 1 cell tests one value at a time, 3 cells three
+# at a time once one n is left, 2**20 every value at once.  A read-only
+# complement, as a cached class of primes is, must come back unchanged.
 @settings(max_examples=300, deadline=None)
-@given(_eliminations(), st.sampled_from([0, 1 << 40]),
+@given(_eliminations(),
        st.sampled_from([1, 4, sumset._SPARSE_SHARE, 1 << 40]),
-       st.sampled_from([1, sumset._COUNT_EVERY]))
-@example((np.ones(64, dtype=bool), np.ones(64, dtype=bool), []), 0, 1 << 40, 1)
+       st.sampled_from([1, sumset._COUNT_EVERY]),
+       st.sampled_from([1, 3, 1 << 20]), st.booleans())
+@example((np.ones(64, dtype=bool), np.ones(64, dtype=bool), []), 1 << 40, 1,
+         1, False)
 @example((np.ones(9, dtype=bool), np.eye(9, dtype=bool)[8], [0, 8, 1, 7]),
-         0, 1 << 40, 1)
-def test_eliminate_equals_set_model(case, dense_only_below, share, every):
+         1 << 40, 1, 1, True)
+@example((np.ones(64, dtype=bool), np.eye(64, dtype=bool)[0], [63, 7, 0]),
+         1, 1, 1 << 20, True)
+def test_eliminate_equals_set_model(case, share, every, cells, frozen):
     alive, hit, values = case
     expected = [n for n in np.flatnonzero(alive).tolist()
                 if not any(v <= n and hit[n - v] for v in values)]
-    with mock.patch.object(sumset, "_DENSE_ONLY_BELOW", dense_only_below), \
-            mock.patch.object(sumset, "_SPARSE_SHARE", share), \
-            mock.patch.object(sumset, "_COUNT_EVERY", every):
-        found = sumset.eliminate(_packed(alive), hit, list(values))
+    miss = _packed(~hit)
+    before = miss.copy()
+    miss.flags.writeable = not frozen
+    with mock.patch.object(sumset, "_SPARSE_SHARE", share), \
+            mock.patch.object(sumset, "_COUNT_EVERY", every), \
+            mock.patch.object(sumset, "_GATHER_CELLS", cells):
+        found = sumset.eliminate(_packed(alive), miss, list(values))
     assert found.dtype == np.int64
     assert found.tolist() == expected
+    if frozen:
+        assert np.array_equal(miss, before)
 
 
 def test_packed_bitmap_layout():
@@ -229,7 +243,7 @@ def test_packed_bitmap_layout():
         for fill in (False, True):
             packed = sumset.bitmap(size, fill, packed=True)
             assert packed.dtype == np.uint8 and packed.size % 8 == 0
-            assert packed.size * 8 - size in range(64)
+            assert packed.size * 8 - size in range(7, 71)
             bits = np.unpackbits(packed, bitorder="little")
             assert bits[:size].all() if fill else not bits[:size].any()
             assert not bits[size:].any()
@@ -331,15 +345,35 @@ def test_set_bits_equals_flatnonzero(share, size):
 
 
 def test_set_bits_mixes_dense_and_sparse_chunks():
-    # 8-byte chunks of 64 entries each, from all clear to all set, so that
-    # whole unpacks and gathers alternate within one bitmap
+    # words of 64 entries each, from all clear to all set, unpacked three
+    # nonzero words at a time, so that runs of consecutive words and
+    # gathered words alternate within one bitmap; and the count a caller
+    # took gives the same indices
     rng = np.random.default_rng(7)
     share = np.repeat(rng.permutation([0, 0.01, 0.5, 1 / 6, 0.9, 1] * 4), 64)
     bits = rng.random(share.size - 27) < share[27:]
-    with mock.patch.object(sumset, "_PAIR_CHUNK", 8):
+    with mock.patch.object(sumset, "_UNPACK_WORDS", 3):
         found = sumset.set_bits(_packed(bits))
+        counted = sumset.set_bits(_packed(bits), int(bits.sum()))
     assert found.dtype == np.int64
     assert found.tolist() == np.flatnonzero(bits).tolist()
+    assert np.array_equal(counted, found)
+
+
+def test_set_bits_memory():
+    # the result is allocated once, at its size, and the words are unpacked
+    # a few at a time: whole chunks and their concatenation peaked at twice
+    # the result
+    bits = np.random.default_rng(3).random(2_000_000) < 0.9
+    packed = _packed(bits)
+    tracemalloc.start()
+    try:
+        found = sumset.set_bits(packed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found.tolist() == np.flatnonzero(bits).tolist()
+    assert peak < 1.25 * found.nbytes
 
 
 def test_offset_check_memory_per_integer():
