@@ -293,6 +293,8 @@ def _cmd_prime_scan(args) -> int:
     prime_filter = None
     if args.prime_mod:
         prime_filter = (args.prime_mod, args.prime_residue)
+    elif args.prime_residue:
+        raise UsageError("--prime-residue needs --prime-mod")
     query = PrimePolyQuery(
         coefficient=args.a, shape=args.shape, order=args.order,
         universe=args.universe, prime_filter=prime_filter)

@@ -9,14 +9,14 @@ class: with Q = lcm(2, q) for a prime filter (q, r), or Q = 2 without one,
 every odd prime that passes lies in one class s mod Q, so each class c of n
 is eliminated on its own against the class-s primes, and a term value costs
 one pass over the B/Q entries of the one class it reaches; ``sumset``'s
-layout helpers clear its packed alive bitmap.  The class-s primes are
-packed and inverted once per (bound, s, Q) and cached read-only
-(``_class_miss``).  The n = 2 + v, whose prime is 2, are killed by one
-scatter when 2 passes the filter.  A filter with few candidates
-k = r (mod q) up to the bound, such as a modulus above the bound, which
-leaves r alone, scatters the sums of its passing primes and the term
-values at once, over the classes mod 2, and eliminates nothing, so that
-its cost no longer grows with Q.  The re-check
+layout helpers clear its packed alive bitmap.  ``sumset.pack`` packs the
+class-s primes, a strided view of the prime bitmap, once per (bound, s, Q);
+they are inverted and cached read-only (``_class_miss``).  The n = 2 + v,
+whose prime is 2, are killed by one scatter when 2 passes the filter.  A
+filter with few candidates k = r (mod q) up to the bound, such as a modulus
+above the bound, which leaves r alone, scatters the sums of its passing
+primes and the term values at once, over the classes mod 2, and eliminates
+nothing, so that its cost no longer grows with Q.  The re-check
 ``decomposed_among`` splits the listed n by the same classes but shares no
 code with the scan.  Bounds and filter moduli above ``MAX_SIEVE_BOUND``
 are refused: the cap keeps the residue arithmetic mod Q in int64.  All
@@ -35,15 +35,10 @@ import numpy as np
 
 from .polycore import SumDomain, Term, poly_values_upto
 from .sumset import (RangeBitset, bitmap, clear_bits, clear_every, eliminate,
-                     reached, set_bits, sorted_distinct)
+                     pack, reached, set_bits, sorted_distinct)
 
 _SEGMENT = 1 << 20
 MAX_SIEVE_BOUND = 12_000_000
-
-# Entries of a class of primes that ``_class_miss`` copies and packs at a
-# time: a class at 10^7 took 2.7 ms so, and 3.0-4.0 ms with 2^16 or fewer,
-# or 2^23 (2-vCPU VM).
-_CLASS_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -178,22 +173,11 @@ def _odd_class(q: int, r: int) -> int | None:
 def _class_miss(bound: int, s: int, period: int) -> np.ndarray:
     """Read-only packed bitmap (``bitmap(..., packed=True)``) over i in
     [0, bound // period] of whether s + period*i is no prime up to bound:
-    the complement of the class-s primes, as ``eliminate`` takes it.
-
-    It is packed from ``sieve_primes(bound)`` _CLASS_CHUNK entries of the
-    class at a time, each strided slice copied into one contiguous buffer
-    first: a strided ``packbits`` of a class at 10^7 took 8-12 ms.  No
-    code writes to it: ``eliminate`` shifts a copy."""
-    primes = sieve_primes(bound).bits
-    size = bound // period + 1
-    miss = bitmap(size, False, packed=True)
-    held = len(range(s, bound + 1, period))
-    buf = np.empty(min(held, _CLASS_CHUNK), dtype=bool)
-    for lo in range(0, held, _CLASS_CHUNK):
-        part = buf[: min(_CLASS_CHUNK, held - lo)]
-        part[:] = primes[s + period * lo :: period][: part.size]
-        part = np.packbits(part, bitorder="little")
-        miss[lo // 8 : lo // 8 + part.size] = part
+    the complement of the class-s primes, as ``eliminate`` takes it, of
+    the length of every class of n (``_class_alive``): the class of primes
+    may hold one entry fewer.  No code writes to it: ``eliminate`` shifts a
+    copy."""
+    miss = pack(sieve_primes(bound).bits[s::period], bound // period + 1)
     np.invert(miss, out=miss)
     miss.flags.writeable = False
     return miss

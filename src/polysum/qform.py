@@ -1,10 +1,10 @@
 """Diagonal ternary quadratic forms with per-variable congruence conditions.
 
 Exception sets are computed by explicit value-grid sieves (numpy), never by
-local or genus reasoning.  The sums of the two sparsest variables are
-scattered into a bool bitmap in chunks; the third variable is folded in by
-``sumset.inside``, packed shift-ors into one cache-sized window of the
-result at a time.  A bitmap over
+local or genus reasoning.  The sums of the two longest value streams are
+scattered into a bool bitmap in tiles, as ``sumset.range_sieve`` scatters
+its pair; the shortest is folded in by ``sumset.inside``, packed shift-ors
+into one cache-sized window of the result at a time.  A bitmap over
 [0, top] is refused before allocating when top exceeds
 ``sumset.MAX_RANGE_BOUND``, and so is a progression's int64 pair grid of
 more than ``_MAX_PAIR_CELLS`` sums.  A progression M*n + C is checked
@@ -178,19 +178,21 @@ def _variable_values(coef: int, cond: CongruenceCondition | None,
 
 def _streams(form: DiagonalTernaryForm, top: int) -> list[np.ndarray]:
     """``_variable_values`` of each variable up to top, largest coefficient
-    first."""
+    first: ``_progression_bitmap`` pairs the first two, whose int64 grid is
+    capped, and ``represented_among`` walks the first."""
     order = sorted(range(3), key=lambda i: -form.coefficients[i])
     return [_variable_values(form.coefficients[i], form.conditions[i], top)
             for i in order]
 
 
 def _reachable(form: DiagonalTernaryForm, top: int) -> np.ndarray:
-    """Boolean bitmap over [0, top] of values represented by the form: the
-    pair sums of the two largest coefficients are scattered, and the third
-    variable's values are folded in by ``sumset.inside``."""
+    """Boolean bitmap over [0, top] of values represented by the form, by
+    the pair rule of ``sumset.range_sieve``: the sums of the two longest
+    value streams are scattered, and the shortest is folded in by
+    ``sumset.inside``."""
     check_bound(top)
-    s = _streams(form, top)
-    return inside(_pair_bits(s[1], s[0], top), s[2].tolist())
+    s = sorted(_streams(form, top), key=len, reverse=True)
+    return inside(_pair_bits(s[0], s[1], top), s[2].tolist())
 
 
 # ---------------------------------------------------------------------------

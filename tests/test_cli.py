@@ -359,6 +359,20 @@ def test_square_shape_with_order_is_usage_error(capsys):
     assert line == "error: square shape takes no order"
 
 
+def test_prime_residue_without_modulus_is_usage_error(capsys):
+    # a residue is never dropped silently; the defaults 0 and 0 still mean
+    # no prime filter
+    status = cli.main(["prime-scan", "--a", "2", "--prime-residue", "3",
+                       "--bound", "1000"])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == "error: --prime-residue needs --prime-mod"
+    status, out = run(capsys, "prime-scan", "--a", "2", "--prime-mod", "0",
+                      "--prime-residue", "0", "--bound", "1000")
+    assert status == 0 and "prime-filter= " in out
+
+
 @pytest.mark.parametrize("modulus, residue", [
     ("99999999999999999999", "1"),  # past int64
     ("2000000000", "2"),  # past the cap but within int64

@@ -98,6 +98,15 @@ GOLDEN = [
     # a filter modulus above the bound
     ("prime-scan --a 2 --prime-mod 12000000 --prime-residue 1 --bound 100000",
      0, "4482a2d49fa73d98f2f56a1185892be8ff9fcccf86960772d9a1d63dc2a915bb"),
+    # unequal value streams over four pair tiles, and the catalog at the
+    # form-catalog workload's bound
+    ("qform-except --form 1,3,24 --bound 1000000", 0,
+     "dd591a6bb4b590f4c61d0967f628220734c54281cee9a1e97a131af2d2528fc0"),
+    ("qform-verify-catalog --bound 300000", 0,
+     "b0d827612ff6a03b64f0b716ea406aba0a548f31ed9bedb719292164fc2dadd7"),
+    # a class of primes packed in two chunks
+    ("prime-scan --a 29 --bound 1200000", 0,
+     "aab4ca4ad8e6b2a398aa13f5c5478527e729666976cc879c2461227702d2cc58"),
 ]
 
 

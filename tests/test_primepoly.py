@@ -269,6 +269,22 @@ def test_scan_at_every_small_bound(query):
             _witness_sweep(query, bound)
 
 
+# Bounds where the class-s primes hold one entry fewer than the classes of
+# n, across a 64-bit word edge of the packed layout: 121 against 122 entries
+# mod 2, and 57 against 58 mod 4; the cached class is packed to the length
+# of the classes of n all the same.
+@pytest.mark.parametrize("query, bound, s, period", [
+    (PrimePolyQuery(2, universe="all"), 242, 1, 2),
+    (PrimePolyQuery(1, universe="all", prime_filter=(4, 3)), 230, 3, 4)])
+def test_scan_where_the_class_of_primes_is_one_entry_short(query, bound, s,
+                                                            period):
+    assert len(range(s, bound + 1, period)) == bound // period
+    assert primepoly._class_miss(bound, s, period).size == sumset.bitmap(
+        bound // period + 1, False, packed=True).size
+    assert exception_scan(query, bound).tolist() == \
+        _witness_sweep(query, bound)
+
+
 # The re-check against a per-n witness sweep over the scan's own list with
 # some n injected, in any order and with repeats.
 @settings(max_examples=100, deadline=None)

@@ -2,8 +2,10 @@ import contextlib
 import math
 import mmap
 import random
+import re
 import tracemalloc
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -249,6 +251,59 @@ def test_packed_bitmap_layout():
             assert not bits[size:].any()
             assert sumset.set_bits(packed).tolist() == (
                 list(range(size)) if fill else [])
+
+
+@st.composite
+def _strided_views(draw):
+    """A chunk of 1, 7 or 2^16 bytes, and a 1-D bool view with a step of 1
+    to 7 and an offset into a longer array, its length often next to a
+    multiple of the 8 * chunk entries that ``pack`` packs at a time."""
+    chunk = draw(st.sampled_from([1, 7, 1 << 16]))
+    step = draw(st.integers(1, 7))
+    offset = draw(st.integers(0, 9))
+    edge = 8 * chunk
+    length = draw(st.integers(0, 300)
+                  | st.builds(lambda k, d: k * edge + d, st.integers(1, 2),
+                              st.integers(-1, 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.integers(0, 2, offset + step * length + draw(st.integers(0, 9)),
+                        dtype=np.uint8).astype(bool)
+    return chunk, base[offset : offset + step * length : step]
+
+
+# ``pack`` against ``np.packbits`` of a contiguous copy, with the padding
+# bits and the entries up to ``size`` clear; bound 242 packs a class of 121
+# primes to the 122 entries of a class of n, a length at which the packed
+# size grows by a word.
+@settings(max_examples=200, deadline=None)
+@given(_strided_views(), st.none() | st.integers(0, 70))
+@example((1, np.ones(242, dtype=bool)[1::2]), 1)
+@example((7, np.ones(8 * 7 * 2 + 1, dtype=bool)), None)
+def test_pack_of_a_strided_view_equals_packbits_of_its_copy(case, extra):
+    chunk, bits = case
+    size = bits.size if extra is None else bits.size + extra
+    before = bits.copy()
+    with mock.patch.object(sumset, "_PAIR_CHUNK", chunk):
+        packed = (sumset.pack(bits) if extra is None
+                  else sumset.pack(bits, size))
+    expected = np.packbits(before, bitorder="little")
+    assert packed.dtype == np.uint8
+    assert packed.size == sumset.bitmap(size, False, packed=True).size
+    assert packed[: expected.size].tobytes() == expected.tobytes()
+    assert not packed[expected.size :].any()
+    assert np.array_equal(bits, before)
+
+
+def test_packed_layout_stays_in_sumset():
+    # every bit order, byte offset and packed pass is sumset's to know
+    layout = re.compile(r"packbits|unpackbits|bitorder|bitwise_and\.at"
+                        r"|shift_up|>> 3|& 7")
+    found = [f"{path.name}:{i}" for path in
+             sorted(Path(sumset.__file__).parent.rglob("*.py"))
+             if path.name != "sumset.py"
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if layout.search(line)]
+    assert found == []
 
 
 @given(st.lists(st.booleans(), max_size=300), st.integers(0, 63))
@@ -579,7 +634,8 @@ def test_rechecks_call_no_kernel_function():
                (primepoly, "_universe_classes"), (primepoly, "_class_alive"),
                (sumset, "inside"), (qform, "inside"),
                (sumset, "clear_bits"), (primepoly, "clear_bits"),
-               (sumset, "clear_every"), (primepoly, "clear_every")]
+               (sumset, "clear_every"), (primepoly, "clear_every"),
+               (sumset, "pack"), (primepoly, "pack")]
     with contextlib.ExitStack() as stack:
         for module, name in kernels:
             stack.enter_context(mock.patch.object(module, name, refuse))
