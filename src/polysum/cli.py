@@ -29,7 +29,7 @@ from .primepoly import (
 from .qform import (
     DiagonalTernaryForm,
     canonical_reduction,
-    qf_exception_set,
+    qf_exception_bits,
     represented_among,
     verify_catalog_form,
     verify_reduction,
@@ -42,7 +42,13 @@ from .screening import (
     screen,
     unique_exception_scan,
 )
-from .sumset import ReverificationError, exceptions, offset_universal_check
+from .sumset import (
+    ReverificationError,
+    count_bits,
+    exceptions,
+    first_bits,
+    offset_universal_check,
+)
 
 _CATALOG_FOR_PRESET = {
     "liouville": "liouville-7",
@@ -185,8 +191,13 @@ def _cmd_qform_except(args) -> int:
     if args.limit < 0:
         raise UsageError(f"--limit must be >= 0, got {args.limit}")
     form = _parse_form(args.form)
-    found = qf_exception_set(form, args.bound)
-    listed = found[: args.limit]
+    # counted and listed on the packed grid, freed before the re-check: the
+    # int64 list of every exception would take 1.3 bytes per integer for
+    # x^2 + y^2 + z^2
+    missed = qf_exception_bits(form, args.bound)
+    count = count_bits(missed)
+    listed = first_bits(missed, min(count, args.limit))
+    del missed
     # each listed exception is re-checked apart from the value-grid sieve
     failed = [ReportRecord("reverify-failed", {
         "form": str(form), "bound": args.bound, "n": n})
@@ -195,8 +206,8 @@ def _cmd_qform_except(args) -> int:
         emit_report(failed, "lines", sys.stderr)
         return 1
     rec = ReportRecord("qform-except", {
-        "form": str(form), "bound": args.bound, "count": found.size,
-        "result": listed, "truncated": found.size > args.limit})
+        "form": str(form), "bound": args.bound, "count": count,
+        "result": listed, "truncated": count > args.limit})
     _print([rec], args.format)
     return 0
 

@@ -13,10 +13,11 @@ layout helpers clear its packed alive bitmap.  ``sumset.pack`` packs the
 class-s primes, a strided view of the prime bitmap, once per (bound, s, Q);
 they are inverted and cached read-only (``_class_miss``).  The n = 2 + v,
 whose prime is 2, are killed by one scatter when 2 passes the filter.  A
-filter with few candidates k = r (mod q) up to the bound, such as a modulus
-above the bound, which leaves r alone, scatters the sums of its passing
-primes and the term values at once, over the classes mod 2, and eliminates
-nothing, so that its cost no longer grows with Q.  The re-check
+filter with few candidates k = r (mod q) up to the bound for its number of
+classes, such as a modulus above the bound, which leaves r alone, scatters
+the sums of its passing primes and the term values, a chunk at a time, over
+the classes mod 2, and eliminates nothing, so that its cost no longer grows
+with Q.  The re-check
 ``decomposed_among`` splits the listed n by the same classes but shares no
 code with the scan.  Bounds and filter moduli above ``MAX_SIEVE_BOUND``
 are refused: the cap keeps the residue arithmetic mod Q in int64.  All
@@ -39,6 +40,24 @@ from .sumset import (RangeBitset, bitmap, clear_bits, clear_every, eliminate,
 
 _SEGMENT = 1 << 20
 MAX_SIEVE_BOUND = 12_000_000
+
+# A prime filter (q, r) scatters the sums of its passing primes and the term
+# values instead of walking the classes mod Q = lcm(2, q) when its cells,
+# candidates k = r (mod q) up to the bound times term values, number at
+# most _CLASS_CELLS per class, or at most one per eight integers of
+# [0, bound].  A class costs about 0.1 ms of set-up however few entries it
+# holds, and a cell of the scatter reads one candidate's primality and
+# adds a sum only for the passing ones.  The scatter stopped winning
+# between 16 and 47 thousand cells per class at 2*10^5 (a = 1; 8 against
+# 16 ms, then 12 against 11), 49-178 thousand at 10^6 (a = 1), 64-277
+# thousand at 4*10^6 and 156-330 thousand at 1.2*10^7 (a = 2), best of 3,
+# 2-vCPU VM.  At 41 cells per class, a = 2 and q = 19001 at 1.2*10^7 took
+# 3.8 s over 38 002 classes and 0.16 s as a scatter.
+_CLASS_CELLS = 1 << 14
+
+# Most sums of passing primes and term values scattered at a time (int64,
+# 512 KiB), so that the scatter's memory does not grow with its cells.
+_SCATTER_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -142,9 +161,9 @@ def _class_alive(query: PrimePolyQuery, c: int, period: int, bound: int,
     """Packed bitmap (``bitmap(..., packed=True)``) over i in
     [0, bound // period] of whether n = c + period*i is a universe n in
     [2, bound], for a class c from ``_universe_classes``, that is not in
-    ``scattered`` (the n that ``exception_scan`` kills by one scatter).
-    Every class has the length of the class-s prime bitmap, as
-    ``eliminate`` needs."""
+    ``scattered`` (n that ``exception_scan`` kills by a scatter).  Every
+    class has the length of the class-s prime bitmap, as ``eliminate``
+    needs."""
     size = bound // period + 1
     alive = bitmap(size, True, packed=True)
     if query.universe == "coprime":
@@ -152,12 +171,18 @@ def _class_alive(query: PrimePolyQuery, c: int, period: int, bound: int,
             if period % d:
                 # c + period*i = 0 (mod d) at i = -c / period (mod d)
                 clear_every(alive, -c * pow(period, -1, d) % d, d)
-    # the entries past the class's last n, entry 0 when n = c < 2, and the
-    # scattered n
+    # the entries past the class's last n, and entry 0 when n = c < 2
     clear_bits(alive, np.concatenate((
-        np.arange((bound - c) // period + 1, size), np.arange(int(c < 2)),
-        (scattered[scattered % period == c] - c) // period)))
+        np.arange((bound - c) // period + 1, size), np.arange(int(c < 2)))))
+    _clear_class(alive, scattered, c, period)
     return alive
+
+
+def _clear_class(alive: np.ndarray, ns: np.ndarray, c: int,
+                 period: int) -> None:
+    """Clear the n of class c mod ``period`` among ``ns`` in the packed
+    bitmap of that class (``_class_alive``)."""
+    clear_bits(alive, (ns[ns % period == c] - c) // period)
 
 
 def _odd_class(q: int, r: int) -> int | None:
@@ -195,42 +220,49 @@ def exception_scan(query: PrimePolyQuery, bound: int) -> np.ndarray:
     values v = c - s (mod Q) as shifts (v - c + s) / Q; n = 2 + v, whose
     prime is 2, is killed by one scatter when 2 passes the filter.
 
-    A filter with few candidates k = r (mod q) up to the bound, such as a
-    modulus above the bound, which leaves r alone, skips the classes mod
-    Q: when the sums of every candidate and term value fit in one byte per
-    integer of [0, bound] as int64, the sums p + v of the passing primes p
-    are one scatter over the classes mod 2, and nothing is eliminated."""
+    A filter with few candidates k = r (mod q) up to the bound for its
+    number of classes (_CLASS_CELLS), such as a modulus above the bound,
+    which leaves r alone, skips the classes mod Q: the sums p + v of the
+    passing primes p are scattered over the classes mod 2, _SCATTER_CHUNK
+    at a time, and nothing is eliminated."""
     if bound < 2:
         raise ValueError("bound must be >= 2")
     q, r = query.prime_filter or (1, 0)
     values = np.asarray(query.term_values(bound - 2), dtype=np.int64)
-    candidates = range(r, bound + 1, q)
-    if q > 1 and 8 * len(candidates) * values.size <= bound:
-        period, s = 2, None
+    cells = len(range(r, bound + 1, q)) * values.size
+    if q > 1 and cells <= max(bound // 8, math.lcm(2, q) * _CLASS_CELLS):
         candidates = np.arange(r, bound + 1, q)
         passing = candidates[sieve_primes(bound).bits[candidates]]
-        scattered = np.add.outer(passing, values).ravel()
-        scattered = scattered[scattered <= bound]
+        classes = _universe_classes(query, 2, bound)
+        alive = [_class_alive(query, c, 2, bound, values[:0])
+                 for c in classes]
+        step = max(1, _SCATTER_CHUNK // values.size)
+        for i in range(0, passing.size, step):
+            sums = np.add.outer(passing[i : i + step], values).ravel()
+            sums = sums[sums <= bound]
+            for c, bits in zip(classes, alive):
+                _clear_class(bits, sums, c, 2)
+        found = [c + 2 * set_bits(bits) for c, bits in zip(classes, alive)]
     else:
         period, s = math.lcm(2, q), _odd_class(q, r)
         # the n = 2 + v, whose prime is 2
         scattered = values + 2 if 2 % q == r else values[:0]
-    if s is not None:
-        miss = _class_miss(bound, s, period)
-        values = values[values <= bound - s]
-    found = []
-    for c in _universe_classes(query, period, bound):
-        # the alive bitmap is passed inline, so that eliminate holds its
-        # only reference and frees it once the class turns sparse
         if s is not None:
-            shifts = values[(values - c + s) % period == 0]
-            survivors = eliminate(
-                _class_alive(query, c, period, bound, scattered),
-                miss, ((shifts - c + s) // period).tolist())
-        else:
-            survivors = set_bits(
-                _class_alive(query, c, period, bound, scattered))
-        found.append(c + period * survivors)
+            miss = _class_miss(bound, s, period)
+            values = values[values <= bound - s]
+        found = []
+        for c in _universe_classes(query, period, bound):
+            # the alive bitmap is passed inline, so that eliminate holds its
+            # only reference and frees it once the class turns sparse
+            if s is not None:
+                shifts = values[(values - c + s) % period == 0]
+                survivors = eliminate(
+                    _class_alive(query, c, period, bound, scattered),
+                    miss, ((shifts - c + s) // period).tolist())
+            else:
+                survivors = set_bits(
+                    _class_alive(query, c, period, bound, scattered))
+            found.append(c + period * survivors)
     if len(found) == 1:
         return found[0]
     # the classes are disjoint and each is sorted, so a merge of the runs

@@ -2,9 +2,12 @@
 
 Exception sets are computed by explicit value-grid sieves (numpy), never by
 local or genus reasoning.  The sums of the two longest value streams are
-scattered into a bool bitmap in tiles, as ``sumset.range_sieve`` scatters
+scattered into a packed bitmap in tiles, as ``sumset.range_sieve`` scatters
 its pair; the shortest is folded in by ``sumset.inside``, packed shift-ors
-into one cache-sized window of the result at a time.  A bitmap over
+into one cache-sized window of the result at a time.  The grid stays packed
+to the answer: ``qf_exception_bits`` inverts it in place, the CLI counts
+its set bits and reads only the listed head from it, and
+``qf_exception_set`` lists every n for library callers.  A bitmap over
 [0, top] is refused before allocating when top exceeds
 ``sumset.MAX_RANGE_BOUND``, and so is a progression's int64 pair grid of
 more than ``_MAX_PAIR_CELLS`` sums.  A progression M*n + C is checked
@@ -27,8 +30,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .polycore import SumDomain, TripleSum, square_completion
-from .sumset import (MAX_RANGE_BOUND, _pair_bits, check_bound, inside,
-                     range_sieve, reached, sorted_distinct, sum_table)
+from .sumset import (MAX_RANGE_BOUND, _pair_bits, check_bound, inside, invert,
+                     range_sieve, reached, set_bits, sorted_distinct,
+                     sum_table, unpack)
 
 # Most sums the int64 pair grid of a progression may hold: as many bytes as
 # the largest supported bitmap.
@@ -186,13 +190,13 @@ def _streams(form: DiagonalTernaryForm, top: int) -> list[np.ndarray]:
 
 
 def _reachable(form: DiagonalTernaryForm, top: int) -> np.ndarray:
-    """Boolean bitmap over [0, top] of values represented by the form, by
-    the pair rule of ``sumset.range_sieve``: the sums of the two longest
-    value streams are scattered, and the shortest is folded in by
-    ``sumset.inside``."""
+    """Packed bitmap (``sumset.bitmap(..., packed=True)``) over [0, top] of
+    the values represented by the form, by the pair rule of
+    ``sumset.range_sieve``: the sums of the two longest value streams are
+    scattered, and the shortest is folded in by ``sumset.inside``."""
     check_bound(top)
     s = sorted(_streams(form, top), key=len, reverse=True)
-    return inside(_pair_bits(s[0], s[1], top), s[2].tolist())
+    return inside(_pair_bits(s[0], s[1], top), top + 1, s[2].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +236,19 @@ def qf_represents(form: DiagonalTernaryForm, n: int) -> tuple[int, int, int] | N
     return None
 
 
+def qf_exception_bits(form: DiagonalTernaryForm, bound: int) -> np.ndarray:
+    """Packed bitmap (``sumset.bitmap(..., packed=True)``) over [0, bound]
+    of the n not represented by the form: the value grid, inverted in
+    place.  ``sumset.count_bits`` counts it and ``sumset.first_bits`` reads
+    its head without listing every n."""
+    missed = _reachable(form, bound)
+    invert(missed, bound + 1)
+    return missed
+
+
 def qf_exception_set(form: DiagonalTernaryForm, bound: int) -> np.ndarray:
     """Sorted int64 array of the n <= bound not represented by the form."""
-    return np.flatnonzero(~_reachable(form, bound))
+    return set_bits(qf_exception_bits(form, bound))
 
 
 def represented_among(form: DiagonalTernaryForm,
@@ -262,7 +276,7 @@ def verify_catalog_form(form: DiagonalTernaryForm, families: FamilySet,
     Returns (equal, sieve-only, family-only), the n listed by one side only
     as sorted int64 arrays.
     """
-    missed = ~_reachable(form, bound)
+    missed = unpack(qf_exception_bits(form, bound), bound + 1)
     listed = families.bitmap(bound)
     sieve_only = np.flatnonzero(missed & ~listed)
     family_only = np.flatnonzero(listed & ~missed)

@@ -1,18 +1,22 @@
 """Range sieves and membership tests for sums of weighted polygonal terms.
 
-``range_sieve`` scatters the sums of the two longest value streams into a
-bool bitmap over [0, bound], in tiles that keep the writes in cache
-(``_pair_bits``), then folds in each further stream with
-``outside``: the n outside the sumset of a bitmap and a stream, found by
-candidate elimination (``eliminate``), so a stream without 0 is exact too.
-``eliminate`` takes the packed complement of the hit set, ``miss``: its
-dense passes AND a shifted ``miss`` into the packed alive bitmap, and its
-sparse phase tests bits of ``miss`` for a block of values at once.
+A sieve scatters the sums of the two longest value streams into a packed
+bitmap over [0, bound] (``_pair_bits``): tile by tile into a bool window of
+two tiles that stays in cache, each finished tile packed at once, so no
+bool bitmap over [0, bound] is made.  It then folds in each further stream
+with ``outside``: the n outside the sumset of a bitmap and a stream, found
+by candidate elimination (``eliminate``), so a stream without 0 is exact
+too.  ``eliminate`` takes the packed complement of the hit set, ``miss``:
+its dense passes AND a shifted ``miss`` into the packed alive bitmap, and
+its sparse phase tests bits of ``miss`` for a block of values at once.
 An exception list is the survivors of one last ``outside``: the shortest
-stream shifted by every offset walks the sieve of the other terms, or for
-one or two terms the offsets alone walk the pair bitmap.  ``inside``, the
-OR twin of ``outside``, returns the sumset itself, for the form grids,
-filling its packed result one cache-sized window at a time.
+stream shifted by every offset walks the packed sieve of the other terms,
+inverted in place as ``miss``, or for one or two terms the offsets alone
+walk the pair bitmap.  ``inside``, the OR twin of ``outside``, takes a
+packed bitmap and returns the packed sumset itself, for the form grids,
+filling it one cache-sized window at a time.  ``unpack`` is the one way
+back to bool, for ``range_sieve``'s ``RangeBitset``, whose short bitmaps
+the screens fold by bool passes.
 Only this module knows the packed layout and the memory maps (``bitmap``).
 
 Every exception list is re-verified at construction, and elimination
@@ -41,20 +45,24 @@ from .polycore import (
     term_argument,
 )
 
-# Largest bound a range sieve takes; its bool bitmap then holds 100 MB, and
-# each elimination adds two packed bitmaps of 12.5 MB.
+# Largest bound a sieve takes; its packed bitmap then holds 12.5 MB, and so
+# does each elimination's alive bitmap.  ``range_sieve``'s bool bitmap
+# holds 100 MB.
 MAX_RANGE_BOUND = 100_000_000
 
 # Most pair sums one outer product of the pair step holds (int64, 512 KiB).
 _PAIR_CHUNK = 1 << 16
 
 # Value width W of the pair step's tiles: the sums of tiles k and l lie in
-# [(k + l)W, (k + l + 2)W), 512 KiB of bool bitmap.  Narrower tiles pay numpy
-# calls per tile pair, wider ones leave L2.  p4+p4, ms, best of 7, 2-vCPU VM:
-#   W       2^15  2^16  2^17  2^18  2^19  2^20  2^21  untiled
-#   4*10^6    50    23    23    24    31    36    51       51
-#   10^7     266    84    53    49    57    89   104      195
-#   10^8       -     -  2197   892   664   779   989     2293  (best of 3)
+# [(k + l)W, (k + l + 2)W), the pair step's bool window of 512 KiB.
+# Narrower tiles pay numpy calls per tile pair, wider ones leave L2.  The
+# packed pair step of p4+p4, ms, median of five runs of best of 7 or 15
+# (two runs of best of 3 at 10^8), 2-vCPU VM shared with other jobs:
+#   W        2^17   2^18   2^19   2^20
+#   4*10^6     16     15     20     25
+#   10^7       55     49     52     60
+#   10^8     2361    689    424    538
+# 2^19 wins only near 10^8; the benchmark's bounds, up to 10^7, favour 2^18.
 _PAIR_TILE = 1 << 18
 
 # Bytes of the packed result that ``inside`` fills at a time, with every
@@ -257,7 +265,7 @@ def set_bits(packed: np.ndarray, count: int | None = None) -> np.ndarray:
     place, others are gathered first."""
     words = packed.view("<u8")
     if count is None:
-        count = int(np.bitwise_count(words).sum())
+        count = count_bits(packed)
     found = np.empty(count, dtype=np.int64)
     nonzero = np.flatnonzero(words)
     at = 0
@@ -312,7 +320,7 @@ def eliminate(alive: np.ndarray, miss: np.ndarray,
     r = 0
     for i, v in enumerate(values):
         if i % _COUNT_EVERY == 0:
-            count = int(np.bitwise_count(alive.view("<u8")).sum())
+            count = count_bits(alive)
             if _SPARSE_SHARE * count <= size:
                 rest = i
                 break
@@ -356,67 +364,128 @@ def eliminate(alive: np.ndarray, miss: np.ndarray,
 
 
 def outside(bits: np.ndarray, stream: Sequence[int]) -> np.ndarray:
-    """Sorted int64 n in [0, len - 1] outside the sumset ``bits`` + ``stream``:
-    every n starts alive, and each value v of ``stream``, all in [0, len - 1],
-    kills the n with bits[n - v] set.
+    """Sorted int64 n in [0, len - 1] outside the sumset ``bits`` + ``stream``
+    for a bool bitmap ``bits``: every n starts alive, and each value v of
+    ``stream``, all in [0, len - 1], kills the n with bits[n - v] set.
 
-    ``eliminate`` walks ``bits`` packed and inverted once.  A bitmap shorter
-    than _DENSE_ONLY_BELOW takes one bool pass per value instead, which
-    costs less there than the packed set-up."""
+    A bitmap shorter than _DENSE_ONLY_BELOW takes one bool pass per value,
+    which costs less there than the packed set-up; a longer one is packed
+    for ``_outside_packed``."""
     size = bits.size
+    if size >= _DENSE_ONLY_BELOW:
+        return _outside_packed(pack(bits), size, stream)
+    alive = np.ones(size, dtype=bool)
+    for v in stream:
+        # alive[v:] &= ~bits[:...] in place: for booleans a > b is a and
+        # not b.  A positional ``out`` skips the keyword parsing, about
+        # 0.7 of the 1.7 us a call takes on these short bitmaps.
+        tail = alive[v:]
+        np.greater(tail, bits[: size - v], tail)
+    return np.flatnonzero(alive)
+
+
+def _outside_packed(packed: np.ndarray, size: int,
+                    stream: Sequence[int]) -> np.ndarray:
+    """``outside`` of a packed bitmap from ``bitmap`` of ``size`` entries,
+    which it overwrites: inverted in place, it is ``eliminate``'s ``miss``.
+    Below _DENSE_ONLY_BELOW entries it is unpacked for the bool passes."""
     if size < _DENSE_ONLY_BELOW:
-        alive = np.ones(size, dtype=bool)
-        for v in stream:
-            # alive[v:] &= ~bits[:...] in place: for booleans a > b is a and
-            # not b.  A positional ``out`` skips the keyword parsing, about
-            # 0.7 of the 1.7 us a call takes on these short bitmaps.
-            tail = alive[v:]
-            np.greater(tail, bits[: size - v], tail)
-        return np.flatnonzero(alive)
-    miss = pack(bits)
-    np.invert(miss, out=miss)
-    return eliminate(bitmap(size, True, packed=True), miss, stream)
+        return outside(unpack(packed, size), stream)
+    np.invert(packed, out=packed)
+    return eliminate(bitmap(size, True, packed=True), packed, stream)
 
 
-def inside(bits: np.ndarray, stream: Sequence[int]) -> np.ndarray:
-    """Bool bitmap over [0, len - 1] of the sumset ``bits`` + ``stream``, for
-    values in [0, len - 1]: each v = 8q + r ORs the packed ``bits`` shifted
-    up by r into a packed result from byte q.
+def inside(packed: np.ndarray, size: int,
+           stream: Sequence[int]) -> np.ndarray:
+    """Packed bitmap over [0, size - 1] of the sumset ``packed`` + ``stream``,
+    for a packed bitmap from ``bitmap`` of ``size`` entries, which it
+    overwrites, and values in [0, size - 1]: each v = 8q + r ORs ``packed``,
+    shifted up by r, into the result from byte q on.
 
-    The values are walked by r as in ``eliminate``, so the one ``shifted``
-    buffer moves up at most seven times.  Within a residue the result is
-    filled one window [lo, hi) of _FOLD_WINDOW bytes at a time, so that it
-    stays in cache while every value with q < hi, smallest first, ORs into
-    it: ``shifted[lo - q : hi - q]`` for q <= lo, and from byte q on for
+    The values are walked by r as in ``eliminate``, so ``packed`` moves up
+    at most seven times.  Within a residue the result is filled one window
+    [lo, hi) of _FOLD_WINDOW bytes at a time, so that it stays in cache
+    while every value with q < hi, smallest first, ORs into it:
+    ``packed[lo - q : hi - q]`` for q <= lo, and from byte q on for
     lo < q < hi.  It suits a dense result, ``outside`` a sparse one:
     x^2 + y^2 + z^2 at 10^7 took 0.10-0.13 s here, 0.16-0.18 s as one pass
     over the whole result per value, and 0.22-0.26 s through ``outside``
     (2-vCPU VM)."""
-    shifted = pack(bits)
-    acc = bitmap(bits.size, False, packed=True)
+    acc = bitmap(size, False, packed=True)
     classes: list[list[int]] = [[] for _ in range(8)]
     for v in sorted(stream):
         classes[v & 7].append(v)
-    size = acc.size
+    end = acc.size
     r = 0
     for cls, values in enumerate(classes):
         if not values:
             continue
-        shift_up(shifted, cls - r)
+        shift_up(packed, cls - r)
         r = cls
-        for lo in range(0, size, _FOLD_WINDOW):
-            hi = min(lo + _FOLD_WINDOW, size)
+        for lo in range(0, end, _FOLD_WINDOW):
+            hi = min(lo + _FOLD_WINDOW, end)
             window = acc[lo:hi]
             for v in values:
                 q = v >> 3
                 if q >= hi:
                     break
                 if q <= lo:
-                    np.bitwise_or(window, shifted[lo - q : hi - q], window)
+                    np.bitwise_or(window, packed[lo - q : hi - q], window)
                 else:
                     tail = acc[q:hi]
-                    np.bitwise_or(tail, shifted[: hi - q], tail)
-    return np.unpackbits(acc, count=bits.size, bitorder="little").view(bool)
+                    np.bitwise_or(tail, packed[: hi - q], tail)
+    _clear_padding(acc, size)
+    return acc
+
+
+def _clear_padding(packed: np.ndarray, size: int) -> None:
+    """Clear the bits at and above ``size`` of a packed bitmap from
+    ``bitmap``."""
+    packed[-(-size >> 3) :] = 0
+    if size & 7:
+        packed[size >> 3] &= (1 << (size & 7)) - 1
+
+
+def invert(packed: np.ndarray, size: int) -> None:
+    """Complement a packed bitmap from ``bitmap`` of ``size`` entries in
+    place, its padding bits kept clear."""
+    np.invert(packed, out=packed)
+    _clear_padding(packed, size)
+
+
+def unpack(packed: np.ndarray, size: int) -> np.ndarray:
+    """The first ``size`` entries of a packed bitmap as a bool bitmap from
+    ``bitmap``, unpacked _PAIR_CHUNK bytes at a time; the only way from a
+    packed bitmap back to bool."""
+    bits = bitmap(size, False)
+    step = 8 * _PAIR_CHUNK
+    for i in range(0, size, step):
+        part = np.unpackbits(packed[i >> 3 : (i >> 3) + _PAIR_CHUNK],
+                             count=min(step, size - i), bitorder="little")
+        bits[i : i + step] = part.view(bool)
+    return bits
+
+
+def count_bits(packed: np.ndarray) -> int:
+    """The number of set bits of a packed bitmap from ``bitmap``."""
+    return int(np.bitwise_count(packed.view("<u8")).sum())
+
+
+def first_bits(packed: np.ndarray, count: int) -> np.ndarray:
+    """Sorted int64 indices of the first ``count`` set bits of a packed
+    bitmap from ``bitmap`` (fewer if it holds fewer), allocated once and
+    read by ``set_bits`` _UNPACK_WORDS words at a time up to the words that
+    hold the last of them."""
+    found = np.empty(count, dtype=np.int64)
+    held = 0
+    step = 8 * _UNPACK_WORDS
+    for i in range(0, packed.size, step):
+        if held == count:
+            break
+        part = set_bits(packed[i : i + step])[: count - held]
+        np.add(part, 8 * i, out=found[held : held + part.size])
+        held += part.size
+    return found[:held]
 
 
 def clear_bits(packed: np.ndarray, ns: np.ndarray) -> None:
@@ -491,40 +560,61 @@ def check_bound(bound: int) -> None:
 
 def _pair_bits(first: Sequence[int], second: Sequence[int],
                bound: int) -> np.ndarray:
-    """Bitmap over [0, bound] of first + second, sorted streams of values
-    in [0, bound].  Both are cut into tiles of value width _PAIR_TILE, and
-    the tile pairs (k, l) are walked by k + l, so that the sums of one
-    diagonal land in a window of two tiles rather than sweeping the whole
-    bitmap once per row.  Outer products of at most _PAIR_CHUNK sums share
-    one buffer; only a diagonal whose sums can exceed bound is masked."""
-    bits = bitmap(bound + 1, False)
+    """Packed bitmap (``bitmap(..., packed=True)``) over [0, bound] of
+    first + second, sorted streams of values in [0, bound].  Both are cut
+    into tiles of value width W = _PAIR_TILE, and the tile pairs (k, l) are
+    walked by the anti-diagonal d = k + l, whose sums lie in
+    [dW, (d + 2)W - 1): they are scattered into a bool window of two tiles
+    and a byte, which starts at the first entry not yet packed.  Later
+    diagonals write only at or above (d + 1)W, so once d is done the whole
+    bytes below (d + 1)W are packed and the window moves up past them.  The
+    window's base is subtracted from each row tile once per tile pair, and
+    outer products of at most _PAIR_CHUNK sums share one buffer.  No sum is
+    masked: the window also holds every sum above bound, of values up to
+    bound, and only its entries up to bound are packed.  A mask made a
+    temporary of up to 512 KiB and saved no time (2-vCPU VM)."""
+    size = bound + 1
+    packed = bitmap(size, False, packed=True)
     row = np.asarray(first, dtype=np.int64)
     col = np.asarray(second, dtype=np.int64)
     rows, cols = [row], [col]  # one tile, as for every screen's sieve
     if bound >= _PAIR_TILE:
         # tile t holds the values in [tW, (t + 1)W)
-        cuts = np.arange(_PAIR_TILE, bound + 1, _PAIR_TILE)
+        cuts = np.arange(_PAIR_TILE, size, _PAIR_TILE)
         rows, cols = (np.split(v, np.searchsorted(v, cuts))
                       for v in (row, col))
+    window = np.zeros(min(2 * _PAIR_TILE + 8, 2 * size), dtype=bool)
     buf = np.empty(min(max(_PAIR_CHUNK, row.size), row.size * col.size),
                    dtype=np.int64)
+    base = 0  # the entry at window[0], a multiple of 8
     for d in range(len(rows)):
-        masked = (d + 2) * _PAIR_TILE - 2 > bound
         for r, c in zip(rows[: d + 1], cols[d::-1]):
             if not (r.size and c.size):
                 continue
+            r = r - base
             step = max(1, _PAIR_CHUNK // r.size)
             for i in range(0, c.size, step):
                 part = c[i : i + step]
                 sums = buf[: part.size * r.size]
                 np.add.outer(part, r, out=sums.reshape(part.size, r.size))
-                bits[sums[sums <= bound] if masked else sums] = True
-    return bits
+                window[sums] = True
+        last = d == len(rows) - 1
+        done = size - base if last else ((d + 1) * _PAIR_TILE - base) & ~7
+        part = np.packbits(window[:done], bitorder="little")
+        packed[base >> 3 : (base >> 3) + part.size] = part
+        if not last:
+            # one forward copy, which numpy makes without a temporary
+            window[: window.size - done] = window[done:]
+            window[window.size - done :] = False
+            base += done
+    return packed
 
 
-def range_sieve(terms: Sequence[Term], domain: SumDomain,
-                bound: int) -> RangeBitset:
-    """Exact membership bitmap of {sum of one value per term} on [0, bound]."""
+def _sieve(terms: Sequence[Term], domain: SumDomain,
+           bound: int) -> np.ndarray:
+    """Packed bitmap over [0, bound] of {sum of one value per term}: the
+    two longest streams by ``_pair_bits``, then each further stream by
+    ``_outside_packed``, whose survivors are the clear entries."""
     check_bound(bound)
     if not terms:
         raise ValueError("range_sieve takes at least one term")
@@ -533,10 +623,16 @@ def range_sieve(terms: Sequence[Term], domain: SumDomain,
     bits = _pair_bits(streams[0], streams[1] if len(streams) > 1 else [0],
                       bound)
     for stream in streams[2:]:
-        survivors = outside(bits, stream)
-        bits.fill(True)
-        bits[survivors] = False
-    return RangeBitset(bound, bits)
+        survivors = _outside_packed(bits, bound + 1, stream)
+        bits = bitmap(bound + 1, True, packed=True)
+        clear_bits(bits, survivors)
+    return bits
+
+
+def range_sieve(terms: Sequence[Term], domain: SumDomain,
+                bound: int) -> RangeBitset:
+    """Exact membership bitmap of {sum of one value per term} on [0, bound]."""
+    return RangeBitset(bound, unpack(_sieve(terms, domain, bound), bound + 1))
 
 
 def _verify_non_representable(terms: Sequence[Term], domain: SumDomain,
@@ -577,8 +673,8 @@ def _report(sum_: TripleSum, offsets: tuple, bound: int) -> ExceptionReport:
     if len(terms) > 2:
         walk = sorted_distinct(np.add.outer(
             poly_values_upto(terms.pop(0), domain, bound), walk).ravel())
-    missing = outside(range_sieve(terms, domain, bound).bits,
-                      walk[walk <= bound].tolist())
+    missing = _outside_packed(_sieve(terms, domain, bound), bound + 1,
+                              walk[walk <= bound].tolist())
     _verify_non_representable(sum_.terms, domain, missing, offsets)
     return ExceptionReport(sum_, bound, missing, offsets)
 

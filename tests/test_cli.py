@@ -218,7 +218,7 @@ def test_qform_except_reverify_failure(capsys, monkeypatch):
 
     def dropped(form, top):
         bits = real_reachable(form, top)
-        bits[3] = False
+        sumset.clear_bits(bits, np.array([3]))
         return bits
 
     monkeypatch.setattr(qform, "_reachable", dropped)
@@ -234,7 +234,8 @@ def test_qform_except_reverify_failure(capsys, monkeypatch):
 
 def test_qform_except_memory_per_integer(capsys):
     # the 333331 exceptions of x^2+y^2+z^2 as a list of Python ints would
-    # take 8.6 bytes per integer; the bitmaps and the int64 array take 2.9
+    # take 8.6 bytes per integer, and bool grids and the int64 array of all
+    # of them 2.37; counted and listed on the packed grid, 0.77
     bound = 2_000_000
     tracemalloc.start()
     try:
@@ -244,7 +245,57 @@ def test_qform_except_memory_per_integer(capsys):
     finally:
         tracemalloc.stop()
     assert status == 0 and "count=333331 " in out
-    assert peak < 4 * bound
+    assert peak < 0.95 * bound
+
+
+def test_except_memory_per_integer(capsys):
+    # the one exception of p4+p5+p8 at 2*10^6: a packed sieve inverted in
+    # place as the elimination's miss peaks at 0.81 bytes per integer, and
+    # a bool sieve packed for it at 1.54
+    bound = 2_000_000
+    tracemalloc.start()
+    try:
+        status, out = run(capsys, "except", "--sum", "p4+p5+p8",
+                          "--bound", str(bound))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0 and "count=1 " in out
+    assert peak < 1.0 * bound
+
+
+def _child_peak_mb(argv):
+    """Exit status and peak RSS in MB of one CLI run, started from a small
+    interpreter that imports neither numpy nor polysum: a child's ru_maxrss
+    also counts the pages of the process it was forked from."""
+    code = ("import resource, subprocess, sys\n"
+            "status = subprocess.call([sys.executable, '-m', 'polysum.cli',"
+            " *sys.argv[1:]], stdout=subprocess.DEVNULL)\n"
+            "print(status, resource.getrusage("
+            "resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    status, kib = proc.stdout.split()  # ru_maxrss is in KiB on Linux
+    return int(status), int(kib) / 1024
+
+
+# Peak RSS at 10^7 above the same command at 1000, which holds the
+# interpreter and numpy (29 MB on a 2-vCPU VM): 2.4 MB for the form grid
+# and 3.2 MB for the sieve, where bool bitmaps over [0, B] took 22.3 and
+# 12.6 MB.  At 10^8 they peak at 54 and 56 MB, against 253 and 152 MB.
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize("argv", ["qform-except --form 1,1,1",
+                                  "except --sum p4+p5+p8"])
+def test_large_bound_peak_rss(argv):
+    status, base = _child_peak_mb([*argv.split(), "--bound", "1000"])
+    assert status == 0
+    status, peak = _child_peak_mb([*argv.split(), "--bound", "10000000"])
+    assert status == 0
+    assert peak - base < 8, (base, peak)
 
 
 # Dense exception lists printed in full: the 249502 n missed by p + 2x^2 and

@@ -107,6 +107,15 @@ GOLDEN = [
     # a class of primes packed in two chunks
     ("prime-scan --a 29 --bound 1200000", 0,
      "aab4ca4ad8e6b2a398aa13f5c5478527e729666976cc879c2461227702d2cc58"),
+    # bounds at the edges of the pair step's tiles of 2^18 values: one tile
+    # and one entry, with a long listed head; two tiles less one entry; two
+    # tiles and two entries
+    ("qform-except --form 1,1,1 --bound 262144 --limit 100000", 0,
+     "f2281d8f64c7c8c8d8e990aa4fcfbb13a8dfb6052204ecc65b07fa5233c55808"),
+    ("qform-except --form 2,3,5 --bound 524287", 0,
+     "d9eeec7d908050f25f9561bbf437a5ebdb44201dae85d8271e7f0e5cf4197877"),
+    ("except --sum p4+p5 --bound 524289", 0,
+     "2f943b95af4715c6d9d3746d82f3ae598937daf44d62eb9f40e67f0c8ddab521"),
 ]
 
 

@@ -123,30 +123,39 @@ def _in_universe(query, n):
 # A filter with few candidates up to the bound scatters the sums of its
 # passing primes: the examples take a modulus above the bound, which leaves
 # at most the prime r itself, with r prime, r not prime, r = 2 and r above
-# the bound, and moduli below the bound with one to six candidates.
+# the bound, and moduli below the bound with one to six candidates.  With
+# no cells per class, only a filter with at most one cell per eight
+# integers scatters, and the classes of the others are walked; 1 << 40
+# cells per class send every filter to the scatter, 2 sums at a time.
 @settings(max_examples=100, deadline=None)
 @given(_queries(), st.integers(2, 3000),
        st.sampled_from([1, sumset._SPARSE_SHARE, 1 << 40]),
-       st.sampled_from([1, 3, 1 << 20]))
+       st.sampled_from([1, 3, 1 << 20]),
+       st.sampled_from([0, primepoly._CLASS_CELLS, 1 << 40]))
 @example(PrimePolyQuery(2, universe="all", prime_filter=(3001, 1999)), 3000,
-         sumset._SPARSE_SHARE, 1)
+         sumset._SPARSE_SHARE, 1, 0)
 @example(PrimePolyQuery(6, "polygonal", 5, "coprime", (4000, 2001)), 3000,
-         1, 3)
+         1, 3, 0)
 @example(PrimePolyQuery(3, "polygonal", 7, "odd", (4096, 2)), 3000,
-         1 << 40, 1 << 20)
+         1 << 40, 1 << 20, 0)
 @example(PrimePolyQuery(2, universe="all", prime_filter=(4096, 2)), 1000,
-         1, 1)
+         1, 1, 0)
 @example(PrimePolyQuery(5, universe="all", prime_filter=(5000, 4001)), 3000,
-         1, 1)
+         1, 1, 0)
 @example(PrimePolyQuery(1, universe="all", prime_filter=(500, 7)), 3000,
-         1, 1)
-@example(PrimePolyQuery(4, "polygonal", 6, "odd", (1500, 2)), 3000, 1, 1)
-def test_scan_equals_witness_sweep(query, bound, share, cells):
+         1, 1, 0)
+@example(PrimePolyQuery(4, "polygonal", 6, "odd", (1500, 2)), 3000, 1, 1, 0)
+@example(PrimePolyQuery(3, universe="coprime", prime_filter=(12, 7)), 3000,
+         1, 1, 1 << 40)
+def test_scan_equals_witness_sweep(query, bound, share, cells, class_cells):
     brute = [n for n in range(2, bound + 1)
              if _in_universe(query, n)
              and decomposition_witness(query, n, bound) is None]
     with mock.patch.object(sumset, "_SPARSE_SHARE", share), \
-            mock.patch.object(sumset, "_GATHER_CELLS", cells):
+            mock.patch.object(sumset, "_GATHER_CELLS", cells), \
+            mock.patch.object(primepoly, "_CLASS_CELLS", class_cells), \
+            mock.patch.object(primepoly, "_SCATTER_CHUNK",
+                              2 if class_cells >> 40 else 1 << 16):
         assert exception_scan(query, bound).tolist() == brute
 
 
@@ -236,14 +245,18 @@ def test_prime_filter_modulus_cap():
         PrimePolyQuery(2, prime_filter=(cap + 1, 1))
 
 
-# Filters under which no odd prime passes: only p = 2 can reach any n.
+# Filters under which no odd prime passes: only p = 2 can reach any n.  The
+# classes are walked with no cells per class, and scattered otherwise.
 @pytest.mark.parametrize("prime_filter", [(2, 0), (4, 2), (6, 0), (6, 2)])
 @pytest.mark.parametrize("query_args", [
     (2, "square", None, "all"), (3, "square", None, "coprime"),
     (2, "polygonal", 5, "odd"), (6, "polygonal", 3, "all")])
 def test_scan_without_odd_prime_class(prime_filter, query_args):
     query = PrimePolyQuery(*query_args, prime_filter)
-    assert exception_scan(query, 1500).tolist() == _witness_sweep(query, 1500)
+    for class_cells in (0, primepoly._CLASS_CELLS):
+        with mock.patch.object(primepoly, "_CLASS_CELLS", class_cells):
+            assert exception_scan(query, 1500).tolist() == \
+                _witness_sweep(query, 1500), class_cells
 
 
 def test_scan_even_class_reached_only_by_two():
@@ -257,16 +270,19 @@ def test_scan_even_class_reached_only_by_two():
 
 
 # Every bound from 2 up, so that n = bound meets the largest shift a class
-# takes, (bound - c + s) / Q for the prime p = s of the odd class s
+# takes, (bound - c + s) / Q for the prime p = s of the odd class s; the
+# classes are walked with no cells per class, and scattered otherwise
 @pytest.mark.parametrize("query", [
     PrimePolyQuery(1, universe="all", prime_filter=(4, 3)),
     PrimePolyQuery(1, universe="all", prime_filter=(6, 5)),
     PrimePolyQuery(2, "polygonal", 5, "odd", (3, 2)),
     PrimePolyQuery(3, universe="all", prime_filter=(5, 3))])
 def test_scan_at_every_small_bound(query):
-    for bound in range(2, 160):
-        assert exception_scan(query, bound).tolist() == \
-            _witness_sweep(query, bound)
+    for class_cells in (0, primepoly._CLASS_CELLS):
+        with mock.patch.object(primepoly, "_CLASS_CELLS", class_cells):
+            for bound in range(2, 160):
+                assert exception_scan(query, bound).tolist() == \
+                    _witness_sweep(query, bound), class_cells
 
 
 # Bounds where the class-s primes hold one entry fewer than the classes of
@@ -281,8 +297,32 @@ def test_scan_where_the_class_of_primes_is_one_entry_short(query, bound, s,
     assert len(range(s, bound + 1, period)) == bound // period
     assert primepoly._class_miss(bound, s, period).size == sumset.bitmap(
         bound // period + 1, False, packed=True).size
-    assert exception_scan(query, bound).tolist() == \
-        _witness_sweep(query, bound)
+    with mock.patch.object(primepoly, "_CLASS_CELLS", 0):
+        assert exception_scan(query, bound).tolist() == \
+            _witness_sweep(query, bound)
+
+
+def test_filter_with_many_classes_scatters():
+    # 500 candidates of 1 mod 2003 times 707 values are 88 cells for each
+    # of the 4006 classes: the sums are scattered, 2^16 at a time, where
+    # the classes took 0.1 ms each to walk, and the list is the walk's.
+    # The four filters of conjecture 1.7 walk their classes.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a class walked")
+
+    bound = 1_000_000
+    query = PrimePolyQuery(2, prime_filter=(2003, 1))
+    with mock.patch.object(primepoly, "_CLASS_CELLS", 0):
+        walked = exception_scan(query, bound)
+    with mock.patch.object(primepoly, "eliminate", refuse), \
+            mock.patch.object(primepoly, "_class_miss", refuse):
+        assert np.array_equal(exception_scan(query, bound), walked)
+    for prime_filter in [(4, 1), (4, 3), (6, 1), (6, 5)]:
+        query = PrimePolyQuery(2, "polygonal", 5, "odd", prime_filter)
+        with mock.patch.object(primepoly, "eliminate",
+                               wraps=sumset.eliminate) as spy:
+            exception_scan(query, bound)
+        assert spy.call_count > 0, prime_filter
 
 
 # The re-check against a per-n witness sweep over the scan's own list with

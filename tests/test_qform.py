@@ -160,8 +160,10 @@ def test_reachable_equals_brute_sumset(coeffs, conds, top, chunk, window):
     with mock.patch.object(sumset, "_PAIR_CHUNK", chunk), \
             mock.patch.object(sumset, "_FOLD_WINDOW", window):
         bits = _reachable(form, top)
-    assert bits.dtype == bool and bits.shape == (top + 1,)
-    assert np.flatnonzero(bits).tolist() == _brute_reachable(form, top)
+    # set_bits would list a set padding bit as an entry above top
+    assert bits.dtype == np.uint8
+    assert bits.size == sumset.bitmap(top + 1, False, packed=True).size
+    assert sumset.set_bits(bits).tolist() == _brute_reachable(form, top)
 
 
 def test_reachable_every_shift_and_top_residue():
@@ -170,7 +172,7 @@ def test_reachable_every_shift_and_top_residue():
         form = DiagonalTernaryForm((30, 17, c))
         shifts |= {c * y * y % 8 for y in range(8)}
         for top in range(1200, 1208):
-            assert np.flatnonzero(_reachable(form, top)).tolist() == \
+            assert sumset.set_bits(_reachable(form, top)).tolist() == \
                 _brute_reachable(form, top), (c, top)
     assert shifts == set(range(8))
 
@@ -181,8 +183,10 @@ _MEMORY_WINDOWS = [sumset._FOLD_WINDOW, 1 << 12]
 
 
 def test_reachable_memory_per_integer():
-    # the packed accumulator and shifted copy are top/8 bytes each; the bool
-    # pair bitmap and the unpacked result are never held together
+    # packed from the pair step on: the pair bitmap and the result are top/8
+    # bytes each, beside the pair step's window and sum buffer of 512 KiB
+    # each.  0.74 bytes per integer; 2.30 with a bool pair bitmap and an
+    # unpacked result
     top = 2_000_000
     for window in _MEMORY_WINDOWS:
         tracemalloc.start()
@@ -192,13 +196,14 @@ def test_reachable_memory_per_integer():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * top, window
+        assert peak < 0.9 * top, window
 
 
 def test_tiled_pair_step_memory_per_integer():
     # with one outer product per chunk of the second stream, the grid of
-    # x^2 + y^2 + z^2 at 2*10^6 peaked at 2.30 bytes per integer, and its
-    # pair step alone at 1.58: the tiles hold no more at once
+    # x^2 + y^2 + z^2 at 2*10^6 peaks at 0.74 bytes per integer, and its
+    # pair step alone at 0.72: the tiles hold no more at once.  A bool pair
+    # bitmap took 2.30 and 1.49
     top = 2_000_000
     form = DiagonalTernaryForm((1, 1, 1))
     first, second = _streams(form, top)[1::-1]
@@ -213,7 +218,7 @@ def test_tiled_pair_step_memory_per_integer():
                 peaks.append(tracemalloc.get_traced_memory()[1] / top)
             finally:
                 tracemalloc.stop()
-        assert peaks[0] < 2.35 and peaks[1] < 1.65, window
+        assert peaks[0] < 0.9 and peaks[1] < 0.85, window
 
 
 def test_variable_values_of_a_coefficient_above_top():
@@ -412,7 +417,9 @@ def test_progressions_of_theorem_instances():
     from polysum.qform import _reachable
 
     # 12n+5 = x^2 + y^2 + (6z)^2
-    reach = _reachable(DiagonalTernaryForm((1, 1, 36)), 12 * 10_000 + 5)
+    top = 12 * 10_000 + 5
+    reach = sumset.unpack(_reachable(DiagonalTernaryForm((1, 1, 36)), top),
+                          top + 1)
     assert all(reach[12 * n + 5] for n in range(10_001))
     # 12n+4 = x^2 + 3y^2 + 3z^2 with x odd
     from polysum.qform import rep_parity_counts
@@ -420,7 +427,9 @@ def test_progressions_of_theorem_instances():
     assert all(odd[12 * n + 4] > 0 for n in range(10_001))
     # non-square 20n+r = 5x^2 + 5y^2 + 4z^2 for r in {1, 9}
     from math import isqrt
-    reach = _reachable(DiagonalTernaryForm((5, 5, 4)), 20 * 10_000 + 9)
+    top = 20 * 10_000 + 9
+    reach = sumset.unpack(_reachable(DiagonalTernaryForm((5, 5, 4)), top),
+                          top + 1)
     for n in range(10_001):
         for r in (1, 9):
             v = 20 * n + r
@@ -440,7 +449,9 @@ def test_squarefull_7n_plus_4_split():
     while d * d <= top:
         squarefree[d * d :: d * d] = False
         d += 1
-    reach = _reachable(DiagonalTernaryForm((1, 7, 56)), 56 * limit + 32)
+    reach = sumset.unpack(
+        _reachable(DiagonalTernaryForm((1, 7, 56)), 56 * limit + 32),
+        56 * limit + 33)
     for n in range(limit + 1):
         if not squarefree[7 * n + 4]:
             assert reach[56 * n + 32], n

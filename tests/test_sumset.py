@@ -306,6 +306,38 @@ def test_packed_layout_stays_in_sumset():
     assert found == []
 
 
+# ``unpack`` of ``pack`` gives the bool bitmap back, with chunks of 1 and 7
+# bytes cutting it into many pieces, and reads no padding bit.
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.booleans(), max_size=300),
+       st.sampled_from([1, 7, sumset._PAIR_CHUNK]))
+def test_unpack_of_pack_is_the_bitmap(bits, chunk):
+    bits = np.array(bits, dtype=bool)
+    with mock.patch.object(sumset, "_PAIR_CHUNK", chunk):
+        packed = sumset.pack(bits)
+        packed[-1] |= 0x80  # a set padding bit
+        found = sumset.unpack(packed, bits.size)
+    assert found.dtype == bool and np.array_equal(found, bits)
+
+
+# ``invert`` keeps the padding clear, so ``count_bits`` counts the clear
+# entries of the bitmap, and ``first_bits`` reads the first of them one to
+# three words at a time, for counts up to past the last.
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.booleans(), max_size=300), st.integers(0, 310),
+       st.sampled_from([1, 3, sumset._UNPACK_WORDS]))
+def test_first_bits_of_an_inverted_bitmap(bits, count, words):
+    bits = np.array(bits, dtype=bool)
+    packed = _packed(bits)
+    sumset.invert(packed, bits.size)
+    clear = np.flatnonzero(~bits)
+    assert sumset.count_bits(packed) == clear.size
+    with mock.patch.object(sumset, "_UNPACK_WORDS", words):
+        found = sumset.first_bits(packed, count)
+    assert found.dtype == np.int64
+    assert found.tolist() == clear[:count].tolist()
+
+
 @given(st.lists(st.booleans(), max_size=300), st.integers(0, 63))
 def test_shift_up_moves_every_bit(bits, r):
     bits = np.array(bits, dtype=bool)
@@ -340,9 +372,11 @@ def test_inside_equals_set_model(case, chunk, window):
                        for v in values if n + v < bits.size})
     with mock.patch.object(sumset, "_PAIR_CHUNK", chunk), \
             mock.patch.object(sumset, "_FOLD_WINDOW", window):
-        found = sumset.inside(bits, list(values))
-    assert found.dtype == bool and found.shape == bits.shape
-    assert np.flatnonzero(found).tolist() == expected
+        found = sumset.inside(_packed(bits), bits.size, list(values))
+    assert found.dtype == np.uint8
+    assert found.size == sumset.bitmap(bits.size, False, packed=True).size
+    # set_bits would list a set padding bit as an entry past the bitmap
+    assert sumset.set_bits(found).tolist() == expected
 
 
 @st.composite
@@ -353,7 +387,9 @@ def _pair_streams(draw):
     values of a short or narrow stream leave whole tiles empty."""
     tile = draw(st.sampled_from([8, 13, 64]))
     bound = draw(st.integers(0, 3000)
-                 | st.sampled_from([0, 1, tile - 1, tile, tile + 1, 2 * tile]))
+                 | st.sampled_from([0, 1, tile - 1, tile, tile + 1,
+                                    2 * tile - 1, 2 * tile, 2 * tile + 1,
+                                    3000]))
     values = st.integers(0, bound)
     lo = draw(values)
     narrow = st.integers(lo, min(bound, lo + 2 * tile))
@@ -370,7 +406,8 @@ def _pair_streams(draw):
 
 # The tile walk of the pair step against a set of pair sums, with tiles of
 # 8 to 64 values so that bounds up to 3000 cross many of them, and outer
-# products of 1 or 7 sums.
+# products of 1 or 7 sums.  A tile of 13 values moves the packed window by
+# 8 or 16 entries, so its base runs ahead of the tile edges.
 @settings(max_examples=300, deadline=None)
 @given(_pair_streams(), st.sampled_from([1, 7, sumset._PAIR_CHUNK]))
 @example((8, 0, [0], [0]), sumset._PAIR_CHUNK)
@@ -387,8 +424,11 @@ def test_pair_bits_equals_set_model(case, chunk):
     with mock.patch.object(sumset, "_PAIR_TILE", tile), \
             mock.patch.object(sumset, "_PAIR_CHUNK", chunk):
         bits = sumset._pair_bits(first, second, bound)
-    assert bits.dtype == bool and bits.shape == (bound + 1,)
-    assert np.flatnonzero(bits).tolist() == expected
+    assert bits.dtype == np.uint8
+    assert bits.size == sumset.bitmap(bound + 1, False, packed=True).size
+    assert np.flatnonzero(sumset.unpack(bits, bound + 1)).tolist() == expected
+    # the padding bits stay clear
+    assert not np.unpackbits(bits, bitorder="little")[bound + 1 :].any()
 
 
 @pytest.mark.parametrize("share", [0, 0.01, 1 / 6, 0.9, 1])
