@@ -13,16 +13,16 @@ layout helpers clear its packed alive bitmap.  ``sumset.pack`` packs the
 class-s primes, a strided view of the prime bitmap, once per (bound, s, Q);
 they are inverted and cached read-only (``_class_miss``).  The n = 2 + v,
 whose prime is 2, are killed by one scatter when 2 passes the filter.  A
-filter with few candidates k = r (mod q) up to the bound for its number of
-classes, such as a modulus above the bound, which leaves r alone, scatters
-the sums of its passing primes and the term values, a chunk at a time, over
-the classes mod 2, and eliminates nothing, so that its cost no longer grows
-with Q.  The re-check
-``decomposed_among`` splits the listed n by the same classes but shares no
-code with the scan.  Bounds and filter moduli above ``MAX_SIEVE_BOUND``
-are refused: the cap keeps the residue arithmetic mod Q in int64.  All
-outputs are complete up to the scanned bound and nothing more: finiteness
-of the exception sets is a conjecture, not an artifact claim.
+filter with few candidates k = r (mod q) up to the bound for the bound and
+its number of classes, such as a modulus above the bound, which leaves r
+alone, scatters the sums of its passing primes and the term values, a chunk
+at a time, over the classes mod 2, and eliminates nothing, so that its cost
+no longer grows with Q.  The re-check ``decomposed_among`` splits the
+listed n by the same classes but shares no code with the scan.  Bounds and
+filter moduli above ``MAX_SIEVE_BOUND`` are refused: the cap keeps the
+residue arithmetic mod Q in int64.  All outputs are complete up to the
+scanned bound and nothing more: finiteness of the exception sets is a
+conjecture, not an artifact claim.
 """
 
 from __future__ import annotations
@@ -44,15 +44,20 @@ MAX_SIEVE_BOUND = 12_000_000
 # A prime filter (q, r) scatters the sums of its passing primes and the term
 # values instead of walking the classes mod Q = lcm(2, q) when its cells,
 # candidates k = r (mod q) up to the bound times term values, number at
-# most _CLASS_CELLS per class, or at most one per eight integers of
-# [0, bound].  A class costs about 0.1 ms of set-up however few entries it
-# holds, and a cell of the scatter reads one candidate's primality and
-# adds a sum only for the passing ones.  The scatter stopped winning
-# between 16 and 47 thousand cells per class at 2*10^5 (a = 1; 8 against
-# 16 ms, then 12 against 11), 49-178 thousand at 10^6 (a = 1), 64-277
-# thousand at 4*10^6 and 156-330 thousand at 1.2*10^7 (a = 2), best of 3,
-# 2-vCPU VM.  At 41 cells per class, a = 2 and q = 19001 at 1.2*10^7 took
-# 3.8 s over 38 002 classes and 0.16 s as a scatter.
+# most _INTEGER_CELLS per integer of [0, bound] plus _CLASS_CELLS per class:
+# the walk's passes grow with the bound, and each class costs about 0.1 ms
+# of set-up however few entries it holds, while a cell of the scatter reads
+# one candidate's primality and adds sums only for the passing ones.  Walk
+# against scatter, best of 3, 2-vCPU VM: the scatter stopped winning
+# between 1.7 and 2.9 million cells at 2*10^5 (a = 1, Q = 106 and 62),
+# 9.9 and 18.9 million at 10^6 (a = 1, Q = 202 and 106), 27 and 56 million
+# at 4*10^6 (a = 2, Q = 422 and 202), 58 and 117 million at 1.2*10^7
+# (a = 2, Q = 1006 and 502), and 77 and 146 million there for a = 29
+# (Q = 202 and 106, a tie at the first); the budget picks the faster path
+# at all 16 points of that sweep.  At 41 cells per
+# class, a = 2 and q = 19001 at 1.2*10^7 took 3.8 s over 38 002 classes and
+# 0.16 s as a scatter.
+_INTEGER_CELLS = 8
 _CLASS_CELLS = 1 << 14
 
 # Most sums of passing primes and term values scattered at a time (int64,
@@ -220,19 +225,20 @@ def exception_scan(query: PrimePolyQuery, bound: int) -> np.ndarray:
     values v = c - s (mod Q) as shifts (v - c + s) / Q; n = 2 + v, whose
     prime is 2, is killed by one scatter when 2 passes the filter.
 
-    A filter with few candidates k = r (mod q) up to the bound for its
-    number of classes (_CLASS_CELLS), such as a modulus above the bound,
-    which leaves r alone, skips the classes mod Q: the sums p + v of the
-    passing primes p are scattered over the classes mod 2, _SCATTER_CHUNK
+    A filter whose cells, candidates k = r (mod q) up to the bound times
+    term values, are few for the bound and its number of classes
+    (_INTEGER_CELLS, _CLASS_CELLS), such as a modulus above the bound, which
+    leaves r alone, skips the classes mod Q: the sums p + v of the passing
+    primes p are scattered over the classes mod 2, at most _SCATTER_CHUNK
     at a time, and nothing is eliminated."""
     if bound < 2:
         raise ValueError("bound must be >= 2")
     q, r = query.prime_filter or (1, 0)
     values = np.asarray(query.term_values(bound - 2), dtype=np.int64)
     cells = len(range(r, bound + 1, q)) * values.size
-    if q > 1 and cells <= max(bound // 8, math.lcm(2, q) * _CLASS_CELLS):
-        candidates = np.arange(r, bound + 1, q)
-        passing = candidates[sieve_primes(bound).bits[candidates]]
+    if q > 1 and cells <= (_INTEGER_CELLS * bound
+                           + math.lcm(2, q) * _CLASS_CELLS):
+        passing = r + q * np.flatnonzero(sieve_primes(bound).bits[r::q])
         classes = _universe_classes(query, 2, bound)
         alive = [_class_alive(query, c, 2, bound, values[:0])
                  for c in classes]

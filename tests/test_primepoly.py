@@ -117,45 +117,54 @@ def _in_universe(query, n):
     return True
 
 
+def _scan_path(path):
+    """Send every prime filter to the class walk or to the scatter, 2 sums
+    at a time, or leave the choice to the scan."""
+    return mock.patch.multiple(primepoly, **{
+        "walk": {"_INTEGER_CELLS": 0, "_CLASS_CELLS": 0},
+        "scatter": {"_CLASS_CELLS": 1 << 40, "_SCATTER_CHUNK": 2},
+        "choice": {"_CLASS_CELLS": primepoly._CLASS_CELLS}}[path])
+
+
 # The share decides when the scan leaves whole-bitmap passes for a candidate
 # array: 1 switches before the first term value, 2**40 never switches.  A
 # gather block of 1 cell tests one term value at a time, 2**20 all at once.
 # A filter with few candidates up to the bound scatters the sums of its
 # passing primes: the examples take a modulus above the bound, which leaves
 # at most the prime r itself, with r prime, r not prime, r = 2 and r above
-# the bound, and moduli below the bound with one to six candidates.  With
-# no cells per class, only a filter with at most one cell per eight
-# integers scatters, and the classes of the others are walked; 1 << 40
-# cells per class send every filter to the scatter, 2 sums at a time.
+# the bound, and moduli below the bound with one to six candidates.  Every
+# filter also takes the class walk and the scatter by force, and the walk
+# of filter (500, 7) has 1000 classes.
 @settings(max_examples=100, deadline=None)
 @given(_queries(), st.integers(2, 3000),
        st.sampled_from([1, sumset._SPARSE_SHARE, 1 << 40]),
        st.sampled_from([1, 3, 1 << 20]),
-       st.sampled_from([0, primepoly._CLASS_CELLS, 1 << 40]))
+       st.sampled_from(["walk", "choice", "scatter"]))
 @example(PrimePolyQuery(2, universe="all", prime_filter=(3001, 1999)), 3000,
-         sumset._SPARSE_SHARE, 1, 0)
+         sumset._SPARSE_SHARE, 1, "choice")
 @example(PrimePolyQuery(6, "polygonal", 5, "coprime", (4000, 2001)), 3000,
-         1, 3, 0)
+         1, 3, "choice")
 @example(PrimePolyQuery(3, "polygonal", 7, "odd", (4096, 2)), 3000,
-         1 << 40, 1 << 20, 0)
+         1 << 40, 1 << 20, "choice")
 @example(PrimePolyQuery(2, universe="all", prime_filter=(4096, 2)), 1000,
-         1, 1, 0)
+         1, 1, "choice")
 @example(PrimePolyQuery(5, universe="all", prime_filter=(5000, 4001)), 3000,
-         1, 1, 0)
+         1, 1, "choice")
 @example(PrimePolyQuery(1, universe="all", prime_filter=(500, 7)), 3000,
-         1, 1, 0)
-@example(PrimePolyQuery(4, "polygonal", 6, "odd", (1500, 2)), 3000, 1, 1, 0)
+         1, 1, "choice")
+@example(PrimePolyQuery(1, universe="all", prime_filter=(500, 7)), 3000,
+         1, 1, "walk")
+@example(PrimePolyQuery(4, "polygonal", 6, "odd", (1500, 2)), 3000, 1, 1,
+         "choice")
 @example(PrimePolyQuery(3, universe="coprime", prime_filter=(12, 7)), 3000,
-         1, 1, 1 << 40)
-def test_scan_equals_witness_sweep(query, bound, share, cells, class_cells):
+         1, 1, "scatter")
+def test_scan_equals_witness_sweep(query, bound, share, cells, path):
     brute = [n for n in range(2, bound + 1)
              if _in_universe(query, n)
              and decomposition_witness(query, n, bound) is None]
     with mock.patch.object(sumset, "_SPARSE_SHARE", share), \
             mock.patch.object(sumset, "_GATHER_CELLS", cells), \
-            mock.patch.object(primepoly, "_CLASS_CELLS", class_cells), \
-            mock.patch.object(primepoly, "_SCATTER_CHUNK",
-                              2 if class_cells >> 40 else 1 << 16):
+            _scan_path(path):
         assert exception_scan(query, bound).tolist() == brute
 
 
@@ -246,17 +255,17 @@ def test_prime_filter_modulus_cap():
 
 
 # Filters under which no odd prime passes: only p = 2 can reach any n.  The
-# classes are walked with no cells per class, and scattered otherwise.
+# classes are walked by force, and then the scan chooses, here the scatter.
 @pytest.mark.parametrize("prime_filter", [(2, 0), (4, 2), (6, 0), (6, 2)])
 @pytest.mark.parametrize("query_args", [
     (2, "square", None, "all"), (3, "square", None, "coprime"),
     (2, "polygonal", 5, "odd"), (6, "polygonal", 3, "all")])
 def test_scan_without_odd_prime_class(prime_filter, query_args):
     query = PrimePolyQuery(*query_args, prime_filter)
-    for class_cells in (0, primepoly._CLASS_CELLS):
-        with mock.patch.object(primepoly, "_CLASS_CELLS", class_cells):
+    for path in ("walk", "choice"):
+        with _scan_path(path):
             assert exception_scan(query, 1500).tolist() == \
-                _witness_sweep(query, 1500), class_cells
+                _witness_sweep(query, 1500), path
 
 
 def test_scan_even_class_reached_only_by_two():
@@ -271,18 +280,18 @@ def test_scan_even_class_reached_only_by_two():
 
 # Every bound from 2 up, so that n = bound meets the largest shift a class
 # takes, (bound - c + s) / Q for the prime p = s of the odd class s; the
-# classes are walked with no cells per class, and scattered otherwise
+# classes are walked by force, and then the scan chooses
 @pytest.mark.parametrize("query", [
     PrimePolyQuery(1, universe="all", prime_filter=(4, 3)),
     PrimePolyQuery(1, universe="all", prime_filter=(6, 5)),
     PrimePolyQuery(2, "polygonal", 5, "odd", (3, 2)),
     PrimePolyQuery(3, universe="all", prime_filter=(5, 3))])
 def test_scan_at_every_small_bound(query):
-    for class_cells in (0, primepoly._CLASS_CELLS):
-        with mock.patch.object(primepoly, "_CLASS_CELLS", class_cells):
+    for path in ("walk", "choice"):
+        with _scan_path(path):
             for bound in range(2, 160):
                 assert exception_scan(query, bound).tolist() == \
-                    _witness_sweep(query, bound), class_cells
+                    _witness_sweep(query, bound), path
 
 
 # Bounds where the class-s primes hold one entry fewer than the classes of
@@ -297,22 +306,22 @@ def test_scan_where_the_class_of_primes_is_one_entry_short(query, bound, s,
     assert len(range(s, bound + 1, period)) == bound // period
     assert primepoly._class_miss(bound, s, period).size == sumset.bitmap(
         bound // period + 1, False, packed=True).size
-    with mock.patch.object(primepoly, "_CLASS_CELLS", 0):
+    with _scan_path("walk"):
         assert exception_scan(query, bound).tolist() == \
             _witness_sweep(query, bound)
 
 
 def test_filter_with_many_classes_scatters():
-    # 500 candidates of 1 mod 2003 times 707 values are 88 cells for each
-    # of the 4006 classes: the sums are scattered, 2^16 at a time, where
-    # the classes took 0.1 ms each to walk, and the list is the walk's.
-    # The four filters of conjecture 1.7 walk their classes.
+    # 500 candidates of 1 mod 2003 times 707 values are 353 500 cells, 88
+    # for each of the 4006 classes: the sums are scattered, 2^16 at a time,
+    # where the classes took 0.1 ms each to walk, and the list is the
+    # walk's.  The four filters of conjecture 1.7 walk their classes.
     def refuse(*args, **kwargs):
         raise AssertionError("a class walked")
 
     bound = 1_000_000
     query = PrimePolyQuery(2, prime_filter=(2003, 1))
-    with mock.patch.object(primepoly, "_CLASS_CELLS", 0):
+    with _scan_path("walk"):
         walked = exception_scan(query, bound)
     with mock.patch.object(primepoly, "eliminate", refuse), \
             mock.patch.object(primepoly, "_class_miss", refuse):
