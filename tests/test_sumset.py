@@ -406,8 +406,8 @@ def _pair_streams(draw):
 
 # The tile walk of the pair step against a set of pair sums, with tiles of
 # 8 to 64 values so that bounds up to 3000 cross many of them, and outer
-# products of 1 or 7 sums.  A tile of 13 values moves the packed window by
-# 8 or 16 entries, so its base runs ahead of the tile edges.
+# products of 1 or 7 sums.  A tile of 13 values moves the packed window up
+# by 8 or 16 entries, so that the window's base falls between tile edges.
 @settings(max_examples=300, deadline=None)
 @given(_pair_streams(), st.sampled_from([1, 7, sumset._PAIR_CHUNK]))
 @example((8, 0, [0], [0]), sumset._PAIR_CHUNK)
