@@ -4,25 +4,28 @@
 type of the sums.  A scan eliminates candidates (``sumset.eliminate``):
 every n of the universe starts alive, and each term value v, smallest first,
 kills the alive n for which n - v is a prime passing the query's filter, so
-the 10^7-scale runs take a fraction of a second.  The scan runs by residue
-class: with Q = lcm(2, q) for a prime filter (q, r), or Q = 2 without one,
-every odd prime that passes lies in one class s mod Q, so each class c of n
-is eliminated on its own against the class-s primes, and a term value costs
-one pass over the B/Q entries of the one class it reaches; ``sumset``'s
-layout helpers clear its packed alive bitmap.  ``sumset.pack`` packs the
-class-s primes, a strided view of the prime bitmap, once per (bound, s, Q);
-they are inverted and cached read-only (``_class_miss``).  The n = 2 + v,
-whose prime is 2, are killed by one scatter when 2 passes the filter.  A
-filter with few candidates k = r (mod q) up to the bound for the bound and
-its number of classes, such as a modulus above the bound, which leaves r
-alone, scatters the sums of its passing primes and the term values, a chunk
-at a time, over the classes mod 2, and eliminates nothing, so that its cost
-no longer grows with Q.  The re-check ``decomposed_among`` splits the
-listed n by the same classes but shares no code with the scan.  Bounds and
-filter moduli above ``MAX_SIEVE_BOUND`` are refused: the cap keeps the
-residue arithmetic mod Q in int64.  All outputs are complete up to the
-scanned bound and nothing more: finiteness of the exception sets is a
-conjecture, not an artifact claim.
+the 10^7-scale runs take a fraction of a second.  The universe is one list
+of primes that divide no universe n (``_universe_primes``).  The scan runs
+by residue class: with Q = lcm(2, q) for a prime filter (q, r), or Q = 2
+without one, every odd prime that passes lies in one class s mod Q, so each
+class c of n is eliminated on its own against the class-s primes, and a
+term value costs one pass over the B/Q entries of the one class it reaches;
+``sumset``'s layout helpers clear its packed alive bitmap.  ``sumset.pack``
+packs the class-s primes, a strided view of the prime bitmap, once per
+(bound, s, Q); they are inverted and cached read-only (``_class_miss``).
+The n = 2 + v, whose prime is 2, are killed by one scatter when 2 passes the
+filter.  A filter with few candidates k = r (mod q) up to the bound for the
+bound and its number of classes, such as a modulus above the bound, which
+leaves r alone, and a filter with q and r both even, which no odd prime
+passes, go through the sieve's pair step instead: ``sumset._pair_bits``
+packs the sums of the passing primes and the term values over [0, bound],
+and one elimination of the universe against their complement lists the
+exceptions, so that the cost no longer grows with Q.  The re-check
+``decomposed_among`` splits the listed n by the same classes but shares no
+code with the scan.  Bounds and filter moduli above ``MAX_SIEVE_BOUND`` are
+refused: the cap keeps the residue arithmetic mod Q in int64.  All outputs
+are complete up to the scanned bound and nothing more: finiteness of the
+exception sets is a conjecture, not an artifact claim.
 """
 
 from __future__ import annotations
@@ -35,34 +38,36 @@ from typing import Sequence
 import numpy as np
 
 from .polycore import SumDomain, Term, poly_values_upto
-from .sumset import (RangeBitset, bitmap, clear_bits, clear_every, eliminate,
-                     pack, reached, set_bits, sorted_distinct)
+from .sumset import (RangeBitset, _pair_bits, bitmap, clear_bits, clear_every,
+                     eliminate, invert, pack, reached, sorted_distinct)
 
 _SEGMENT = 1 << 20
 MAX_SIEVE_BOUND = 12_000_000
 
-# A prime filter (q, r) scatters the sums of its passing primes and the term
-# values instead of walking the classes mod Q = lcm(2, q) when its cells,
-# candidates k = r (mod q) up to the bound times term values, number at
-# most _INTEGER_CELLS per integer of [0, bound] plus _CLASS_CELLS per class:
-# the walk's passes grow with the bound, and each class costs about 0.1 ms
-# of set-up however few entries it holds, while a cell of the scatter reads
-# one candidate's primality and adds sums only for the passing ones.  Walk
-# against scatter, best of 3, 2-vCPU VM: the scatter stopped winning
-# between 1.7 and 2.9 million cells at 2*10^5 (a = 1, Q = 106 and 62),
-# 9.9 and 18.9 million at 10^6 (a = 1, Q = 202 and 106), 27 and 56 million
-# at 4*10^6 (a = 2, Q = 422 and 202), 58 and 117 million at 1.2*10^7
-# (a = 2, Q = 1006 and 502), and 77 and 146 million there for a = 29
-# (Q = 202 and 106, a tie at the first); the budget picks the faster path
-# at all 16 points of that sweep.  At 41 cells per
-# class, a = 2 and q = 19001 at 1.2*10^7 took 3.8 s over 38 002 classes and
-# 0.16 s as a scatter.
-_INTEGER_CELLS = 8
+# A prime filter (q, r) goes through the pair step instead of walking the
+# classes mod Q = lcm(2, q) when its cells, candidates k = r (mod q) up to
+# the bound times term values, number at most _INTEGER_CELLS per integer of
+# [0, bound] plus _CLASS_CELLS per class: the walk's passes grow with the
+# bound, and each class costs about 0.1 ms of set-up however few entries it
+# holds, while a cell of the pair step reads one candidate's primality and
+# adds sums only for the passing ones.  Walk against pair step, filters
+# (q, 1), universe coprime, ms, best of 5, 2-vCPU VM; each row gives the
+# last q timed whose walk was faster, then the next (cells in millions):
+#   a   bound      q   cells   walk   pair     q   cells   walk   pair
+#   1   2*10^5    11     8.1    2.9    3.5    13     6.9    3.6    2.8
+#   1   10^6      23    43.5   12.3   12.8    29    34.5   15.3   11.3
+#   2   4*10^6    61    92.8   24.8   26.7    71    79.7   26.7   25.0
+#   2   1.2*10^7 101   291.1   73.2   77.7   131   224.4   82.9   67.7
+#   29  1.2*10^7  13   594.5  111.9  140.2    17   454.6  152.0  124.8
+# The crossover lies at 19-50 cells per integer, no single number for
+# every a: on 25 points around it, budgets from 28 to 44 err alike, by at
+# most 43 ms at a point, and 32 does.  It picks the pair step at all 19
+# points of the old scatter's sweep from 2*10^5 to 1.2*10^7, where that is
+# the faster path.  At 41 cells per class,
+# a = 2 and q = 19001 at 1.2*10^7 took 1.23 s over 38 002 classes and
+# 0.034 s through the pair step.
+_INTEGER_CELLS = 32
 _CLASS_CELLS = 1 << 14
-
-# Most sums of passing primes and term values scattered at a time (int64,
-# 512 KiB), so that the scatter's memory does not grow with its cells.
-_SCATTER_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -149,16 +154,23 @@ def _prime_divisors(n: int) -> list[int]:
     return found + [n] if n > 1 else found
 
 
+def _universe_primes(query: PrimePolyQuery) -> list[int]:
+    """The universe as the primes d that divide no universe n: [2] for
+    ``odd``, the prime divisors of the coefficient for ``coprime`` and none
+    for ``all``."""
+    if query.universe == "coprime":
+        return _prime_divisors(query.coefficient)
+    return [2] if query.universe == "odd" else []
+
+
 def _universe_classes(query: PrimePolyQuery, period: int,
                       bound: int) -> list[int]:
-    """The classes c mod ``period``, c <= bound, that hold universe n:
-    ``odd`` leaves out the even c, and ``coprime`` each c sharing a prime
-    divisor d of period with the coefficient (n = c mod d for every n)."""
-    shared = [d for d in _prime_divisors(query.coefficient)
-              if query.universe == "coprime" and period % d == 0]
+    """The classes c mod ``period``, c <= bound, that hold universe n: those
+    sharing no prime d of ``_universe_primes`` that divides period (n = c
+    mod d for every n of the class)."""
+    shared = [d for d in _universe_primes(query) if period % d == 0]
     return [c for c in range(min(period, bound + 1))
-            if not (query.universe == "odd" and c % 2 == 0)
-            and all(c % d for d in shared)]
+            if all(c % d for d in shared)]
 
 
 def _class_alive(query: PrimePolyQuery, c: int, period: int, bound: int,
@@ -168,26 +180,19 @@ def _class_alive(query: PrimePolyQuery, c: int, period: int, bound: int,
     [2, bound], for a class c from ``_universe_classes``, that is not in
     ``scattered`` (n that ``exception_scan`` kills by a scatter).  Every
     class has the length of the class-s prime bitmap, as ``eliminate``
-    needs."""
+    needs; with c = 0 and period 1 it is the universe over [0, bound]."""
     size = bound // period + 1
     alive = bitmap(size, True, packed=True)
-    if query.universe == "coprime":
-        for d in _prime_divisors(query.coefficient):
-            if period % d:
-                # c + period*i = 0 (mod d) at i = -c / period (mod d)
-                clear_every(alive, -c * pow(period, -1, d) % d, d)
-    # the entries past the class's last n, and entry 0 when n = c < 2
+    for d in _universe_primes(query):
+        if period % d:
+            # c + period*i = 0 (mod d) at i = -c / period (mod d)
+            clear_every(alive, -c * pow(period, -1, d) % d, d)
+    # the entries past the class's last n, the n below 2 and the scattered n
     clear_bits(alive, np.concatenate((
-        np.arange((bound - c) // period + 1, size), np.arange(int(c < 2)))))
-    _clear_class(alive, scattered, c, period)
+        np.arange((bound - c) // period + 1, size),
+        np.arange(len(range(c, 2, period))),
+        (scattered[scattered % period == c] - c) // period)))
     return alive
-
-
-def _clear_class(alive: np.ndarray, ns: np.ndarray, c: int,
-                 period: int) -> None:
-    """Clear the n of class c mod ``period`` among ``ns`` in the packed
-    bitmap of that class (``_class_alive``)."""
-    clear_bits(alive, (ns[ns % period == c] - c) // period)
 
 
 def _odd_class(q: int, r: int) -> int | None:
@@ -220,55 +225,43 @@ def exception_scan(query: PrimePolyQuery, bound: int) -> np.ndarray:
 
     With Q = lcm(2, q) for a prime filter (q, r), or Q = 2 without one,
     every odd prime that passes lies in the one odd class s = r (mod q) mod
-    Q, if there is one.  Each class c of n is eliminated on its own against
-    that class of primes (``_class_miss``, cached), walking only the term
-    values v = c - s (mod Q) as shifts (v - c + s) / Q; n = 2 + v, whose
-    prime is 2, is killed by one scatter when 2 passes the filter.
+    Q.  Each class c of n is eliminated on its own against that class of
+    primes (``_class_miss``, cached), walking only the term values
+    v = c - s (mod Q) as shifts (v - c + s) / Q; n = 2 + v, whose prime is
+    2, is killed by one scatter when 2 passes the filter.
 
     A filter whose cells, candidates k = r (mod q) up to the bound times
     term values, are few for the bound and its number of classes
     (_INTEGER_CELLS, _CLASS_CELLS), such as a modulus above the bound, which
-    leaves r alone, skips the classes mod Q: the sums p + v of the passing
-    primes p are scattered over the classes mod 2, at most _SCATTER_CHUNK
-    at a time, and nothing is eliminated."""
+    leaves r alone, and a filter with q and r both even, which no odd prime
+    passes, skip the classes mod Q: the sums p + v of the passing primes p
+    are the pair step ``_pair_bits``, and one elimination of the universe
+    over [0, bound] against their complement lists the exceptions."""
     if bound < 2:
         raise ValueError("bound must be >= 2")
     q, r = query.prime_filter or (1, 0)
+    period, s = math.lcm(2, q), _odd_class(q, r)
     values = np.asarray(query.term_values(bound - 2), dtype=np.int64)
     cells = len(range(r, bound + 1, q)) * values.size
-    if q > 1 and cells <= (_INTEGER_CELLS * bound
-                           + math.lcm(2, q) * _CLASS_CELLS):
+    if s is None or (q > 1 and cells <= (_INTEGER_CELLS * bound
+                                         + period * _CLASS_CELLS)):
         passing = r + q * np.flatnonzero(sieve_primes(bound).bits[r::q])
-        classes = _universe_classes(query, 2, bound)
-        alive = [_class_alive(query, c, 2, bound, values[:0])
-                 for c in classes]
-        step = max(1, _SCATTER_CHUNK // values.size)
-        for i in range(0, passing.size, step):
-            sums = np.add.outer(passing[i : i + step], values).ravel()
-            sums = sums[sums <= bound]
-            for c, bits in zip(classes, alive):
-                _clear_class(bits, sums, c, 2)
-        found = [c + 2 * set_bits(bits) for c, bits in zip(classes, alive)]
-    else:
-        period, s = math.lcm(2, q), _odd_class(q, r)
-        # the n = 2 + v, whose prime is 2
-        scattered = values + 2 if 2 % q == r else values[:0]
-        if s is not None:
-            miss = _class_miss(bound, s, period)
-            values = values[values <= bound - s]
-        found = []
-        for c in _universe_classes(query, period, bound):
-            # the alive bitmap is passed inline, so that eliminate holds its
-            # only reference and frees it once the class turns sparse
-            if s is not None:
-                shifts = values[(values - c + s) % period == 0]
-                survivors = eliminate(
-                    _class_alive(query, c, period, bound, scattered),
-                    miss, ((shifts - c + s) // period).tolist())
-            else:
-                survivors = set_bits(
-                    _class_alive(query, c, period, bound, scattered))
-            found.append(c + period * survivors)
+        miss = _pair_bits(passing, values, bound)
+        invert(miss, bound + 1)
+        return eliminate(_class_alive(query, 0, 1, bound, values[:0]), miss,
+                         [0])
+    miss = _class_miss(bound, s, period)
+    # the n = 2 + v, whose prime is 2
+    scattered = values + 2 if 2 % q == r else values[:0]
+    values = values[values <= bound - s]
+    found = []
+    for c in _universe_classes(query, period, bound):
+        shifts = values[(values - c + s) % period == 0]
+        # the alive bitmap is passed inline, so that eliminate holds its
+        # only reference and frees it once the class turns sparse
+        found.append(c + period * eliminate(
+            _class_alive(query, c, period, bound, scattered), miss,
+            ((shifts - c + s) // period).tolist()))
     if len(found) == 1:
         return found[0]
     # the classes are disjoint and each is sorted, so a merge of the runs

@@ -116,6 +116,20 @@ GOLDEN = [
      "d9eeec7d908050f25f9561bbf437a5ebdb44201dae85d8271e7f0e5cf4197877"),
     ("except --sum p4+p5 --bound 524289", 0,
      "2f943b95af4715c6d9d3746d82f3ae598937daf44d62eb9f40e67f0c8ddab521"),
+    # prime filters through the pair step: a dense list over four tiles,
+    # and q and r both even, which no odd prime passes
+    ("prime-scan --a 1 --prime-mod 503 --prime-residue 1 --universe all"
+     " --bound 1000000 --limit 100", 0,
+     "9ff4ca68b353a4e147b0039a096207c4c49b2c61b392e877e456ffa848c392c2"),
+    ("prime-scan --a 3 --prime-mod 4 --prime-residue 2 --bound 100000", 0,
+     "536478432665e43705302ca861296569642fbe543673ef05ee22f2ecfc6e34f1"),
+    # a coprime universe of three prime divisors over [0, bound], and an
+    # odd universe under a both-even filter
+    ("prime-scan --a 30 --prime-mod 1009 --prime-residue 3 --bound 600000",
+     0, "b47602316fd675adadb430f638a1d129db5e7d94e77770c6a4949c023a5c68cc"),
+    ("prime-scan --a 6 --prime-mod 6 --prime-residue 2 --universe odd"
+     " --bound 100000", 0,
+     "6e3186b869e7dda62cd2de89f479acd24800c61da08f6353631392826715036f"),
 ]
 
 

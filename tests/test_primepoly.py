@@ -1,3 +1,4 @@
+import contextlib
 import math
 import random
 import tracemalloc
@@ -117,13 +118,20 @@ def _in_universe(query, n):
     return True
 
 
-def _scan_path(path):
-    """Send every prime filter to the class walk or to the scatter, 2 sums
-    at a time, or leave the choice to the scan."""
-    return mock.patch.multiple(primepoly, **{
-        "walk": {"_INTEGER_CELLS": 0, "_CLASS_CELLS": 0},
-        "scatter": {"_CLASS_CELLS": 1 << 40, "_SCATTER_CHUNK": 2},
-        "choice": {"_CLASS_CELLS": primepoly._CLASS_CELLS}}[path])
+@contextlib.contextmanager
+def _scan_path(path, tile=8):
+    """Send every prime filter to the class walk or to the scatter, whose
+    pair step then runs on tiles of ``tile`` values and outer products of
+    2 sums, or leave the choice to the scan."""
+    with mock.patch.multiple(primepoly, **{
+            "walk": {"_INTEGER_CELLS": 0, "_CLASS_CELLS": 0},
+            "scatter": {"_CLASS_CELLS": 1 << 40},
+            "choice": {"_CLASS_CELLS": primepoly._CLASS_CELLS}}[path]):
+        if path == "scatter":
+            with mock.patch.multiple(sumset, _PAIR_TILE=tile, _PAIR_CHUNK=2):
+                yield
+        else:
+            yield
 
 
 # The share decides when the scan leaves whole-bitmap passes for a candidate
@@ -185,11 +193,9 @@ def test_scans_leave_a_cached_class_unchanged():
                                         bitorder="little"), ~primes)
 
 
-def _check_class_alive(query, c, bound, picks):
+def _check_class_alive(query, c, period, bound, picks):
     """The packed class bitmap against its definition, bit by bit, padding
     included, with ``twos`` at the entries ``picks`` of the class."""
-    q, _ = query.prime_filter or (1, 0)
-    period = math.lcm(2, q)
     size = bound // period + 1
     twos = np.array(sorted({c + period * (i % size) for i in picks}),
                     dtype=np.int64)
@@ -217,25 +223,60 @@ def test_class_alive_cases(coefficient, prime_filter, bound, picks):
     query = PrimePolyQuery(coefficient, universe="coprime",
                            prime_filter=prime_filter)
     q, _ = prime_filter or (1, 0)
-    for c in primepoly._universe_classes(query, math.lcm(2, q), bound):
-        _check_class_alive(query, c, bound, picks)
+    period = math.lcm(2, q)
+    for c in primepoly._universe_classes(query, period, bound):
+        _check_class_alive(query, c, period, bound, picks)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_queries(), st.integers(2, 3000), st.data())
 def test_class_alive_equals_definition(query, bound, data):
     q, _ = query.prime_filter or (1, 0)
-    classes = primepoly._universe_classes(query, math.lcm(2, q), bound)
+    period = math.lcm(2, q)
+    classes = primepoly._universe_classes(query, period, bound)
     if classes:
-        _check_class_alive(query, data.draw(st.sampled_from(classes)), bound,
-                           data.draw(st.lists(st.integers(0, 400),
-                                              max_size=12)))
+        _check_class_alive(query, data.draw(st.sampled_from(classes)), period,
+                           bound, data.draw(st.lists(st.integers(0, 400),
+                                                     max_size=12)))
+    # the one class mod 1, the universe over [0, bound] the scatter takes
+    _check_class_alive(query, 0, 1, bound, [])
 
 
 def _witness_sweep(query, bound):
     return [n for n in range(2, bound + 1)
             if _in_universe(query, n)
             and decomposition_witness(query, n, bound) is None]
+
+
+# The scatter against the witness sweep, its pair step on tiles of 8 or 64
+# values, so that bounds up to 3000 cross many tiles: filters with few
+# candidates, with q and r both even, which no odd prime passes, and with a
+# modulus above the bound, with r below or above it.
+_FEW_CANDIDATES = (
+    st.sampled_from([(4, 2), (6, 2), (6, 4)])
+    | st.integers(100, 3000).flatmap(
+        lambda q: st.tuples(st.just(q), st.integers(0, q - 1)))
+    | st.integers(3001, primepoly.MAX_SIEVE_BOUND).flatmap(
+        lambda q: st.tuples(st.just(q), st.integers(0, min(q - 1, 3100)))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, 3, 6, 15, 30]), st.none() | st.integers(3, 8),
+       st.sampled_from(["all", "odd", "coprime"]), _FEW_CANDIDATES,
+       st.integers(2, 3000), st.sampled_from([8, 64]))
+@example(2, None, "all", (4, 2), 2, 8)
+@example(30, None, "coprime", (6, 4), 3000, 8)
+@example(15, 5, "odd", (6, 2), 1000, 64)
+@example(1, None, "all", (3001, 1999), 3000, 8)
+@example(6, None, "coprime", (12_000_000, 2), 2999, 64)
+def test_scatter_equals_witness_sweep(a, order, universe, prime_filter,
+                                      bound, tile):
+    query = PrimePolyQuery(a, "square" if order is None else "polygonal",
+                           order, universe, prime_filter)
+    with _scan_path("scatter", tile):
+        found = exception_scan(query, bound).tolist()
+    assert found == _witness_sweep(query, bound)
+    assert 0 not in found and 1 not in found
 
 
 def test_odd_class_equals_linear_search():
@@ -254,8 +295,9 @@ def test_prime_filter_modulus_cap():
         PrimePolyQuery(2, prime_filter=(cap + 1, 1))
 
 
-# Filters under which no odd prime passes: only p = 2 can reach any n.  The
-# classes are walked by force, and then the scan chooses, here the scatter.
+# Filters under which no odd prime passes: only p = 2 can reach any n.  No
+# class of odd primes is there to walk, so the scan scatters even where the
+# walk is forced, and then where it chooses.
 @pytest.mark.parametrize("prime_filter", [(2, 0), (4, 2), (6, 0), (6, 2)])
 @pytest.mark.parametrize("query_args", [
     (2, "square", None, "all"), (3, "square", None, "coprime"),
@@ -313,9 +355,10 @@ def test_scan_where_the_class_of_primes_is_one_entry_short(query, bound, s,
 
 def test_filter_with_many_classes_scatters():
     # 500 candidates of 1 mod 2003 times 707 values are 353 500 cells, 88
-    # for each of the 4006 classes: the sums are scattered, 2^16 at a time,
-    # where the classes took 0.1 ms each to walk, and the list is the
-    # walk's.  The four filters of conjecture 1.7 walk their classes.
+    # for each of the 4006 classes: the sums are one pair step, and the
+    # universe over [0, bound] is eliminated once against it, where the
+    # classes took 0.1 ms each to walk, and the list is the walk's.  The
+    # four filters of conjecture 1.7 walk their classes.
     def refuse(*args, **kwargs):
         raise AssertionError("a class walked")
 
@@ -323,9 +366,14 @@ def test_filter_with_many_classes_scatters():
     query = PrimePolyQuery(2, prime_filter=(2003, 1))
     with _scan_path("walk"):
         walked = exception_scan(query, bound)
-    with mock.patch.object(primepoly, "eliminate", refuse), \
-            mock.patch.object(primepoly, "_class_miss", refuse):
+    with mock.patch.object(primepoly, "_class_miss", refuse), \
+            mock.patch.object(primepoly, "eliminate",
+                              wraps=sumset.eliminate) as spy:
         assert np.array_equal(exception_scan(query, bound), walked)
+    assert spy.call_count == 1
+    assert spy.call_args.args[0].size == sumset.bitmap(
+        bound + 1, False, packed=True).size
+    assert spy.call_args.args[2] == [0]
     for prime_filter in [(4, 1), (4, 3), (6, 1), (6, 5)]:
         query = PrimePolyQuery(2, "polygonal", 5, "odd", prime_filter)
         with mock.patch.object(primepoly, "eliminate",
@@ -393,6 +441,22 @@ def test_filtered_scan_memory_per_integer():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * bound
+
+
+def test_scatter_memory_per_integer():
+    # the list of 1.73 million n alone is 6.9 bytes per integer; the pair
+    # step's hits and the universe are one packed bitmap over [0, bound]
+    # each, and no merge copies the list
+    bound = 2_000_000
+    query = PrimePolyQuery(1, universe="all", prime_filter=(503, 1))
+    sieve_primes(bound)
+    tracemalloc.start()
+    try:
+        exception_scan(query, bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * bound
 
 
 def test_witness_rejects_bound_below_n():

@@ -675,7 +675,8 @@ def test_rechecks_call_no_kernel_function():
                (sumset, "inside"), (qform, "inside"),
                (sumset, "clear_bits"), (primepoly, "clear_bits"),
                (sumset, "clear_every"), (primepoly, "clear_every"),
-               (sumset, "pack"), (primepoly, "pack")]
+               (sumset, "pack"), (primepoly, "pack"),
+               (primepoly, "_pair_bits")]
     with contextlib.ExitStack() as stack:
         for module, name in kernels:
             stack.enter_context(mock.patch.object(module, name, refuse))
