@@ -116,7 +116,8 @@ class PrimePolyQuery:
 @lru_cache(maxsize=4)
 def sieve_primes(bound: int) -> RangeBitset:
     """Primality bitmap over [0, bound], by a segmented sieve of
-    Eratosthenes; memory stays at one segment plus the output bitmap."""
+    Eratosthenes, each segment sieved in place in its view of the output
+    bitmap, so memory stays at the bitmap and the primes up to its root."""
     if bound < 2:
         raise ValueError("bound must be >= 2")
     if bound > MAX_SIEVE_BOUND:
@@ -133,12 +134,12 @@ def sieve_primes(bound: int) -> RangeBitset:
     lo = root + 1
     while lo <= bound:
         hi = min(lo + _SEGMENT, bound + 1)
-        seg = np.ones(hi - lo, dtype=bool)
+        seg = bits[lo:hi]
+        seg.fill(True)
         for p in base_primes.tolist():
             start = max(p * p, ((lo + p - 1) // p) * p)
             if start < hi:
                 seg[start - lo :: p] = False
-        bits[lo:hi] = seg
         lo = hi
     return RangeBitset(bound, bits)
 

@@ -49,7 +49,7 @@ stated condition, never against an external table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
 from typing import Iterable, Sequence
@@ -365,7 +365,6 @@ class ScreenReport:
     search_bound: int
     survivors: tuple[tuple[TermKey, ...], ...]
     eliminations: tuple[EliminationCertificate, ...]
-    derived_bounds: dict = field(default_factory=dict, compare=False)
     unique_exceptions: tuple[tuple[tuple[TermKey, ...], int], ...] = ()
 
     @cached_property
@@ -455,7 +454,6 @@ class _Collector:
         self.survivors: list[tuple[TermKey, ...]] = []
         self.uniques: list[tuple[tuple[TermKey, ...], int]] = []
         self.elims: list[EliminationCertificate] = []
-        self.derived: dict = {}
 
     def concrete(self, pair: _FixedPair, third: TermKey) -> None:
         triple = canonical_triple([*pair.keys, third])
@@ -477,7 +475,7 @@ class _Collector:
         return ScreenReport(
             self.space, self.bound, self.search_bound,
             tuple(sorted(set(self.survivors), key=_display_key)),
-            tuple(self.elims), self.derived,
+            tuple(self.elims),
             tuple(sorted(set(self.uniques), key=lambda e: _display_key(e[0]))))
 
 
@@ -515,7 +513,6 @@ def _screen_fixed_orders(space: CandidateSpace, bound: int, search_bound: int,
                 open_count=len(same), threshold=limit,
                 check_bound=check_bound if para else 0, gap_count=gap_count,
                 parametric_orders=tuple(para)))
-            col.derived.setdefault(orders, {})[f"slot{s}"] = limit
             lo = prefix[-1] if (s > 0 and orders[s - 1] == orders[s]) else 1
             if s < n_slots - 1:
                 for coef in range(lo, limit + 1):
@@ -571,7 +568,6 @@ def _screen_term_multisets(space: CandidateSpace, bound: int, search_bound: int,
             kind="frontier-tail", domain=domain, fixed=fixed,
             open_count=open_count, threshold=q + 1, check_bound=q,
             gap_count=gap_count, coefficient_cap=cap))
-        col.derived[label] = q + 1
         return q
 
     # level 0: all three slots with coefficient*order above a floor

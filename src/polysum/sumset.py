@@ -19,11 +19,12 @@ back to bool, for ``range_sieve``'s ``RangeBitset``, whose short bitmaps
 the screens fold by bool passes.
 Only this module knows the packed layout and the memory maps (``bitmap``).
 
-Every exception list is re-verified at construction, and elimination
-certificates rely on that.  The re-check shares no code with the sieve, and
-the form and prime re-checks use it too: ``sum_table`` scatters the sums of
-some streams into a bool table, and ``reached`` subtracts each walked value
-from every listed n at once, in one gather from that table.
+Every exception list is re-verified at construction; the screens'
+certificates are checked apart from it, by ``screening.verify_certificate``.
+The re-check shares no code with the sieve, and the form and prime re-checks
+use it too: ``sum_table`` scatters the sums of some streams into a bool
+table, and ``reached`` subtracts each walked value from every listed n at
+once, in one gather from that table.
 """
 
 from __future__ import annotations
@@ -498,12 +499,17 @@ def clear_bits(packed: np.ndarray, ns: np.ndarray) -> None:
 def clear_every(packed: np.ndarray, start: int, step: int) -> None:
     """Clear the entries start, start + step, ... of a packed bitmap from
     ``bitmap``, for 0 <= start < step: the cleared bits repeat every
-    ``step`` bytes, so one ``step``-byte pattern is ANDed into each row."""
+    ``step`` bytes, so the ``step``-byte pattern, tiled to a row of about
+    4 KiB, is ANDed into each row.  Step 2 on 1.2*10^7 entries took 0.10 ms
+    so, against 4.1 ms in rows of ``step`` bytes, each a numpy inner loop
+    of its own; rows of 1 to 16 KiB timed within 0.02 ms of each other
+    (2-vCPU VM)."""
     keep = np.ones(8 * step, dtype=bool)
     keep[start::step] = False
-    keep = np.packbits(keep, bitorder="little")
-    whole = packed.size - packed.size % step
-    rows = packed[:whole].reshape(-1, step)
+    keep = np.tile(np.packbits(keep, bitorder="little"),
+                   max(1, min(packed.size, 4096) // step))
+    whole = packed.size - packed.size % keep.size
+    rows = packed[:whole].reshape(-1, keep.size)
     rows &= keep
     packed[whole:] &= keep[: packed.size - whole]
 

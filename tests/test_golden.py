@@ -1,5 +1,7 @@
 """Byte-identical CLI output: the SHA-256 of stdout and the exit status of
-small commands covering every subcommand and both formats.
+small commands covering every subcommand and both formats.  CI also runs
+every command of ``GOLDEN`` in a fresh process under PYTHONHASHSEED 0 and
+12345 and compares the two stdouts.
 
 A change that means to alter the output regenerates a digest with
 
@@ -130,6 +132,41 @@ GOLDEN = [
     ("prime-scan --a 6 --prime-mod 6 --prime-residue 2 --universe odd"
      " --bound 100000", 0,
      "6e3186b869e7dda62cd2de89f479acd24800c61da08f6353631392826715036f"),
+    # sums, screens and scans at 10^5, and a split on each side of the
+    # 2^22-entry first-witness table
+    ("screen --preset thm-1.4", 0,
+     "996c839ed57a46defa7791787ef4d824f5a9132bec3e466efca2802181243b3a"),
+    ("except --sum p4+p5+p8 --bound 100000", 0,
+     "d6a4c4e23a5b97b1924267aff728400fcc29c976bdd4e4d17ebfed2f3ce1b8ac"),
+    ("except --sum p3+p4+p5+p6+p7 --bound 100000", 0,
+     "69f2f1442b2e39cc0c17b9133d485cc250bf08fdfaa94b5b226ea4c2387acaa5"),
+    ("except --sum p20 --offsets 1,5 --bound 100000", 0,
+     "8e0af5b91bd14c06f50a80676afd116ae2117167a7c03083c7a7b7e68d9152b4"),
+    ("qform-except --form 1,3,24 --bound 100000", 0,
+     "027085e325c04a2ab58ce96202e09f80f74de2144676df4d7d60d3b9207eb396"),
+    ("prime-scan --a 29 --bound 100000", 0,
+     "98abe2dd3b646384b4ad97feba3d178a7392908bc825f74d0b96788da94e3d49"),
+    ("prime-scan --a 3 --bound 100000", 0,
+     "4b433e85ad624011db37e07a0db6bb1c56b712f25a446e4792ac1da1a822542c"),
+    ("prime-scan --a 15 --bound 100000", 0,
+     "4fe8e1ab06d50e3198f4ae62e8400ad14524a8c8bea5fbf0bd0f4928a1bd93a1"),
+    ("conjecture --preset 1.2 --bound 100000", 0,
+     "b5ffbdf52344ce8ce1344420d8576731addb87e710b34ac10eaedd520b730c8f"),
+    ("descent-check --op split2n --args 49997", 0,
+     "df45ff20b0236fea78e8491da5582fc3813294ceb995d93473d38b490606365a"),
+    ("descent-check --op split2n --args 4194305", 0,
+     "154dec8a729cd78dde0328f7dcd2d74c341e4e8dabe77c5f59926bf1e63a9037"),
+    ("prime-scan --a 2 --universe all --bound 100000", 0,
+     "0ac9d5718ca1c2ad1c0bd8f6a5f0d13ab8728fd69b3a3d8c7f740fe1b10b40b7"),
+    ("prime-scan --a 2 --shape polygonal --order 5"
+     " --universe odd --prime-mod 4 --prime-residue 1 --bound 100000", 0,
+     "3711ea61dcda6c66063fff4e460dc2b1019a2bc6c94fe57a489e71abbe25040b"),
+    ("except --sum p4+p4 --offsets 0,3 --bound 100000", 0,
+     "14ca385a7d6cfd5db919ae349f66f36cd5132361ae2f93ccdef933f65eed59f1"),
+    ("except --sum p3+p4+p5+p6+p7 --offsets 0,2,9 --bound 100000", 0,
+     "59ec3d79edcda4d1d47bb6d71b3eac1d7f58e182366ff7c0a158896af4e9db7b"),
+    ("prime-scan --a 2 --prime-mod 10007 --prime-residue 1 --bound 100000", 0,
+     "3c59e44fb47fcdc92f8718701c4e9e7f3ebceb557b862998570b55bd484483cc"),
 ]
 
 

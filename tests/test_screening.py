@@ -90,7 +90,11 @@ def test_weighted_screen_and_certificates():
     kinds = {c.kind for c in report.eliminations}
     assert kinds == {"direct", "order-tail", "coefficient-tail", "frontier-tail"}
     assert all(verify_certificate(c) for c in report.eliminations)
-    assert report.derived_bounds["product-floor"] >= 9
+    # the product floor: the threshold of the level-0 frontier tail, with
+    # all three slots open
+    [floor] = [c.threshold for c in report.eliminations
+               if c.kind == "frontier-tail" and c.fixed == ()]
+    assert floor >= 9
 
 
 @pytest.mark.parametrize("preset",
@@ -497,3 +501,72 @@ def test_certificate_covers_parametric_tail():
     assert not certificate_covers(cert, ((1, 3), (5, 4), (10, 3)))
     assert not certificate_covers(cert, ((1, 3), (5, 5), (11, 3)))
     assert not certificate_covers(cert, ((1, 4), (5, 4), (11, 3)))
+
+
+def _first(preset, kind, **fields):
+    return next(c for c in screen(preset).eliminations if c.kind == kind
+                and all(getattr(c, k) == v for k, v in fields.items()))
+
+
+# One field of a checked certificate changed so that its stated condition no
+# longer holds: (preset, kind, the certificate's fields to match, the change).
+_ALTERED = {
+    "direct witness moved": (
+        "thm-1.4", "direct", {},
+        lambda c: {"witnesses": (c.witnesses[0] - 1,) + c.witnesses[1:]}),
+    "order-tail threshold lowered": (
+        "thm-1.4", "order-tail", {},
+        lambda c: {"threshold": c.witnesses[-1] // c.open_coefficient - 1}),
+    "order-tail open coefficient altered": (
+        "thm-1.4", "order-tail", {},
+        lambda c: {"open_coefficient": c.open_coefficient + 1}),
+    "coefficient-tail threshold lowered": (
+        "thm-1.4", "coefficient-tail", {},
+        lambda c: {"threshold": c.witnesses[-1] - 1}),
+    "frontier-tail threshold lowered": (
+        "thm-1.4", "frontier-tail", {"fixed": ()},
+        lambda c: {"threshold": c.threshold - 1}),
+    "frontier-tail check bound halved": (
+        "thm-1.4", "frontier-tail", {"fixed": ()},
+        lambda c: {"check_bound": c.check_bound // 2,
+                   "threshold": c.check_bound // 2 + 1}),
+    "parametric-tail threshold lowered": (
+        "mixed-34-list", "parametric-tail", {"fixed": ((1, 3),)},
+        lambda c: {"threshold": c.threshold - 1}),
+    "parametric-tail check bound halved": (
+        "mixed-34-list", "parametric-tail", {"fixed": ((1, 3),)},
+        lambda c: {"check_bound": c.check_bound // 2}),
+}
+
+
+@pytest.mark.parametrize("name", list(_ALTERED))
+def test_verify_certificate_rejects_one_changed_field(name):
+    preset, kind, fields, change = _ALTERED[name]
+    cert = _first(preset, kind, **fields)
+    assert verify_certificate(cert)
+    assert not verify_certificate(dataclasses.replace(cert, **change(cert)))
+
+
+def test_verify_certificate_rejects_an_order_tail_over_z_below_its_values():
+    # over Z an order m keeps a * p_m(-1) = a(m - 3) below the witness too,
+    # so the threshold k needs a(k - 2) above it as well as a(k + 1)
+    pair = [Term(1, 5), Term(1, 5)]
+    (witness,), cutoff = order_tail_cutoff(pair, 1, Z)
+    cert = EliminationCertificate(
+        kind="order-tail", domain=Z, fixed=((1, 5), (1, 5)),
+        witnesses=(witness,), open_coefficient=1, threshold=cutoff)
+    assert verify_certificate(cert)
+    # lowered by one, a(k + 1) still lies above the witness, a(k - 2) not
+    assert cutoff > witness >= cutoff - 3
+    assert not verify_certificate(dataclasses.replace(cert,
+                                                      threshold=cutoff - 1))
+
+
+def test_report_covers_a_recorded_single_exception_triple():
+    report = _screen("unique-29", None, DEFAULT_SEARCH_BOUND, gap_count=2)
+    triple, _ = report.unique_exceptions[0]
+    assert triple not in report.survivors
+    assert report_covers(report, tuple(reversed(triple)))
+    # no certificate covers it: each claims two exceptions
+    assert not report_covers(
+        dataclasses.replace(report, unique_exceptions=()), triple)

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import math
 import mmap
 import random
@@ -348,6 +349,23 @@ def test_shift_up_moves_every_bit(bits, r):
         n + r for n in np.flatnonzero(bits).tolist() if n + r < top]
 
 
+def test_clear_every_equals_a_bool_model():
+    # steps 1-70 and every start, on bitmaps within one tiled row of about
+    # 4 KiB (32 761 entries fill 4096 bytes), and over three rows and a
+    # part; every other entry keeps its value and the padding stays clear
+    rng = np.random.default_rng(7)
+    for size in (1, 100, 30_000, 32_761, 100_003):
+        bits = rng.integers(0, 2, size, dtype=np.uint8).astype(bool)
+        at = np.arange(size)
+        for step in range(1, 71):
+            residues = at % step
+            for start in range(step):
+                packed = sumset.pack(bits)
+                sumset.clear_every(packed, start, step)
+                assert np.array_equal(packed,
+                                      sumset.pack(bits & (residues != start)))
+
+
 # The dense fold against a set model, on the hit bitmaps and values of
 # ``_eliminations``; a chunk of 8 bytes makes ``pack`` and ``shift_up`` work
 # one word at a time, and a fold window of 8 or 16 bytes cuts a bitmap of
@@ -653,9 +671,31 @@ def test_reverification_calls_no_kernel_function():
                                       np.append(missing, 5000))
 
 
+# What the sum, form and prime re-checks may call in the three modules: the
+# re-checks, their table and walk, and the list, bound, value-stream and
+# prime-table helpers they read
+_RECHECK_CALLS = (
+    sumset.sum_table, sumset.reached, sumset.sorted_distinct,
+    sumset.check_bound, sumset._verify_non_representable,
+    qform.represented_among, qform._streams, qform._variable_values,
+    primepoly.decomposed_among, primepoly.sieve_primes)
+
+
+def _kernel_functions():
+    """(module, name) of every module-level function of sumset, qform and
+    primepoly, lru-cached ones too, wherever one of the three binds it, but
+    the allowed ``_RECHECK_CALLS``."""
+    modules = (sumset, qform, primepoly)
+    own = {module.__name__ for module in modules}
+    return [(module, name) for module in modules
+            for name, value in vars(module).items()
+            if inspect.isfunction(getattr(value, "__wrapped__", value))
+            and value.__module__ in own and value not in _RECHECK_CALLS]
+
+
 def test_rechecks_call_no_kernel_function():
     # the sum, form and prime re-checks all pass their true lists and catch
-    # an injected representable n with every sieve kernel refusing to run
+    # an injected representable n with every kernel function refusing to run
     def refuse(*args, **kwargs):
         raise AssertionError("a re-check reached a sieve kernel")
 
@@ -667,16 +707,10 @@ def test_rechecks_call_no_kernel_function():
     prime_missing = primepoly.exception_scan(query, 5000)
     prime_hit = next(n for n in range(3, 5000, 2)
                      if primepoly.decomposition_witness(query, n, 5000))
-    kernels = [(sumset, "_pair_bits"), (sumset, "eliminate"),
-               (sumset, "range_sieve"), (qform, "_pair_bits"),
-               (qform, "_reachable"), (qform, "range_sieve"),
-               (primepoly, "eliminate"), (primepoly, "exception_scan"),
-               (primepoly, "_universe_classes"), (primepoly, "_class_alive"),
-               (sumset, "inside"), (qform, "inside"),
-               (sumset, "clear_bits"), (primepoly, "clear_bits"),
-               (sumset, "clear_every"), (primepoly, "clear_every"),
-               (sumset, "pack"), (primepoly, "pack"),
-               (primepoly, "_pair_bits")]
+    kernels = _kernel_functions()
+    assert {(sumset, "outside"), (sumset, "_pair_bits"), (qform, "inside"),
+            (qform, "_reachable"), (primepoly, "_pair_bits"),
+            (primepoly, "_class_miss")} <= set(kernels)
     with contextlib.ExitStack() as stack:
         for module, name in kernels:
             stack.enter_context(mock.patch.object(module, name, refuse))
