@@ -2,7 +2,9 @@
 
 Every subcommand prints deterministic, self-describing records to stdout
 (timings go to stderr) so runs are scriptable and diffable.  Exit status:
-0 success, 1 verification mismatch, 2 usage error.  A reported exception
+0 success, 1 verification mismatch, 2 usage error, and 141 (128 + SIGPIPE,
+as a shell reports a process killed by that signal) when the reader of
+stdout closed it before the records were written.  A reported exception
 that fails its independent re-check writes a ``kind=reverify-failed`` record
 to stderr and exits with status 1.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -29,6 +32,7 @@ from .primepoly import (
 from .qform import (
     DiagonalTernaryForm,
     canonical_reduction,
+    check_reduction_bound,
     qf_exception_bits,
     represented_among,
     verify_catalog_form,
@@ -58,6 +62,10 @@ _CATALOG_FOR_PRESET = {
     "mixed-34-list": "mixed-34-25",
     "unique-29": "unique-29",
 }
+
+
+# Exit status when the reader of stdout closed it early: 128 + SIGPIPE.
+STATUS_CLOSED_STDOUT = 141
 
 
 class UsageError(Exception):
@@ -260,6 +268,9 @@ def _cmd_verify_reduction(args) -> int:
         entries = [(str(sum_), canonical_reduction(sum_))]
     else:
         entries = list(catalog.explicit_reductions())
+    # every entry's grid is refused, if at all, before any is verified
+    for _, entry in entries:
+        check_reduction_bound(entry, args.bound)
     for display, entry in entries:
         ok, counterexample = verify_reduction(entry, args.bound)
         records.append(ReportRecord("reduction-verify", {
@@ -537,6 +548,12 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         status = command(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is still buffered goes nowhere, so that the flush at exit
+        # cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return STATUS_CLOSED_STDOUT
     except (UsageError, ValueError, catalog.UnknownIdentifierError,
             SpaceNotClosable) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Prime sieving and exception scans for n = p + a*x^2 and n = p + a*p_m(x).
 
-``sieve_primes`` returns the primes as a ``sumset.RangeBitset``, the bitmap
-type of the sums.  A scan eliminates candidates (``sumset.eliminate``):
+``sieve_primes`` returns the odd primes as a packed bitmap of the odd n,
+bit j standing for n = 2j + 1, bound / 16 bytes; every reader handles the
+prime 2 on its own.  A scan eliminates candidates (``sumset.eliminate``):
 every n of the universe starts alive, and each term value v, smallest first,
 kills the alive n for which n - v is a prime passing the query's filter, so
 the 10^7-scale runs take a fraction of a second.  The universe is one list
@@ -10,19 +11,23 @@ by residue class: with Q = lcm(2, q) for a prime filter (q, r), or Q = 2
 without one, every odd prime that passes lies in one class s mod Q, so each
 class c of n is eliminated on its own against the class-s primes, and a
 term value costs one pass over the B/Q entries of the one class it reaches;
-``sumset``'s layout helpers clear its packed alive bitmap.  ``sumset.pack``
-packs the class-s primes, a strided view of the prime bitmap, once per
-(bound, s, Q); they are inverted and cached read-only (``_class_miss``).
+``sumset``'s layout helpers clear its packed alive bitmap.  The class-s
+primes are every (Q/2)-th bit of the odd table (``_prime_class``), taken
+once per (bound, s, Q) by ``sumset.take_every``, inverted and cached
+read-only (``_class_miss``).  The classes' short lists are merged by one
+sort; lists that would outgrow a packed bitmap over [0, bound] are marked
+in one as each class finishes and freed, and the bitmap is listed once.
 The n = 2 + v, whose prime is 2, are killed by one scatter when 2 passes the
 filter.  A filter with few candidates k = r (mod q) up to the bound for the
 bound and its number of classes, such as a modulus above the bound, which
 leaves r alone, and a filter with q and r both even, which no odd prime
 passes, go through the sieve's pair step instead: ``sumset._pair_bits``
-packs the sums of the passing primes and the term values over [0, bound],
+packs the sums of the passing primes, 2 and the same class s, and the term
+values over [0, bound],
 and one elimination of the universe against their complement lists the
 exceptions, so that the cost no longer grows with Q.  The re-check
-``decomposed_among`` splits the listed n by the same classes but shares no
-code with the scan.  Bounds and filter moduli above ``MAX_SIEVE_BOUND`` are
+``decomposed_among`` splits the listed n by the same classes and tests bits
+of the same odd table, but shares no code with the scan.  Bounds and filter moduli above ``MAX_SIEVE_BOUND`` are
 refused: the cap keeps the residue arithmetic mod Q in int64.  All outputs
 are complete up to the scanned bound and nothing more: finiteness of the
 exception sets is a conjecture, not an artifact claim.
@@ -38,10 +43,18 @@ from typing import Sequence
 import numpy as np
 
 from .polycore import SumDomain, Term, poly_values_upto
-from .sumset import (RangeBitset, _pair_bits, bitmap, clear_bits, clear_every,
-                     eliminate, invert, pack, reached, sorted_distinct)
+from .sumset import (_pair_bits, bitmap, clear_bits, clear_every, eliminate,
+                     invert, is_set, mark_bits, pack_into, reached, set_bits,
+                     sorted_distinct, take_every)
 
-_SEGMENT = 1 << 20
+# Odd n per segment of the prime sieve, a multiple of 8, so that each
+# segment packs into whole bytes: a bool buffer of 512 KiB, which stays in
+# L2, for 2^20 integers.  Sieving 10^7, ms, best of 7, 2-vCPU VM:
+#   odd n   2^15  2^16  2^17  2^18  2^19  2^20
+#   ms        46    16    12   9.5   8.4   7.9
+# Narrower segments pay one slice per odd prime up to the root and
+# segment; wider ones gain little and hold more.
+_SEGMENT = 1 << 19
 MAX_SIEVE_BOUND = 12_000_000
 
 # A prime filter (q, r) goes through the pair step instead of walking the
@@ -114,34 +127,46 @@ class PrimePolyQuery:
 
 
 @lru_cache(maxsize=4)
-def sieve_primes(bound: int) -> RangeBitset:
-    """Primality bitmap over [0, bound], by a segmented sieve of
-    Eratosthenes, each segment sieved in place in its view of the output
-    bitmap, so memory stays at the bitmap and the primes up to its root."""
+def sieve_primes(bound: int) -> np.ndarray:
+    """Read-only packed bitmap (``bitmap(..., packed=True)``) of the odd
+    n <= bound, bit j standing for n = 2j + 1: whether n is prime.  The
+    prime 2 is left to the readers.
+
+    A segmented sieve of Eratosthenes over the odd n alone: the odd
+    multiples p*p, p*p + 2p, ... of an odd prime p are every p-th odd n, so
+    each segment of _SEGMENT odd n is sieved in one bool buffer by the odd
+    primes up to the root of bound and packed into the bitmap as soon as it
+    is done.  Memory stays at the bitmap, bound / 16 bytes, one segment and
+    the primes up to the root."""
     if bound < 2:
         raise ValueError("bound must be >= 2")
     if bound > MAX_SIEVE_BOUND:
         raise ValueError(f"bound {bound} above supported {MAX_SIEVE_BOUND}")
-    bits = bitmap(bound + 1, False)
-    root = int(bound ** 0.5) + 1
+    size = (bound + 1) // 2
+    odd = bitmap(size, False, packed=True)
+    root = math.isqrt(bound)
     base = np.ones(root + 1, dtype=bool)
     base[:2] = False
-    for p in range(2, int(root ** 0.5) + 1):
+    for p in range(2, math.isqrt(root) + 1):
         if base[p]:
             base[p * p :: p] = False
-    base_primes = np.flatnonzero(base)
-    bits[: root + 1] = base
-    lo = root + 1
-    while lo <= bound:
-        hi = min(lo + _SEGMENT, bound + 1)
-        seg = bits[lo:hi]
-        seg.fill(True)
-        for p in base_primes.tolist():
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start < hi:
-                seg[start - lo :: p] = False
-        lo = hi
-    return RangeBitset(bound, bits)
+    primes = (2 * np.flatnonzero(base[3::2]) + 3).tolist()
+    seg = np.empty(min(_SEGMENT, size), dtype=bool)
+    for lo in range(0, size, _SEGMENT):
+        part = seg[: min(_SEGMENT, size - lo)]
+        part.fill(True)
+        for p in primes:
+            j = p * p >> 1  # the odd multiples j = p*p >> 1 (mod p) on
+            if j >= lo + part.size:
+                break
+            if j < lo:
+                j = lo + (j - lo) % p
+            part[j - lo :: p] = False
+        if not lo:
+            part[0] = False  # n = 1
+        pack_into(odd, part, lo)
+    odd.flags.writeable = False
+    return odd
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -205,15 +230,23 @@ def _odd_class(q: int, r: int) -> int | None:
     return r + q if q % 2 else None
 
 
+def _prime_class(bound: int, s: int, period: int) -> np.ndarray:
+    """Packed bitmap (``bitmap(..., packed=True)``) over i in
+    [0, bound // period] of whether s + period*i is a prime up to bound, for
+    an odd class s of an even period: every (period / 2)-th bit of the odd
+    table from bit (s - 1) / 2 on (``sumset.take_every``), so that no bool
+    array over the range is built.  It has the length of every class of n
+    (``_class_alive``): the class of primes may hold one entry fewer."""
+    return take_every(sieve_primes(bound), (s - 1) // 2, period // 2,
+                      bound // period + 1)
+
+
 @lru_cache(maxsize=4)
 def _class_miss(bound: int, s: int, period: int) -> np.ndarray:
-    """Read-only packed bitmap (``bitmap(..., packed=True)``) over i in
-    [0, bound // period] of whether s + period*i is no prime up to bound:
-    the complement of the class-s primes, as ``eliminate`` takes it, of
-    the length of every class of n (``_class_alive``): the class of primes
-    may hold one entry fewer.  No code writes to it: ``eliminate`` shifts a
-    copy."""
-    miss = pack(sieve_primes(bound).bits[s::period], bound // period + 1)
+    """Read-only complement of ``_prime_class``, as ``eliminate`` takes it;
+    for the class 1 mod 2 an inverted copy of the odd table.  No code
+    writes to it: ``eliminate`` shifts a copy."""
+    miss = _prime_class(bound, s, period)
     np.invert(miss, out=miss)
     miss.flags.writeable = False
     return miss
@@ -246,7 +279,13 @@ def exception_scan(query: PrimePolyQuery, bound: int) -> np.ndarray:
     cells = len(range(r, bound + 1, q)) * values.size
     if s is None or (q > 1 and cells <= (_INTEGER_CELLS * bound
                                          + period * _CLASS_CELLS)):
-        passing = r + q * np.flatnonzero(sieve_primes(bound).bits[r::q])
+        # the prime 2, when it passes, then the class s of odd primes
+        passing = np.array([2] if 2 % q == r else [], dtype=np.int64)
+        if s is not None:
+            odd = set_bits(_prime_class(bound, s, period))
+            odd *= period
+            odd += s
+            passing = np.concatenate((passing, odd))
         miss = _pair_bits(passing, values, bound)
         invert(miss, bound + 1)
         return eliminate(_class_alive(query, 0, 1, bound, values[:0]), miss,
@@ -255,19 +294,33 @@ def exception_scan(query: PrimePolyQuery, bound: int) -> np.ndarray:
     # the n = 2 + v, whose prime is 2
     scattered = values + 2 if 2 % q == r else values[:0]
     values = values[values <= bound - s]
-    found = []
-    for c in _universe_classes(query, period, bound):
+    classes = _universe_classes(query, period, bound)
+    held, size, marks = [], 0, None
+    for c in classes:
         shifts = values[(values - c + s) % period == 0]
         # the alive bitmap is passed inline, so that eliminate holds its
         # only reference and frees it once the class turns sparse
-        found.append(c + period * eliminate(
-            _class_alive(query, c, period, bound, scattered), miss,
-            ((shifts - c + s) // period).tolist()))
-    if len(found) == 1:
-        return found[0]
-    # the classes are disjoint and each is sorted, so a merge of the runs
-    # interleaves them
-    found = np.concatenate(found)
+        found = eliminate(_class_alive(query, c, period, bound, scattered),
+                          miss, ((shifts - c + s) // period).tolist())
+        found *= period
+        found += c
+        held.append(found)
+        size += found.size
+        del found
+        if len(classes) > 1 and 64 * size > bound:
+            # the lists would outgrow a packed bitmap over [0, bound]: the
+            # classes are disjoint, so each list is marked in one and freed
+            if marks is None:
+                marks = bitmap(bound + 1, False, packed=True)
+            while held:
+                mark_bits(marks, held.pop())
+    if marks is not None:
+        return set_bits(marks)
+    if len(held) == 1:
+        return held[0]
+    # short lists: the classes are disjoint and each is sorted, so a merge
+    # of the runs interleaves them
+    found = np.concatenate(held)
     found.sort(kind="stable")
     return found
 
@@ -286,11 +339,12 @@ def decomposition_witness(query: PrimePolyQuery, n: int,
     """
     if bound < n:
         raise ValueError(f"sieve bound {bound} below n = {n}")
-    sieve = sieve_primes(max(bound, 2))
+    odd = sieve_primes(max(bound, 2))
     for x, v in enumerate(query.term_values(n - 2)):
         p = n - v
-        if p in sieve and (query.prime_filter is None
-                           or p % query.prime_filter[0] == query.prime_filter[1]):
+        if (p == 2 or p & 1 and is_set(odd, p >> 1)) and (
+                query.prime_filter is None
+                or p % query.prime_filter[0] == query.prime_filter[1]):
             return p, x
     return None
 
@@ -307,11 +361,13 @@ def decomposed_among(query: PrimePolyQuery,
     n - v = t (mod lcm(2, q)) for an odd t among r, r + q.  The n of the
     classes that some v + t reaches are sorted by class once, and so are
     the v by the class v + t, so that each such class walks only its own v
-    against its own slice of the n."""
+    against its own slice of the n.  n and v differ in parity there, so p
+    is bit (n - v - 1) / 2 = (n >> 1) - ((v + 1) >> 1) of the packed odd
+    table: ``sumset.reached`` walks the (v + 1) >> 1 against the n >> 1."""
     ns = sorted_distinct(ns)
     if ns.size and ns[-1] > bound:
         raise ValueError(f"sieve bound {bound} below n = {ns[-1]}")
-    table = sieve_primes(bound).bits
+    table = sieve_primes(bound)
     values = np.asarray(query.term_values(bound - 2), dtype=np.int64)
     q, r = query.prime_filter or (1, 0)
     period = math.lcm(2, q)
@@ -342,6 +398,6 @@ def decomposed_among(query: PrimePolyQuery,
         hi = np.searchsorted(targets, held, side="right")
         for i in np.flatnonzero(lo < hi).tolist():
             part = listed[starts[i] : ends[i]]
-            found.append(part[reached(table, part,
-                                      values[order[lo[i] : hi[i]]].tolist())])
+            halves = (values[order[lo[i] : hi[i]]] + 1) >> 1
+            found.append(part[reached(table, part >> 1, halves.tolist())])
     return sorted_distinct(np.concatenate(found))

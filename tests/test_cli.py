@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from polysum import catalog, cli, primepoly, qform, sumset
-from polysum.polycore import poly_value
+from polysum.polycore import SumDomain, parse_sum, poly_value
 
 
 def run(capsys, *argv):
@@ -101,6 +101,79 @@ def test_verify_reduction_all_explicit(capsys):
     status, out = run(capsys, "verify-reduction", "--bound", "500")
     assert status == 0
     assert out.count("holds=true") == 7
+
+
+def test_verify_reduction_refuses_a_bound_before_verifying(capsys,
+                                                          monkeypatch):
+    # at 3*10^6 the pair grid of a later explicit entry is above the cap:
+    # the bound is refused before any entry is verified, with the message of
+    # that entry's own grid
+    def refuse(*args, **kwargs):
+        raise AssertionError("an entry verified before the refusal")
+
+    bound = 3_000_000
+    entries = [e for _, e in catalog.explicit_reductions()]
+    refused = []
+    for entry in entries:
+        try:
+            qform._grid_streams(entry.form, entry.multiplier, entry.constant,
+                                bound)
+        except ValueError as exc:
+            refused.append(str(exc))
+    assert refused and refused[0].startswith("pair grid of ")
+    monkeypatch.setattr(cli, "verify_reduction", refuse)
+    status = cli.main(["verify-reduction", "--bound", str(bound)])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err == f"error: {refused[0]}\n"
+
+
+# The check builds the value streams only when its bound on their length
+# could pass a cap; it refuses exactly where the grid's own count does, for
+# the 77 reductions of the form-catalog workload, from bounds that pass
+# every grid to bounds that refuse most.
+@pytest.mark.parametrize("bound", [-1, 0, 10_000, 1_000_000, 2_000_000,
+                                   3_000_000, 10_000_000, 200_000_000])
+def test_check_reduction_bound_refuses_as_the_grid_does(bound):
+    sums = ["p3+p4+p5", "p5+p5+2p5", "p11+p13+p19", "p3+p3+p10",
+            "p8+p8+2p8", "p3+2p4+p9"]
+    entries = [e for _, e in catalog.explicit_reductions()] + [
+        qform.canonical_reduction(parse_sum(s, SumDomain.INTEGERS))
+        for s in sums]
+    for entry in entries:
+        outcomes = []
+        for check in (lambda: qform.check_reduction_bound(entry, bound),
+                      lambda: qform._grid_streams(
+                          entry.form, entry.multiplier, entry.constant,
+                          bound)):
+            try:
+                check()
+                outcomes.append(None)
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], (bound, entry)
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the reader takes 10 bytes of a record of about 1 MB and closes the
+    # pipe: the write fails, and the CLI exits with 128 + SIGPIPE, not with
+    # the 1 that means a mismatch
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "polysum.cli", "prime-scan", "--a", "2",
+         "--universe", "all", "--bound", "300000", "--limit", "300000"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.read(10) == b"kind=prime"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == cli.STATUS_CLOSED_STDOUT == 141
+    finally:
+        proc.kill()
+        proc.wait()
+    assert b"Traceback" not in err and b"Error" not in err
 
 
 def test_reduce_record(capsys):
@@ -283,13 +356,15 @@ def _child_peak_mb(argv):
 
 
 # Peak RSS at 10^7 above the same command at 1000, which holds the
-# interpreter and numpy (29 MB on a 2-vCPU VM): 2.4 MB for the form grid
-# and 3.2 MB for the sieve, where bool bitmaps over [0, B] took 22.3 and
-# 12.6 MB.  At 10^8 they peak at 54 and 56 MB, against 253 and 152 MB.
+# interpreter and numpy (29 MB on a 2-vCPU VM): 2.4 MB for the form grid,
+# 3.2 MB for the sieve and 1.6 MB for the prime scan, where bool bitmaps
+# over [0, B] took 22.3, 12.6 and 10.5 MB.  At 10^8 the first two peak at
+# 54 and 56 MB, against 253 and 152 MB.
 @pytest.mark.skipif(sys.platform != "linux",
                     reason="ru_maxrss is in KiB on Linux")
 @pytest.mark.parametrize("argv", ["qform-except --form 1,1,1",
-                                  "except --sum p4+p5+p8"])
+                                  "except --sum p4+p5+p8",
+                                  "prime-scan --a 2"])
 def test_large_bound_peak_rss(argv):
     status, base = _child_peak_mb([*argv.split(), "--bound", "1000"])
     assert status == 0
@@ -328,11 +403,14 @@ class _Length:
         self.size += len(text)
         return len(text)
 
+    def flush(self):
+        pass
+
 
 def test_record_text_is_never_copied_whole(monkeypatch):
     # the 999 002 n of a dense list at 2*10^6 are 7.4 MB of text, written in
-    # slices: the scan's class lists and their merge peak at 9.7 bytes per
-    # integer, and whole copies of the text took 16.3
+    # slices: the command peaks at 8.8 bytes per integer, in the re-check's
+    # residues of the list, and whole copies of the text took 16.3
     bound = 2_000_000
     stdout = _Length()
     monkeypatch.setattr(sys, "stdout", stdout)

@@ -167,6 +167,20 @@ GOLDEN = [
      "59ec3d79edcda4d1d47bb6d71b3eac1d7f58e182366ff7c0a158896af4e9db7b"),
     ("prime-scan --a 2 --prime-mod 10007 --prime-residue 1 --bound 100000", 0,
      "3c59e44fb47fcdc92f8718701c4e9e7f3ebceb557b862998570b55bd484483cc"),
+    # a bound just past the first seam of the prime sieve's segments, odd
+    # n = 2^20 + 1: classes mod 4 and 6 walked, mod 26 walked, whose result
+    # bytes take one bit from each of eight bytes of the odd table, and mod
+    # 20014 through the pair step
+    ("prime-scan --a 2 --prime-mod 4 --prime-residue 1 --bound 1048600", 0,
+     "322ee628872f66e8760a467fb44d3bd18150638a76b35cb78ac02491b3456a63"),
+    ("prime-scan --a 2 --prime-mod 6 --prime-residue 5 --bound 1048600", 0,
+     "bd58def0077be8c182a8c030d6798c0d07c1e81945a600eb423832126392e1d2"),
+    ("prime-scan --a 1 --prime-mod 13 --prime-residue 2 --universe all"
+     " --bound 1048600 --limit 200", 0,
+     "e06a249ce15bdd741c130b3f27dc1d713bf671c0083ed3d227cf1c8069ff4fa9"),
+    ("prime-scan --a 1 --prime-mod 10007 --prime-residue 3 --universe all"
+     " --bound 1048600 --limit 200", 0,
+     "d279297e6ca5f7af16ec681e65caba21154b70f825e6ea06f0c756bf5507cc59"),
 ]
 
 

@@ -19,21 +19,80 @@ from polysum.primepoly import (
 )
 
 
+def _reference_sieve(bound):
+    """Plain sieve of Eratosthenes: a bool table over [0, bound]."""
+    table = np.ones(bound + 1, dtype=bool)
+    table[:2] = False
+    for p in range(2, math.isqrt(bound) + 1):
+        if table[p]:
+            table[p * p :: p] = False
+    return table
+
+
+def _odd_bits(odd, count):
+    """The first ``count`` bits of a packed bitmap, as bools."""
+    return np.unpackbits(odd, count=count, bitorder="little").view(bool)
+
+
 def test_sieve_small():
-    sieve = sieve_primes(10)
-    assert np.flatnonzero(sieve.bits).tolist() == [2, 3, 5, 7]
-    assert 1 not in sieve
-    assert 2 in sieve
+    # bit j stands for n = 2j + 1: 1 and 9 are clear, and 2 is no bit
+    odd = sieve_primes(10)
+    assert (2 * sumset.set_bits(odd) + 1).tolist() == [3, 5, 7]
+    assert odd.size == sumset.bitmap(5, False, packed=True).size
+    assert not sumset.is_set(odd, 0) and not odd.flags.writeable
+    assert decomposition_witness(PrimePolyQuery(1), 2, 10) == (2, 0)
+    assert decomposition_witness(PrimePolyQuery(1), 9, 10) == (5, 2)
 
 
 def test_sieve_crosses_segments():
+    # 3*10^6 holds three segments of odd n; its first 500 odd n are those
+    # of 1000, and all of it is the plain sieve's
     big = sieve_primes(3_000_000)
     small = sieve_primes(1000)
-    assert (big.bits[:1001] == small.bits).all()
+    assert (3_000_000 + 1) // 2 > 2 * primepoly._SEGMENT
+    assert np.array_equal(_odd_bits(big, 500), _odd_bits(small, 500))
+    assert np.array_equal(_odd_bits(big, 8 * big.size),
+                          np.append(_reference_sieve(3_000_000)[1::2],
+                                    np.zeros(8 * big.size - 1_500_000, bool)))
 
 
 def test_prime_count_to_a_million():
-    assert sieve_primes(10**6).count() == 78498
+    # the odd primes and 2
+    assert sumset.count_bits(sieve_primes(10**6)) + 1 == 78498
+
+
+# The seams between segments: segment k starts at odd n = 2k*_SEGMENT + 1,
+# and bounds on either side of it, even and odd, end a segment with an
+# entry or two, or leave the last one whole; then segments of 8 to 64 odd
+# n, so that bounds up to 4000 cross many seams.
+_SEAM = 2 * primepoly._SEGMENT + 1
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4, 5, 9, 10, 11, 1000, 10**6]
+                         + [k * _SEAM + d for k in (1, 2)
+                            for d in (-2, -1, 0, 1, 2, 3)])
+def test_sieve_equals_reference(bound):
+    odd = sieve_primes(bound)
+    size = (bound + 1) // 2
+    assert odd.size == sumset.bitmap(size, False, packed=True).size
+    bits = _odd_bits(odd, 8 * odd.size)
+    assert np.array_equal(bits[:size], _reference_sieve(bound)[1::2])
+    assert not bits[size:].any()  # the padding is clear
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4000), st.sampled_from([8, 16, 24, 64]))
+def test_sieve_with_short_segments_equals_reference(bound, segment):
+    sieve_primes.cache_clear()
+    try:
+        with mock.patch.object(primepoly, "_SEGMENT", segment):
+            odd = sieve_primes(bound)
+    finally:
+        sieve_primes.cache_clear()
+    size = (bound + 1) // 2
+    bits = _odd_bits(odd, 8 * odd.size)
+    assert np.array_equal(bits[:size], _reference_sieve(bound)[1::2])
+    assert not bits[size:].any()
 
 
 def test_bounds_validation():
@@ -75,12 +134,12 @@ def test_scan_soundness():
     query = PrimePolyQuery(3, "square", universe="coprime")
     bound = 50_000
     excluded = set(exception_scan(query, bound))
-    sieve = sieve_primes(bound)
+    prime = _reference_sieve(bound)
     probes = rng.sample(sorted(excluded), min(100, len(excluded)))
     for n in probes:
         x = 0
         while 3 * x * x <= n - 2:
-            assert (n - 3 * x * x) not in sieve
+            assert not prime[n - 3 * x * x]
             x += 1
     candidates = [n for n in rng.sample(range(2, bound), 300)
                   if n not in excluded and n % 3 != 0][:100]
@@ -88,7 +147,7 @@ def test_scan_soundness():
         witness = decomposition_witness(query, n, bound)
         assert witness is not None
         p, x = witness
-        assert p in sieve and p + 3 * x * x == n
+        assert prime[p] and p + 3 * x * x == n
 
 
 def test_empty_scan():
@@ -188,9 +247,85 @@ def test_scans_leave_a_cached_class_unchanged():
     assert np.array_equal(exception_scan(query, bound), first)
     assert primepoly._class_miss(bound, 1, 2) is miss
     assert miss.tobytes() == before
-    primes = sieve_primes(bound).bits[1::2]
-    assert np.array_equal(np.unpackbits(miss, count=primes.size,
-                                        bitorder="little"), ~primes)
+    # the class 1 mod 2 is the odd table inverted, entry i being n = 2i + 1
+    primes = _reference_sieve(bound)[1::2]
+    assert np.array_equal(_odd_bits(miss, primes.size), ~primes)
+    assert miss.size == sumset.bitmap(bound // 2 + 1, False, packed=True).size
+
+
+# The classes of primes against the plain sieve, bit by bit: periods 2, 4,
+# 6 and 10, whose result bytes take several entries from one byte of the odd
+# table, and 2q for large q, whose class holds a few entries or none; bounds
+# small, even and odd, and on either side of a segment seam.  Each has the
+# length of the classes of n, and ``_prime_class``, whose set bits the pair
+# step lists, keeps its padding clear.
+@pytest.mark.parametrize("bound", [2, 3, 10, 11, 1000, 99_999, _SEAM - 1,
+                                   _SEAM, 2 * _SEAM + 2])
+@pytest.mark.parametrize("period", [2, 4, 6, 10, 2 * 3001, 2 * 100_003,
+                                    2 * 5_999_999])
+def test_class_miss_equals_reference(bound, period):
+    prime = _reference_sieve(bound)
+    count = bound // period + 1
+    size = sumset.bitmap(count, False, packed=True).size
+    for s in list(range(1, period, 2))[:12]:
+        n = s + period * np.arange(8 * size)
+        expected = np.zeros(n.size, dtype=bool)
+        inside = n <= bound
+        expected[inside] = prime[n[inside]]
+        primes = primepoly._prime_class(bound, s, period)
+        assert primes.size == size
+        assert np.array_equal(_odd_bits(primes, n.size), expected)
+        miss = primepoly._class_miss(bound, s, period)
+        assert miss.size == size and not miss.flags.writeable
+        assert np.array_equal(_odd_bits(miss, count), ~expected[:count])
+
+
+# Result chunks of one word, so that the class mod 4 of 10^5 is taken from
+# the odd table in 390 pieces
+def test_prime_class_across_chunks():
+    bound = 100_000
+    prime = _reference_sieve(bound)
+    with mock.patch.object(sumset, "_PAIR_CHUNK", 8):
+        for period, s in [(4, 1), (4, 3), (6, 5), (22, 7)]:
+            primes = primepoly._prime_class(bound, s, period)
+            expected = np.flatnonzero(prime)
+            expected = expected[expected % period == s]
+            assert (s + period * sumset.set_bits(primes)).tolist() == \
+                expected.tolist()
+
+
+def test_sieve_memory():
+    # the packed odd table, bound / 16 bytes, one bool segment and its
+    # packed copy; the bool table over [0, bound] was 10 MB
+    bound = 10**7
+    tracemalloc.start()
+    try:
+        sieve_primes.__wrapped__(bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound // 16 + primepoly._SEGMENT + (1 << 17)
+
+
+def test_class_merge_memory_per_integer():
+    # the classes 0 and 1 mod 2 of p + 2x^2 over all n at 2*10^6: the list
+    # of 999 002 n alone is 4.0 bytes per integer, each class's list is
+    # marked in one bitmap over [0, bound] and freed, and the bitmap is
+    # listed once; the concatenation and sort of the class lists took 8.0
+    bound = 2_000_000
+    query = PrimePolyQuery(2, universe="all")
+    sieve_primes(bound)
+    primepoly._class_miss(bound, 1, 2)
+    tracemalloc.start()
+    try:
+        found = exception_scan(query, bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found.size == 999_002 and (found[1:] > found[:-1]).all()
+    # Stern's two odd exceptions to Goldbach's other conjecture
+    assert found[found % 2 == 1].tolist() == [5777, 5993]
+    assert peak < 5.5 * bound
 
 
 def _check_class_alive(query, c, period, bound, picks):

@@ -366,6 +366,67 @@ def test_clear_every_equals_a_bool_model():
                                       sumset.pack(bits & (residues != start)))
 
 
+# Every step-th entry against a strided slice of the bool model: steps below
+# 8, whose columns hold several entries of one result byte, and above; a
+# count that reads past the source, whose entries come in clear; chunks of
+# 1, 8 and 16 bytes of the result, so that the columns are cut many times.
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3000), st.integers(1, 40) | st.integers(41, 5000),
+       st.data(), st.sampled_from([1, 8, 16, sumset._PAIR_CHUNK]))
+@example(1, 1, None, sumset._PAIR_CHUNK)
+@example(2000, 2, None, 8)
+@example(2999, 3, None, 1)
+def test_take_every_equals_a_bool_model(size, step, data, chunk):
+    rng = np.random.default_rng(size * 7 + step)
+    bits = rng.integers(0, 2, size, dtype=np.uint8).astype(bool)
+    if data is None:
+        start, count = step - 1, -(-size // step) + 3
+    else:
+        start = data.draw(st.integers(0, step - 1))
+        count = data.draw(st.integers(1, -(-size // step) + 20))
+    with mock.patch.object(sumset, "_PAIR_CHUNK", chunk):
+        taken = sumset.take_every(sumset.pack(bits), start, step, count)
+    expected = np.zeros(count, dtype=bool)
+    part = bits[start::step][:count]
+    expected[: part.size] = part
+    assert taken.size == sumset.bitmap(count, False, packed=True).size
+    assert np.array_equal(taken, sumset.pack(expected, count))
+
+
+# Marks ORed into a bitmap that holds bits already, against the bool model,
+# with windows of 8 to 64 entries and the default, and the list left as it
+# was.
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 2000), st.data(),
+       st.sampled_from([1, 2, 8, sumset._PAIR_CHUNK]))
+def test_mark_bits_equals_a_bool_model(size, data, chunk):
+    rng = np.random.default_rng(size)
+    bits = rng.random(size) < data.draw(st.sampled_from([0.0, 0.01, 0.5]))
+    ns = np.array(sorted(data.draw(st.sets(st.integers(0, size - 1),
+                                           max_size=size))),
+                  dtype=np.int64)
+    before = ns.copy()
+    packed = sumset.pack(bits)
+    with mock.patch.object(sumset, "_PAIR_CHUNK", chunk):
+        sumset.mark_bits(packed, ns)
+    bits[ns] = True
+    assert np.array_equal(packed, sumset.pack(bits))
+    assert np.array_equal(ns, before)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3000), st.data())
+def test_reached_reads_a_packed_table_as_its_bool_table(size, data):
+    rng = np.random.default_rng(size)
+    table = rng.random(size) < 0.1
+    ns = np.array(sorted(data.draw(st.sets(st.integers(0, size - 1),
+                                           max_size=60))), dtype=np.int64)
+    walked = sorted(data.draw(st.sets(st.integers(0, size - 1),
+                                      max_size=60)))
+    assert np.array_equal(sumset.reached(sumset.pack(table), ns, walked),
+                          sumset.reached(table, ns, walked))
+
+
 # The dense fold against a set model, on the hit bitmaps and values of
 # ``_eliminations``; a chunk of 8 bytes makes ``pack`` and ``shift_up`` work
 # one word at a time, and a fold window of 8 or 16 bytes cuts a bitmap of
