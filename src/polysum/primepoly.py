@@ -49,9 +49,10 @@ from .sumset import (_pair_bits, bitmap, clear_bits, clear_every, eliminate,
 
 # Odd n per segment of the prime sieve, a multiple of 8, so that each
 # segment packs into whole bytes: a bool buffer of 512 KiB, which stays in
-# L2, for 2^20 integers.  Sieving 10^7, ms, best of 7, 2-vCPU VM:
+# L2, for 2^20 integers.  Sieving 10^7, ms, the lowest of three runs of
+# best of 7, 2-vCPU VM shared with other jobs:
 #   odd n   2^15  2^16  2^17  2^18  2^19  2^20
-#   ms        46    16    12   9.5   8.4   7.9
+#   ms        31    20    14    11   9.8   8.9
 # Narrower segments pay one slice per odd prime up to the root and
 # segment; wider ones gain little and hold more.
 _SEGMENT = 1 << 19

@@ -239,14 +239,15 @@ def reached(table: np.ndarray, ns: np.ndarray, walked: Iterable[int]
         start = int(np.searchsorted(ns, w))
         if start == ns.size:
             break
-        at = ns[start:] - w
         if packed:
+            at = ns[start:] - w
             bits = table[at >> 3]
             bits >>= (at & 7).astype(np.uint8)
             bits &= 1
             hit[start:] |= bits.view(bool)
+            del at, bits  # freed before the next w's are made
         else:
-            hit[start:] |= table[at]
+            hit[start:] |= table[ns[start:] - w]
     return hit
 
 
@@ -534,7 +535,8 @@ def mark_bits(packed: np.ndarray, ns: np.ndarray) -> None:
     entries that holds some are scattered into one bool window, which is
     packed and ORed in; they are moved to the window's base in place and
     back, so that no temporary grows with ``ns``.  The 5*10^6 even n up to
-    10^7 took 18 ms so, and 84 ms by ``np.bitwise_or.at`` (2-vCPU VM)."""
+    10^7 took 13-21 ms so, and 94-137 ms by ``np.bitwise_or.at`` (best of
+    7 or 3 in each of three runs, 2-vCPU VM)."""
     step = 8 * _PAIR_CHUNK
     window = np.zeros(step, dtype=bool)
     cuts = np.searchsorted(ns, np.arange(0, 8 * packed.size + step, step))
