@@ -23,14 +23,14 @@ bound and its number of classes, such as a modulus above the bound, which
 leaves r alone, and a filter with q and r both even, which no odd prime
 passes, go through the sieve's pair step instead: ``sumset._pair_bits``
 packs the sums of the passing primes, 2 and the same class s, and the term
-values over [0, bound],
-and one elimination of the universe against their complement lists the
-exceptions, so that the cost no longer grows with Q.  The re-check
-``decomposed_among`` splits the listed n by the same classes and tests bits
-of the same odd table, but shares no code with the scan.  Bounds and filter moduli above ``MAX_SIEVE_BOUND`` are
-refused: the cap keeps the residue arithmetic mod Q in int64.  All outputs
-are complete up to the scanned bound and nothing more: finiteness of the
-exception sets is a conjecture, not an artifact claim.
+values over [0, bound], and one elimination of the universe against their
+complement lists the exceptions, so that the cost no longer grows with Q.
+The re-check ``decomposed_among`` splits the listed n by the same classes
+and tests bits of the same odd table, but shares no code with the scan.
+Bounds and filter moduli above ``MAX_SIEVE_BOUND`` are refused: the cap
+keeps the residue arithmetic mod Q in int64.  All outputs are complete up
+to the scanned bound and nothing more: finiteness of the exception sets is
+a conjecture, not an artifact claim.
 """
 
 from __future__ import annotations
