@@ -138,10 +138,27 @@ def _print(records: list[ReportRecord], fmt: str) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _int_list(flag: str, text: str, count: int | None = None) -> list[int]:
+    """The comma-separated integers of ``flag``'s value ``text``, exactly
+    ``count`` of them when a count is given; a usage error names the flag
+    and the item that is not an integer."""
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(int(item))
+        except ValueError:
+            raise UsageError(f"{flag} takes comma-separated integers, got "
+                             f"{item!r} in {text!r}") from None
+    if count is not None and len(values) != count:
+        raise UsageError(f"{flag} takes {count} comma-separated integers, "
+                         f"got {len(values)} in {text!r}")
+    return values
+
+
 def _cmd_except(args) -> int:
     sum_ = parse_sum(args.sum, SumDomain.parse(args.domain))
     if args.offsets:
-        offsets = [int(v) for v in args.offsets.split(",")]
+        offsets = _int_list("--offsets", args.offsets)
         report = offset_universal_check(sum_.terms, sum_.domain, offsets,
                                         args.bound)
     else:
@@ -187,18 +204,10 @@ def _cmd_screen(args) -> int:
     return status
 
 
-def _parse_form(text: str) -> DiagonalTernaryForm:
-    coeffs = tuple(int(v) for v in text.split(","))
-    if len(coeffs) != 3:
-        raise UsageError(f"form must be three comma-separated coefficients, "
-                         f"got {text!r}")
-    return DiagonalTernaryForm(coeffs)
-
-
 def _cmd_qform_except(args) -> int:
     if args.limit < 0:
         raise UsageError(f"--limit must be >= 0, got {args.limit}")
-    form = _parse_form(args.form)
+    form = DiagonalTernaryForm(tuple(_int_list("--form", args.form, 3)))
     # counted and listed on the packed grid, freed before the re-check: the
     # int64 list of every exception would take 1.3 bytes per integer for
     # x^2 + y^2 + z^2
@@ -344,9 +353,7 @@ def _cmd_descent_check(args) -> int:
         raise UsageError(f"unknown descent op {args.op!r}; "
                          f"choose from {sorted(_DESCENT_OPS)}")
     arity, fn = _DESCENT_OPS[args.op]
-    values = [int(v) for v in args.args.split(",")]
-    if len(values) != arity:
-        raise UsageError(f"op {args.op} takes {arity} comma-separated arguments")
+    values = _int_list("--args", args.args, arity)
     try:
         result = fn(values)
     except ValueError as exc:
@@ -448,7 +455,7 @@ def _cmd_conjecture(args) -> int:
         raise UsageError(f"unknown conjecture preset {args.preset!r}; "
                          f"choose from {sorted(_CONJECTURES)}")
     default_bound, run = _CONJECTURES[args.preset]
-    records, status = run(args.bound or default_bound)
+    records, status = run(default_bound if args.bound is None else args.bound)
     _print(records, args.format)
     return status
 
@@ -528,7 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjecture", help="bounded conjecture verifications")
     p.add_argument("--preset", required=True,
                    help=f"one of {sorted(_CONJECTURES)}")
-    p.add_argument("--bound", type=int, default=0)
+    p.add_argument("--bound", type=int, default=None,
+                   help="default: the preset's own bound")
     add_format(p)
 
     return parser

@@ -25,8 +25,10 @@ passes, go through the sieve's pair step instead: ``sumset._pair_bits``
 packs the sums of the passing primes, 2 and the same class s, and the term
 values over [0, bound], and one elimination of the universe against their
 complement lists the exceptions, so that the cost no longer grows with Q.
-The re-check ``decomposed_among`` splits the listed n by the same classes
-and tests bits of the same odd table, but shares no code with the scan.
+The re-check ``decomposed_among`` walks the same one odd class of primes:
+it picks out the listed n of the classes that the term values reach, a
+slice of the list at a time, and tests bits of the same odd table, but
+shares no code with the scan.
 Bounds and filter moduli above ``MAX_SIEVE_BOUND`` are refused: the cap
 keeps the residue arithmetic mod Q in int64.  All outputs are complete up
 to the scanned bound and nothing more: finiteness of the exception sets is
@@ -82,6 +84,9 @@ MAX_SIEVE_BOUND = 12_000_000
 # 0.034 s through the pair step.
 _INTEGER_CELLS = 32
 _CLASS_CELLS = 1 << 14
+
+# Listed n whose residues the prime re-check takes at a time: 0.5 MB of them.
+_RECHECK_SLICE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -358,13 +363,16 @@ def decomposed_among(query: PrimePolyQuery,
 
     Independent of the scan: the table is the unfiltered sieve_primes(bound).
     The prime 2, when it passes a prime filter (q, r), is one membership
-    test of each v + 2 among the n.  An odd p = n - v passes when
-    n - v = t (mod lcm(2, q)) for an odd t among r, r + q.  The n of the
-    classes that some v + t reaches are sorted by class once, and so are
-    the v by the class v + t, so that each such class walks only its own v
-    against its own slice of the n.  n and v differ in parity there, so p
-    is bit (n - v - 1) / 2 = (n >> 1) - ((v + 1) >> 1) of the packed odd
-    table: ``sumset.reached`` walks the (v + 1) >> 1 against the n >> 1."""
+    test of each v + 2 among the n.  Every odd p that passes lies in one
+    class t mod Q = lcm(2, q): t = r when r is odd, r + q when q is odd, and
+    none when both are even.  So p = n - v passes when n = v + t (mod Q).
+    The v are sorted once by the class v + t of the n they reach.  The
+    listed n of those classes are picked out _RECHECK_SLICE n at a time, so
+    that no residue of the whole list is held, and sorted by class, so that
+    each class walks only its own v against its own n.  n and v differ in
+    parity there, so p is bit (n - v - 1) / 2 = (n >> 1) - ((v + 1) >> 1)
+    of the packed odd table: ``sumset.reached`` walks the (v + 1) >> 1
+    against the n >> 1."""
     ns = sorted_distinct(ns)
     if ns.size and ns[-1] > bound:
         raise ValueError(f"sieve bound {bound} below n = {ns[-1]}")
@@ -377,28 +385,24 @@ def decomposed_among(query: PrimePolyQuery,
         twos = values + 2
         at = np.minimum(np.searchsorted(ns, twos), ns.size - 1)
         found.append(twos[ns[at] == twos])
-    # per odd t, the class v + t of each v
-    reach = [(values + t) % period for t in range(r, period, q) if t % 2]
-    walked = np.zeros(period, dtype=bool)
-    for targets in reach:
-        walked[targets] = True
-    # the listed n of the walked classes, each class a contiguous slice
-    classes = ns % period
-    keep = walked[classes]
-    listed, classes = ns[keep], classes[keep]
-    order = np.argsort(classes, kind="stable")
-    listed, classes = listed[order], classes[order]
-    starts = np.flatnonzero(np.diff(classes, prepend=-1))
-    ends = np.append(starts[1:], classes.size)
-    held = classes[starts]
-    for targets in reach:
-        # the v by the class v + t they reach, each class a contiguous slice
-        order = np.argsort(targets, kind="stable")
-        targets = targets[order]
-        lo = np.searchsorted(targets, held)
-        hi = np.searchsorted(targets, held, side="right")
-        for i in np.flatnonzero(lo < hi).tolist():
-            part = listed[starts[i] : ends[i]]
-            halves = (values[order[lo[i] : hi[i]]] + 1) >> 1
+    if r % 2 or q % 2:
+        t = r if r % 2 else r + q
+        # the v by the class v + t of the n they reach
+        values = values[np.argsort((values + t) % period, kind="stable")]
+        reach = (values + t) % period
+        walked = np.zeros(period, dtype=bool)
+        walked[reach] = True
+        # the listed n of the walked classes, by class
+        listed = np.concatenate([part[walked[part % period]] for part in
+                                 np.split(ns, range(_RECHECK_SLICE, ns.size,
+                                                    _RECHECK_SLICE))])
+        listed = listed[np.argsort(listed % period, kind="stable")]
+        # class held[i] holds the n cuts[i]:cuts[i + 1], the v lo[i]:lo[i + 1]
+        held = np.flatnonzero(walked)
+        cuts = np.searchsorted(listed % period, held).tolist() + [listed.size]
+        lo = np.searchsorted(reach, held).tolist() + [values.size]
+        for i in np.flatnonzero(np.diff(cuts)).tolist():
+            part = listed[cuts[i] : cuts[i + 1]]
+            halves = (values[lo[i] : lo[i + 1]] + 1) >> 1
             found.append(part[reached(table, part >> 1, halves.tolist())])
     return sorted_distinct(np.concatenate(found))

@@ -4,6 +4,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -103,6 +104,44 @@ def test_verify_reduction_all_explicit(capsys):
     assert out.count("holds=true") == 7
 
 
+def test_verify_reduction_single_display(capsys):
+    display = next(iter(catalog.explicit_reductions()))[0]
+    status, out = run(capsys, "verify-reduction", "--display", display,
+                      "--bound", "500")
+    assert status == 0 and out.count("kind=reduction-verify") == 1
+    assert f" display={display} " in out and "holds=true" in out
+
+
+def test_unknown_catalog_ids_are_usage_errors(capsys):
+    status = cli.main(["verify-reduction", "--display", "9n+9"])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err.startswith("error: unknown reduction display '9n+9'; "
+                                   "known: ['120n+184', ")
+    status = cli.main(["qform-verify-catalog", "--entry", "9.99"])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err == "error: no catalog entry named '9.99'\n"
+
+
+def test_catalog_mismatches_exit_1(capsys):
+    # the verifiers are replaced by ones that report a mismatch: the record
+    # is still printed, and the status is the 1 of a mismatch
+    with mock.patch.object(cli, "verify_catalog_form",
+                           return_value=(False, [7], [11])):
+        status, out = run(capsys, "qform-verify-catalog", "--entry", "4.10",
+                          "--bound", "100")
+    assert status == 1
+    assert "equal=false family-only=[11] form=" in out
+    assert "sieve-only=[7]" in out
+    display = next(iter(catalog.explicit_reductions()))[0]
+    with mock.patch.object(cli, "verify_reduction", return_value=(False, 13)):
+        status, out = run(capsys, "verify-reduction", "--display", display,
+                          "--bound", "500")
+    assert status == 1
+    assert "counterexample=13 " in out and "holds=false" in out
+
+
 def test_verify_reduction_refuses_a_bound_before_verifying(capsys,
                                                           monkeypatch):
     # at 3*10^6 the pair grid of a later explicit entry is above the cap:
@@ -161,19 +200,55 @@ def test_closed_stdout_exits_141_without_a_traceback():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "polysum.cli", "prime-scan", "--a", "2",
-         "--universe", "all", "--bound", "300000", "--limit", "300000"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    try:
-        assert proc.stdout.read(10) == b"kind=prime"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=300) == cli.STATUS_CLOSED_STDOUT == 141
-    finally:
-        proc.kill()
-        proc.wait()
+    # leaving the with block closes both pipes and waits for the child
+    with subprocess.Popen(
+            [sys.executable, "-m", "polysum.cli", "prime-scan", "--a", "2",
+             "--universe", "all", "--bound", "300000", "--limit", "300000"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            assert proc.stdout.read(10) == b"kind=prime"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=300) == cli.STATUS_CLOSED_STDOUT == 141
+        finally:
+            proc.kill()
     assert b"Traceback" not in err and b"Error" not in err
+
+
+# A list of integers that does not parse, or has the wrong length, is a
+# usage error naming its flag: status 2 and nothing on stdout.
+@pytest.mark.parametrize("argv,message", [
+    ("except --sum p4+p4+p4 --bound 100 --offsets 1,x",
+     "--offsets takes comma-separated integers, got 'x' in '1,x'"),
+    ("qform-except --form 1,x,2 --bound 100",
+     "--form takes comma-separated integers, got 'x' in '1,x,2'"),
+    ("qform-except --form 1,2 --bound 100",
+     "--form takes 3 comma-separated integers, got 2 in '1,2'"),
+    ("descent-check --op mod5 --args 1,,2",
+     "--args takes comma-separated integers, got '' in '1,,2'"),
+    ("descent-check --op mod5 --args 3,4,5",
+     "--args takes 2 comma-separated integers, got 3 in '3,4,5'"),
+], ids=["offsets", "form-item", "form-count", "args-item", "args-count"])
+def test_malformed_integer_list_names_its_flag(capsys, argv, message):
+    status = cli.main(argv.split())
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_conjecture_bound_zero_runs_at_zero(capsys):
+    # without --bound a preset runs at its own bound; --bound 0 runs at 0,
+    # which the prime scans of 1.7 refuse
+    status, out = run(capsys, "conjecture", "--preset", "1.8-spot")
+    assert status == 0 and "bound=10000 " in out
+    status, out = run(capsys, "conjecture", "--preset", "1.8-spot",
+                      "--bound", "0")
+    assert status == 1 and "bound=10000" not in out
+    assert out.count("kind=conjecture bound=0 holds=false ") == out.count("\n")
+    status = cli.main(["conjecture", "--preset", "1.7", "--bound", "0"])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err == "error: bound must be >= 2\n"
 
 
 def test_reduce_record(capsys):
@@ -371,6 +446,20 @@ def test_large_bound_peak_rss(argv):
     status, peak = _child_peak_mb([*argv.split(), "--bound", "10000000"])
     assert status == 0
     assert peak - base < 8, (base, peak)
+
+
+# prime-scan over every n lists about half of [0, 10^7], 38 MB as int64, and
+# the re-check reads that list: 44 MB above the run at 1000 on a 2-vCPU VM,
+# where residues of the whole list took 82 MB.
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="ru_maxrss is in KiB on Linux")
+def test_dense_prime_scan_peak_rss():
+    argv = "prime-scan --a 2 --universe all --limit 10".split()
+    status, base = _child_peak_mb([*argv, "--bound", "1000"])
+    assert status == 0
+    status, peak = _child_peak_mb([*argv, "--bound", "10000000"])
+    assert status == 0
+    assert peak - base < 50, (base, peak)
 
 
 # Dense exception lists printed in full: the 249502 n missed by p + 2x^2 and

@@ -532,6 +532,39 @@ def test_decomposed_among_equals_witness_sweep(query, bound, data):
         if decomposition_witness(query, n, bound) is not None]
 
 
+@pytest.mark.parametrize("size", [1, 3, 64])
+def test_recheck_slices_equal_a_witness_sweep(monkeypatch, size):
+    # the listed n are kept a slice of _RECHECK_SLICE at a time: slices of
+    # 1, 3 and 64 n give the witness sweep's answer, with filters whose
+    # odd class is r, r + q or none
+    monkeypatch.setattr(primepoly, "_RECHECK_SLICE", size)
+    bound = 3000
+    for prime_filter in [None, (3, 1), (4, 3), (10, 4), (6, 2), (101, 7)]:
+        query = PrimePolyQuery(2, universe="all", prime_filter=prime_filter)
+        listed = exception_scan(query, bound).tolist() + list(range(0, 400, 7))
+        assert decomposed_among(query, listed, bound).tolist() == [
+            n for n in sorted(set(listed))
+            if decomposition_witness(query, n, bound) is not None]
+
+
+def test_recheck_memory_per_integer():
+    # the re-check of a = 2 over every n reads a list of about half of
+    # [0, bound], and keeps only the odd n, a slice at a time: 0.50 bytes
+    # per integer, where residues of the whole list took 4.51
+    bound = 2_000_000
+    query = PrimePolyQuery(2, universe="all")
+    listed = exception_scan(query, bound)
+    sieve_primes(bound)
+    tracemalloc.start()
+    try:
+        assert decomposed_among(query, listed, bound).size == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert listed.size > 0.49 * bound
+    assert peak < 1.5 * bound
+
+
 def test_recheck_walks_only_classes_holding_a_listed_n():
     # a filter (q, 1) splits the n into 2q classes mod lcm(2, q); an empty
     # list walks none of them, and one listed n walks at most its own

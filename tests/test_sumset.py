@@ -73,6 +73,20 @@ def test_member_with_witness(text, domain, n, expect_member):
             assert all(x >= 0 for x in witness.arguments)
 
 
+def test_member_with_witness_one_term():
+    # one term is its own membership test: 3 p_5(x) over N and over Z,
+    # against the values listed
+    for domain, xs in [(N, range(30)), (Z, range(-30, 30))]:
+        sum_ = parse_sum("3p5", domain)
+        values = {3 * poly_value(5, x) for x in xs}
+        for n in range(1000):
+            witness = member_with_witness(sum_, n)
+            assert (witness is not None) == (n in values), (domain, n)
+            if witness is not None:
+                (x,) = witness.arguments
+                assert 3 * poly_value(5, x) == n and x in xs
+
+
 def test_zero_witness():
     witness = member_with_witness(parse_sum("p3+2p4+p9", N), 0)
     assert witness is not None and witness.arguments == (0, 0, 0)
