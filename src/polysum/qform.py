@@ -9,13 +9,13 @@ to the answer: ``qf_exception_bits`` inverts it in place, the CLI counts
 its set bits and reads only the listed head from it, and
 ``qf_exception_set`` lists every n for library callers.  A bitmap over
 [0, top] is refused before allocating when top exceeds
-``sumset.MAX_RANGE_BOUND``, and so is a progression's int64 pair grid of
-more than ``_MAX_PAIR_CELLS`` sums; ``check_reduction_bound`` gives that
-refusal before any entry of a batch is verified.  A progression M*n + C is
-checked without a bitmap over [0, M*bound + C]: the pair sums are bucketed by
-residue mod M, each needed residue scatters its quotients by M into one
-bool bitmap, and each third value ORs that bitmap, shifted, into the
-bound + 1 results.
+``sumset.MAX_RANGE_BOUND``.  A progression M*n + C is checked without a
+bitmap over [0, M*bound + C]: each value stream is split by residue mod M,
+and every three classes whose residues sum to C mod M take the same pair
+step and fold on their quotients by M, in a frame of bound + ceil(C / M) + 1
+entries.  That frame is the progression's only cap, and
+``check_reduction_bound`` gives its refusal before any entry of a batch is
+verified.
 Geometric-arithmetic family sets give the closed descriptions the sieves are
 compared against, as bitmaps built from strided slices.  The reduction
 machinery converts polygonal sums into arithmetic progressions represented
@@ -31,13 +31,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .polycore import SumDomain, TripleSum, square_completion
-from .sumset import (MAX_RANGE_BOUND, _pair_bits, check_bound, inside, invert,
-                     range_sieve, reached, set_bits, sorted_distinct,
+from .sumset import (MAX_RANGE_BOUND, _pair_bits, bitmap, check_bound, inside,
+                     invert, range_sieve, reached, set_bits, sorted_distinct,
                      sum_table, unpack)
-
-# Most sums the int64 pair grid of a progression may hold: as many bytes as
-# the largest supported bitmap.
-_MAX_PAIR_CELLS = MAX_RANGE_BOUND // 8
 
 # Each canonical reduction is verified on [0, this bound] when it is built.
 _REDUCTION_CHECK_BOUND = 500
@@ -183,8 +179,7 @@ def _variable_values(coef: int, cond: CongruenceCondition | None,
 
 def _streams(form: DiagonalTernaryForm, top: int) -> list[np.ndarray]:
     """``_variable_values`` of each variable up to top, largest coefficient
-    first: ``_progression_bitmap`` pairs the first two, whose int64 grid is
-    capped, and ``represented_among`` walks the first."""
+    first: ``represented_among`` walks the first."""
     order = sorted(range(3), key=lambda i: -form.coefficients[i])
     return [_variable_values(form.coefficients[i], form.conditions[i], top)
             for i in order]
@@ -342,82 +337,76 @@ def canonical_reduction(sum_: TripleSum) -> ReductionEntry:
     return entry
 
 
-def _grid_streams(form: DiagonalTernaryForm, multiplier: int,
-                  constant: int, bound: int) -> list[np.ndarray]:
-    """The value streams (``_streams``) that ``_progression_bitmap`` takes
-    up to multiplier*bound + constant, or a ValueError when its quotient
-    bitmap or its int64 pair grid of the first two would be too large."""
+def _frame_shift(multiplier: int, constant: int, bound: int) -> int:
+    """The shift F = max(0, ceil(constant / multiplier)) of the frame
+    [0, bound + F] that ``_progression_bitmap`` folds into, or a ValueError
+    when the frame is above ``sumset.MAX_RANGE_BOUND``: the only cap of a
+    progression, which ``check_reduction_bound`` gives before anything is
+    built."""
     check_bound(bound)
-    top = multiplier * bound + constant
-    if top // multiplier > MAX_RANGE_BOUND:
-        raise ValueError(f"quotient bitmap over [0, {top // multiplier}] "
+    shift = max(0, -(-constant // multiplier))
+    if bound + shift > MAX_RANGE_BOUND:
+        raise ValueError(f"progression frame over [0, {bound + shift}] "
                          f"above supported {MAX_RANGE_BOUND}")
-    s = _streams(form, top)
-    cells = s[0].size * s[1].size
-    if cells > _MAX_PAIR_CELLS:
-        raise ValueError(f"pair grid of {cells} sums above supported "
-                         f"{_MAX_PAIR_CELLS}")
-    return s
+    return shift
 
 
 def check_reduction_bound(entry: ReductionEntry, bound: int) -> None:
-    """Refuse, by the ValueError of ``_grid_streams``, a bound that
+    """Refuse, by the ValueError of ``_frame_shift``, a bound that
     ``verify_reduction`` of the entry would refuse, before anything is
-    verified.  A stream of coefficient c up to top holds at most
-    isqrt(top // c) + 1 values, so the streams are built and counted only
-    when that bound for the two largest coefficients, or the quotient
-    bitmap, could pass a cap: the 77 reductions of the form-catalog workload
-    at 10^4 took 8.5 ms to build, against 75 ms to verify (2-vCPU VM)."""
-    check_bound(bound)
-    top = max(entry.multiplier * bound + entry.constant, 0)
-    a, b = sorted(entry.form.coefficients)[1:]
-    if (top // entry.multiplier > MAX_RANGE_BOUND or (isqrt(top // a) + 1)
-            * (isqrt(top // b) + 1) > _MAX_PAIR_CELLS):
-        _grid_streams(entry.form, entry.multiplier, entry.constant, bound)
+    verified."""
+    _frame_shift(entry.multiplier, entry.constant, bound)
+
+
+def _by_residue(values: np.ndarray, modulus: int) -> dict[int, np.ndarray]:
+    """The sorted values v of a stream split by r = v mod modulus, as
+    {r: the quotients v // modulus, sorted}.  A stable sort by residue keeps
+    each class sorted; ``np.unique`` would import ``numpy.ma``."""
+    residues = values % modulus
+    order = np.argsort(residues, kind="stable")
+    values, residues = values[order], residues[order]
+    cuts = np.flatnonzero(residues[1:] != residues[:-1]) + 1
+    return {int(r[0]): v // modulus for v, r in
+            zip(np.split(values, cuts), np.split(residues, cuts)) if r.size}
 
 
 def _progression_bitmap(form: DiagonalTernaryForm, multiplier: int,
                         constant: int, bound: int) -> np.ndarray:
     """bitmap[n] = (multiplier*n + constant is represented by the form).
 
-    With M = multiplier and C = constant, a pair sum p = M*k + rho of the
-    two largest coefficients and a third value w reach n = k + d, where
-    d = (rho + w - C) / M, exactly when rho = (C - w) mod M.  The pair sums
-    are bucketed by residue; each residue rho that some w needs scatters
-    its quotients k into one bool bitmap over [0, top // M], and every w
-    needing rho ORs that bitmap into the result shifted by d: one slice-OR
-    of at most bound + 1 bytes per third value.
+    With M = multiplier and C = constant, each value of a stream is
+    u = M*u' + r with r = u mod M.  Values u, v, w of the three streams sum
+    to M*n + C exactly when their residues sum to C + M*e for an integer
+    e, and then n = u' + v' + w' + e.  So for each residue pair (r0, r1)
+    whose r2 = (C - r0 - r1) mod M occurs in the third stream, the two
+    longest quotient classes are paired by ``sumset._pair_bits`` and the
+    shortest, shifted by e + F, is folded in by ``sumset.inside``, all in
+    the frame [0, bound + F] of ``_frame_shift``, whose entry n + F is n:
+    e >= -C/M >= -F keeps every shift at or above 0.  The packed results
+    are ORed, and entries F to bound + F are returned as a bool array.  A
+    canonical reduction has one residue per stream, since c*y^2 is
+    c*(m - 4)^2 mod M: one pair step and one fold.
     """
+    shift = _frame_shift(multiplier, constant, bound)
+    size = bound + shift + 1
     top = multiplier * bound + constant
-    s = _grid_streams(form, multiplier, constant, bound)
-    pair = (s[0][:, None] + s[1][None, :]).ravel()
-    pair = pair[pair <= top]
-    # pair sums bucketed by residue.  Order within a bucket does not
-    # matter; the stable sort is only faster on these many-duplicate keys
-    pair = pair[np.argsort(pair % multiplier, kind="stable")]
-    quotients, residues = np.divmod(pair, multiplier)
-    # third values grouped by the residue they need
-    groups: dict[int, list[int]] = {}
-    for w in s[2].tolist():
-        groups.setdefault((constant - w) % multiplier, []).append(w)
-    rhos = np.fromiter(groups, dtype=np.int64, count=len(groups))
-    starts = np.searchsorted(residues, rhos, side="left").tolist()
-    ends = np.searchsorted(residues, rhos, side="right").tolist()
-    width = top // multiplier + 1
-    out = np.zeros(bound + 1, dtype=bool)
-    hit = np.zeros(width, dtype=bool)
-    for (rho, ws), lo, hi in zip(groups.items(), starts, ends):
-        if lo == hi:
-            continue
-        ks = quotients[lo:hi]
-        hit[ks] = True
-        for w in ws:
-            d = (rho + w - constant) // multiplier
-            n0, n1 = max(d, 0), min(bound + 1, width + d)
-            if n0 < n1:
-                out[n0:n1] |= hit[n0 - d : n1 - d]
-        hit[ks] = False
-    return out
+    first, second, third = (_by_residue(s, multiplier)
+                            for s in _streams(form, top))
+    out = bitmap(size, False, packed=True)
+    for r0, q0 in first.items():
+        for r1, q1 in second.items():
+            r2 = (constant - r0 - r1) % multiplier
+            if r2 not in third:
+                continue
+            e = (r0 + r1 + r2 - constant) // multiplier
+            *pair, shortest = sorted((q0, q1, third[r2]), key=len,
+                                     reverse=True)
+            folded = shortest + (e + shift)
+            folded = folded[folded < size]
+            if folded.size:
+                out |= inside(_pair_bits(*pair, size - 1), size,
+                              folded.tolist())
+    return unpack(out, size)[shift:]
 
 
 def verify_reduction(entry: ReductionEntry, bound: int

@@ -144,22 +144,23 @@ def test_catalog_mismatches_exit_1(capsys):
 
 def test_verify_reduction_refuses_a_bound_before_verifying(capsys,
                                                           monkeypatch):
-    # at 3*10^6 the pair grid of a later explicit entry is above the cap:
-    # the bound is refused before any entry is verified, with the message of
-    # that entry's own grid
+    # five entries below the cap of the frame [0, bound + ceil(C / M)]: the
+    # first (F = 2) fits, the last (4440n+2657, F = 10) does not, and the
+    # bound is refused before any entry is verified, with the message of
+    # that entry's own frame
     def refuse(*args, **kwargs):
         raise AssertionError("an entry verified before the refusal")
 
-    bound = 3_000_000
+    bound = sumset.MAX_RANGE_BOUND - 5
     entries = [e for _, e in catalog.explicit_reductions()]
     refused = []
     for entry in entries:
         try:
-            qform._grid_streams(entry.form, entry.multiplier, entry.constant,
-                                bound)
+            qform._frame_shift(entry.multiplier, entry.constant, bound)
         except ValueError as exc:
             refused.append(str(exc))
-    assert refused and refused[0].startswith("pair grid of ")
+    assert refused and refused[0].startswith("progression frame over ")
+    assert entries[-1].multiplier == 4440 and len(refused) == 1
     monkeypatch.setattr(cli, "verify_reduction", refuse)
     status = cli.main(["verify-reduction", "--bound", str(bound)])
     captured = capsys.readouterr()
@@ -167,22 +168,32 @@ def test_verify_reduction_refuses_a_bound_before_verifying(capsys,
     assert captured.err == f"error: {refused[0]}\n"
 
 
-# The check builds the value streams only when its bound on their length
-# could pass a cap; it refuses exactly where the grid's own count does, for
-# the 77 reductions of the form-catalog workload, from bounds that pass
-# every grid to bounds that refuse most.
+# The check builds nothing; it refuses exactly where the progression itself
+# does, before its first pair step, for the 77 reductions of the
+# form-catalog workload, from bounds that pass every frame to bounds that
+# refuse every one.
 @pytest.mark.parametrize("bound", [-1, 0, 10_000, 1_000_000, 2_000_000,
-                                   3_000_000, 10_000_000, 200_000_000])
-def test_check_reduction_bound_refuses_as_the_grid_does(bound):
+                                   3_000_000, 10_000_000,
+                                   sumset.MAX_RANGE_BOUND - 10,
+                                   sumset.MAX_RANGE_BOUND - 2,
+                                   sumset.MAX_RANGE_BOUND, 200_000_000])
+def test_check_reduction_bound_refuses_as_the_grid_does(bound, monkeypatch):
+    class Built(Exception):
+        pass
+
+    def built(*args, **kwargs):
+        raise Built
+
     sums = ["p3+p4+p5", "p5+p5+2p5", "p11+p13+p19", "p3+p3+p10",
             "p8+p8+2p8", "p3+2p4+p9"]
     entries = [e for _, e in catalog.explicit_reductions()] + [
         qform.canonical_reduction(parse_sum(s, SumDomain.INTEGERS))
         for s in sums]
+    monkeypatch.setattr(qform, "_pair_bits", built)
     for entry in entries:
         outcomes = []
         for check in (lambda: qform.check_reduction_bound(entry, bound),
-                      lambda: qform._grid_streams(
+                      lambda: qform._progression_bitmap(
                           entry.form, entry.multiplier, entry.constant,
                           bound)):
             try:
@@ -190,6 +201,8 @@ def test_check_reduction_bound_refuses_as_the_grid_does(bound):
                 outcomes.append(None)
             except ValueError as exc:
                 outcomes.append(str(exc))
+            except Built:
+                outcomes.append(None)
         assert outcomes[0] == outcomes[1], (bound, entry)
 
 
@@ -446,6 +459,19 @@ def test_large_bound_peak_rss(argv):
     status, peak = _child_peak_mb([*argv.split(), "--bound", "10000000"])
     assert status == 0
     assert peak - base < 8, (base, peak)
+
+
+# verify-reduction folds each progression into a packed frame of about
+# bound + 1 entries: at 10^6, 4 MB above the run at 1000 on a 2-vCPU VM,
+# where an int64 grid of pair sums, bucketed by an argsort, took 221 MB.
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="ru_maxrss is in KiB on Linux")
+def test_verify_reduction_peak_rss():
+    status, base = _child_peak_mb(["verify-reduction", "--bound", "1000"])
+    assert status == 0
+    status, peak = _child_peak_mb(["verify-reduction", "--bound", "1000000"])
+    assert status == 0
+    assert peak - base < 16, (base, peak)
 
 
 # prime-scan over every n lists about half of [0, 10^7], 38 MB as int64, and

@@ -181,6 +181,12 @@ GOLDEN = [
     ("prime-scan --a 1 --prime-mod 10007 --prime-residue 3 --universe all"
      " --bound 1048600 --limit 200", 0,
      "d279297e6ca5f7af16ec681e65caba21154b70f825e6ea06f0c756bf5507cc59"),
+    # progressions over frames of several pair-step tiles: the seven
+    # explicit reductions, and a multiplier of 13464
+    ("verify-reduction --bound 1000000", 0,
+     "8173e250f00775b69533c13714139e45fd398ba549fe937d99e0e9012d82c647"),
+    ("verify-reduction --sum p11+p13+p19 --domain Z --bound 300000", 0,
+     "23689511747dad806401bc362fd3aabf69991951b402ac1a721851a97f159eeb"),
 ]
 
 

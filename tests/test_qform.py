@@ -240,33 +240,33 @@ def test_value_grid_above_limit_is_refused_before_allocation():
         with pytest.raises(ValueError, match="above supported"):
             _reachable(form, sumset.MAX_RANGE_BOUND + 1)
         with pytest.raises(ValueError, match="above supported"):
-            _progression_bitmap(form, 8880, 3,
-                                sumset.MAX_RANGE_BOUND // 8880 + 1)
-        with pytest.raises(ValueError, match="above supported"):
             qf_exception_set(form, 10 ** 9)
-        # top 8.88e7 fits a bitmap, but the unconditioned pair grid would
-        # hold 8.88e7 int64 sums
-        with pytest.raises(ValueError, match="pair grid .* above supported"):
-            _progression_bitmap(form, 8880, 3, 10_000)
-        # a tiny pair grid, but bound + 1 bools above the limit
+        # a tiny value grid, but bound + 1 bools above the limit
         with pytest.raises(ValueError, match="bound .* above supported"):
             _progression_bitmap(DiagonalTernaryForm((10 ** 7,) * 3), 1, 0,
                                 sumset.MAX_RANGE_BOUND + 1)
-        # a tiny pair grid and bound, but the quotient bitmap over
-        # [0, top // multiplier] would hold 10^9 bools
-        with pytest.raises(ValueError, match="above supported"):
+        # a tiny value grid and bound, but the frame over
+        # [0, bound + constant / multiplier] would hold 10^9 entries
+        with pytest.raises(ValueError, match="frame .* above supported"):
             _progression_bitmap(DiagonalTernaryForm((10 ** 7,) * 3), 1,
                                 10 ** 9, 10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    # top near 10^8 with 456 square residues mod 8880 per stream: the frame
+    # holds only bound + 2 entries
+    for bound in (sumset.MAX_RANGE_BOUND // 8880 + 1, 10_000):
+        assert _progression_bitmap(form, 8880, 3, bound).tolist() == [
+            not three_square_excluded(8880 * n + 3)
+            for n in range(bound + 1)]
 
 
 def test_default_reduction_bound_is_accepted():
-    # the progression check allocates bound + 1 bools and the pair grid of
-    # two coefficients, never a bitmap over [0, multiplier*bound + constant]:
-    # 4440n+2657 reaches 4.4e7 and p31+p33+p39 (multiplier 266104) 2.7e8
+    # the progression check folds quotients by the multiplier into a frame
+    # of about bound + 1 entries, never a bitmap over
+    # [0, multiplier*bound + constant]: 4440n+2657 reaches 4.4e7 and
+    # p31+p33+p39 (multiplier 266104) 2.7e8
     for display, entry in catalog.explicit_reductions():
         assert verify_reduction(entry, 10_000) == (True, None), display
     entry = canonical_reduction(parse_sum("p31+p33+p39", Z))
@@ -283,18 +283,21 @@ def test_represented_among_equals_per_n_search(coeffs, conds, ns):
         {n for n in ns if qf_represents(form, n) is not None})
 
 
-# Constants up to 2000 against multipliers down to 1 and bounds down to 0
-# give shifts d = (rho + w - C) / M below zero and C / M above the bound.
+# Constants from -2000 to 2000 against multipliers down to 1 and bounds
+# down to 0 give frames that start above 0 and C / M above the bound, and
+# a progression that starts below 0.
 @settings(max_examples=100, deadline=None)
 @given(st.tuples(*[st.integers(1, 12)] * 3), st.tuples(*[_conditions()] * 3),
-       st.integers(1, 60), st.integers(0, 2000), st.integers(0, 300))
+       st.integers(1, 60), st.integers(-2000, 2000), st.integers(0, 300))
+@example((7, 4, 6), (None, None, None), 12, -455, 19)
 def test_progression_bitmap_equals_per_n_search(coeffs, conds, multiplier,
                                                 constant, bound):
     form = DiagonalTernaryForm(coeffs, conds)
     bits = _progression_bitmap(form, multiplier, constant, bound)
     assert bits.dtype == bool and bits.shape == (bound + 1,)
     assert bits.tolist() == [
-        qf_represents(form, multiplier * n + constant) is not None
+        multiplier * n + constant >= 0
+        and qf_represents(form, multiplier * n + constant) is not None
         for n in range(bound + 1)]
 
 

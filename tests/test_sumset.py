@@ -829,6 +829,27 @@ def test_rechecks_neither_copy_nor_change_their_lists():
         assert np.array_equal(descending, listed[::-1])
 
 
+def test_sorted_distinct_checks_increase_without_a_bool_per_entry():
+    # 5*10^6 increasing entries are returned as they are: a comparison of
+    # the whole array held 4.77 MiB of bools
+    increasing = np.arange(0, 10 ** 7, 2)
+    tracemalloc.start()
+    try:
+        assert sumset.sorted_distinct(increasing) is increasing
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+    # a repeat or a descent on either side of a slice border is sorted out
+    chunk = sumset._PAIR_CHUNK
+    for at in (chunk - 1, chunk, chunk + 1):
+        for change in (0, -1):
+            ns = np.arange(3 * chunk)
+            ns[at] = ns[at - 1] + change
+            assert sumset.sorted_distinct(ns).tolist() == sorted(set(
+                ns.tolist())), (at, change)
+
+
 def test_reverification_memory_per_integer():
     # the 333331 exceptions of p4+p4+p4 at 2*10^6 against a bool table of
     # the head sums; a Python set of those sums took 19 bytes per integer
