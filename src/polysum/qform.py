@@ -365,9 +365,10 @@ def _by_residue(values: np.ndarray, modulus: int) -> dict[int, np.ndarray]:
     residues = values % modulus
     order = np.argsort(residues, kind="stable")
     values, residues = values[order], residues[order]
-    cuts = np.flatnonzero(residues[1:] != residues[:-1]) + 1
-    return {int(r[0]): v // modulus for v, r in
-            zip(np.split(values, cuts), np.split(residues, cuts)) if r.size}
+    cuts = [0, *(np.flatnonzero(residues[1:] != residues[:-1]) + 1).tolist(),
+            values.size]
+    return {int(residues[lo]): values[lo:hi] // modulus
+            for lo, hi in zip(cuts, cuts[1:]) if lo < hi}
 
 
 def _progression_bitmap(form: DiagonalTernaryForm, multiplier: int,
