@@ -383,7 +383,8 @@ def _progression_bitmap(form: DiagonalTernaryForm, multiplier: int,
     longest quotient classes are paired by ``sumset._pair_bits`` and the
     shortest, shifted by e + F, is folded in by ``sumset.inside``, all in
     the frame [0, bound + F] of ``_frame_shift``, whose entry n + F is n:
-    e >= -C/M >= -F keeps every shift at or above 0.  The packed results
+    e >= -C/M >= -F keeps every shift at or above 0, and no quotient is
+    above (M*bound + C) // M <= bound + F.  The packed results
     are ORed, and entries F to bound + F are returned as a bool array.  A
     canonical reduction has one residue per stream, since c*y^2 is
     c*(m - 4)^2 mod M: one pair step and one fold.

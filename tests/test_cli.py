@@ -144,9 +144,9 @@ def test_catalog_mismatches_exit_1(capsys):
 
 def test_verify_reduction_refuses_a_bound_before_verifying(capsys,
                                                           monkeypatch):
-    # five entries below the cap of the frame [0, bound + ceil(C / M)]: the
-    # first (F = 2) fits, the last (4440n+2657, F = 10) does not, and the
-    # bound is refused before any entry is verified, with the message of
+    # five below the cap, the frame [0, bound + ceil(C / M)] of the first
+    # entry (F = 2) fits and that of the last (4440n+2657, F = 10) does not:
+    # the bound is refused before any entry is verified, with the message of
     # that entry's own frame
     def refuse(*args, **kwargs):
         raise AssertionError("an entry verified before the refusal")
@@ -169,9 +169,9 @@ def test_verify_reduction_refuses_a_bound_before_verifying(capsys,
 
 
 # The check builds nothing; it refuses exactly where the progression itself
-# does, before its first pair step, for the 77 reductions of the
-# form-catalog workload, from bounds that pass every frame to bounds that
-# refuse every one.
+# does, before its first pair step, for the explicit reductions and six
+# canonical ones (F from 1 to 10), from bounds that pass every frame to
+# bounds that refuse every one.
 @pytest.mark.parametrize("bound", [-1, 0, 10_000, 1_000_000, 2_000_000,
                                    3_000_000, 10_000_000,
                                    sumset.MAX_RANGE_BOUND - 10,

@@ -284,8 +284,8 @@ def test_represented_among_equals_per_n_search(coeffs, conds, ns):
 
 
 # Constants from -2000 to 2000 against multipliers down to 1 and bounds
-# down to 0 give frames that start above 0 and C / M above the bound, and
-# a progression that starts below 0.
+# down to 0 give frame shifts F = ceil(C / M) up to 2000, C / M above the
+# bound, and progressions that start below 0.
 @settings(max_examples=100, deadline=None)
 @given(st.tuples(*[st.integers(1, 12)] * 3), st.tuples(*[_conditions()] * 3),
        st.integers(1, 60), st.integers(-2000, 2000), st.integers(0, 300))
