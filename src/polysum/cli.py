@@ -175,6 +175,10 @@ def _cmd_screen(args) -> int:
     if args.preset not in PRESETS:
         raise UsageError(f"unknown preset {args.preset!r}; "
                          f"choose from {sorted(PRESETS)}")
+    for flag, bound in (("--bound", args.bound),
+                        ("--search-bound", args.search_bound)):
+        if bound is not None and bound < 0:
+            raise UsageError(f"{flag} must be >= 0, got {bound}")
     if args.preset == "unique-29":
         found = unique_exception_scan(args.preset, args.bound,
                                       args.search_bound)

@@ -169,8 +169,12 @@ def _variable_values(coef: int, cond: CongruenceCondition | None,
     ymax = isqrt(top // coef)
     ys = np.arange(-ymax, ymax + 1, dtype=np.int64)
     if cond is not None:
-        lo = -ymax if cond.lower is None else cond.lower
-        ys = ys[(ys >= lo) & np.isin(np.mod(ys, cond.modulus), cond.residues)]
+        allowed = np.zeros(cond.modulus, dtype=bool)
+        allowed[np.asarray(cond.residues, dtype=np.intp)] = True
+        keep = allowed[np.mod(ys, cond.modulus)]
+        if cond.lower is not None:
+            keep &= ys >= cond.lower
+        ys = ys[keep]
     mark = np.zeros(ymax + 1, dtype=bool)
     mark[np.abs(ys)] = True  # flatnonzero is then sorted and distinct
     squares = np.flatnonzero(mark) ** 2

@@ -25,22 +25,29 @@ Frontier and parametric tails are checked by one enumeration
 (``_worst_gaps``): one value set is chosen per open slot from a candidate
 list, and every choice must leave the gaps.  The {0} of a coefficient above
 the check bound, or of an absent slot, is inside every candidate set, so its
-gaps are a superset and it is no choice of its own.  The fixed streams are
-summed once and each chosen set is added to the sums of the slots before it;
-slots with equal candidate lists (all frontier slots, sibling slots of one
-order) walk each multiset of choices once, as its sorted index tuple.  The
-check bound doubles until that enumeration closes.  A region still open at the
-search bound raises ``SpaceNotClosable``, which the CLI reports with exit
-status 2.
+gaps are a superset and it is no choice of its own.  A set of sums is one
+Python int, a bitmask over [0, Q]: the fixed streams are summed once, each
+chosen set is added to the sums of the slots before it as an OR of shifts,
+and the gaps are the lowest clear bits.  Slots with equal candidate lists
+(all frontier slots, sibling slots of one order) walk each multiset of
+choices once, as its sorted index tuple.  The check bound doubles until that
+enumeration closes.  A region still open at the search bound raises
+``SpaceNotClosable``, which the CLI reports with exit status 2.
+``verify_certificate`` reads its gaps through the same enumeration, and
+never through ``sumset``.
 
 Each concrete triple is scanned beside a fixed pair of its terms
-(``_FixedPair``), whose sumset bitmap is built once per pair: at the search
-bound, where the pair's coefficient tail, its order tails and the staged pass
-of each of its triples read it, and at the scan bound, on first use, for the
-triples that pass their stage.  A triple's exceptions, and an order tail's
-gaps, are the n outside the pair's sumset plus one more stream, read by
-``sumset.outside``.  A sumset does not depend on which two of its streams are
-summed first, so each scan is exact for the triple.
+(``_FixedPair``), whose sumset bitmaps are built on first use.  The pair's
+coefficient tail, its order tails and the staged pass of each of its
+triples read the first gaps they need on a prefix of the pair's sumset,
+[0, 64) first and then eight times wider, up to the search bound; most
+witnesses are small, so most pairs never build a bitmap at the search bound.
+The triples that pass their stage read the pair's bitmap at the scan bound.
+A triple's exceptions, and an order tail's gaps, are the n outside the
+pair's sumset plus one more stream, read by ``sumset.outside``; whether n is
+outside depends only on the entries and values up to n, so a prefix's gaps
+are the first gaps on the whole range.  A sumset does not depend on which
+two of its streams are summed first, so each scan is exact for the triple.
 
 Tail thresholds come from the smallest checked witness, which may be looser
 than a hand-optimized cutoff; certificates are validated against their own
@@ -51,11 +58,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Callable, Iterable, Sequence
 
-from .polycore import SumDomain, Term, TripleSum, poly_values_upto
-from .sumset import RangeBitset, outside, range_sieve
+import numpy as np
+
+from .polycore import SumDomain, Term, TripleSum, _values_upto
+from .sumset import outside, range_sieve
 
 DEFAULT_SEARCH_BOUND = 2000
 DEFAULT_SCAN_BOUND = 100_000
@@ -106,8 +115,12 @@ class EliminationCertificate:
     coefficient_cap: int | None = None
 
 
-def _stream(key: TermKey, domain: SumDomain, bound: int) -> list[int]:
-    return poly_values_upto(Term(key[0], key[1]), domain, bound)
+def _stream(key: TermKey, domain: SumDomain, bound: int) -> Sequence[int]:
+    """``poly_values_upto`` of the term ``key``: its cached tuple itself,
+    with no ``Term`` built and no copy made."""
+    if key[0] < 1:  # the check a Term makes; the walk would never end
+        raise ValueError(f"coefficient must be >= 1, got {key[0]}")
+    return _values_upto(key[0], key[1], domain, bound)
 
 
 def _worst_gaps(sets: Sequence[Iterable[int]],
@@ -118,26 +131,38 @@ def _worst_gaps(sets: Sequence[Iterable[int]],
     last gap is largest (the earliest such choice); None as soon as some
     choice leaves fewer gaps, or when a slot has no value set to choose.
 
-    The sums of ``sets`` are built once, and the walk adds one chosen set
-    per slot, depth first.  Where a slot's candidate list equals the one
-    before it, the walk takes only choices at or after the earlier slot's:
-    a sumset does not depend on the order of its sets, and each multiset of
-    choices first appears in ``product`` order as its sorted index tuple, so
-    the earliest worst choice is among those walked."""
-    def add(sums: set[int], values: Iterable[int]) -> set[int]:
-        return {s + v for s in sums for v in values if s + v <= bound}
+    Sums are one Python int each, bit n set for a reached n: a value set is
+    added as the OR of the sums shifted by each of its values up to bound,
+    masked once to [0, bound], and the gaps are the lowest clear bits.  The
+    sums of ``sets`` are built once, and the walk adds one chosen set per
+    slot, depth first.  Where a slot's candidate list equals the one before
+    it, the walk takes only choices at or after the earlier slot's: a sumset
+    does not depend on the order of its sets, and each multiset of choices
+    first appears in ``product`` order as its sorted index tuple, so the
+    earliest worst choice is among those walked."""
+    mask = (1 << max(bound + 1, 0)) - 1
 
-    sums = {0}
+    def add(sums: int, values: Iterable[int]) -> int:
+        out = 0
+        for v in values:
+            if v <= bound:
+                out |= sums << v
+        return out & mask
+
+    sums = 1
     for values in sets:
         sums = add(sums, values)
     repeats = [i > 0 and slots[i] == slots[i - 1] for i in range(len(slots))]
     worst = None
 
-    def walk(level: int, sums: set[int], first: int) -> bool:
+    def walk(level: int, sums: int, first: int) -> bool:
         nonlocal worst
         if level == len(slots):
-            found = list(islice((n for n in range(bound + 1) if n not in sums),
-                                gap_count))
+            free, found = ~sums & mask, []
+            while free and len(found) < gap_count:
+                low = free & -free
+                found.append(low.bit_length() - 1)
+                free ^= low
             if len(found) < gap_count:
                 return False
             if worst is None or found[-1] > worst[-1]:
@@ -243,20 +268,25 @@ def verify_certificate(cert: EliminationCertificate) -> bool:
 # tail cutoffs (public primitives)
 # ---------------------------------------------------------------------------
 
-def _order_tail(pair: RangeBitset, c: int,
+def _open_values(c: int, bound: int) -> tuple[int, ...]:
+    """The values up to bound of a slot of coefficient c and a large order:
+    {0, c}, or {0} when c lies above the bound."""
+    return (0, c) if c <= bound else (0,)
+
+
+def _order_tail(found: list[int], c: int,
                 gap_count: int) -> tuple[list[int], int] | None:
-    """``order_tail_cutoff`` read from the fixed terms' sumset bitmap."""
-    found = outside(pair.bits, [v for v in (0, c) if v <= pair.bound])
-    found = found[:gap_count].tolist()
+    """``order_tail_cutoff`` from the first gaps of the fixed terms' sumset
+    plus ``_open_values(c, ...)``."""
     if len(found) < gap_count:
         return None
     return found, found[-1] // c + 3
 
 
-def _coefficient_tail(pair: RangeBitset,
+def _coefficient_tail(found: list[int],
                       gap_count: int) -> tuple[list[int], int] | None:
-    """``coefficient_tail_cutoff`` read from the fixed terms' sumset bitmap."""
-    found = pair.first_missing(gap_count)
+    """``coefficient_tail_cutoff`` from the first gaps of the fixed terms'
+    sumset."""
     if len(found) < gap_count:
         return None
     return found, found[-1]
@@ -273,8 +303,10 @@ def order_tail_cutoff(fixed_terms: Sequence[Term], third_coefficient: int,
     """
     if third_coefficient < 1:
         raise ValueError("coefficient must be >= 1")
-    return _order_tail(range_sieve(fixed_terms, domain, search_bound),
-                       third_coefficient, gap_count)
+    found = outside(range_sieve(fixed_terms, domain, search_bound).bits,
+                    _open_values(third_coefficient, search_bound))
+    return _order_tail(found[:gap_count].tolist(), third_coefficient,
+                       gap_count)
 
 
 def coefficient_tail_cutoff(fixed_terms: Sequence[Term], domain: SumDomain,
@@ -285,8 +317,9 @@ def coefficient_tail_cutoff(fixed_terms: Sequence[Term], domain: SumDomain,
     The smallest n outside the fixed-pair sumset works for every order at
     once: a third term with coefficient > n contributes only 0 below n.
     """
-    return _coefficient_tail(range_sieve(fixed_terms, domain, search_bound),
-                             gap_count)
+    return _coefficient_tail(
+        range_sieve(fixed_terms, domain, search_bound).first_missing(gap_count),
+        gap_count)
 
 
 # ---------------------------------------------------------------------------
@@ -400,46 +433,73 @@ def format_triple(triple: Sequence[TermKey]) -> str:
 # shared scanning helpers
 # ---------------------------------------------------------------------------
 
+# A pair's reads start on the prefix [0, _PREFIX_START) and grow it
+# _PREFIX_GROWTH times until they find their gaps or reach the stage bound.
+# Most first gaps are small: of the 4313 certificates with witnesses in the
+# six screens (the five catalog presets and unique-29), the median last
+# witness is 8, 160 lie at or above 64 and 2 at or above 512; thm-1.4 builds
+# 15 of its 540 pair bitmaps at the stage bound 2000.  The six screens took
+# a median 137 ms at 64 and 8, against 141-143 ms at start 32 or 128 and
+# growth 4 or 16, and 171 ms with no prefix (15 fresh processes each, 2-vCPU
+# VM); starts of 16 to 256 with growth 4 to 16 all read 140-156 ms in a
+# coarser sweep.
+_PREFIX_START = 64
+_PREFIX_GROWTH = 8
+
+
 class _FixedPair:
     """The fixed terms shared by a run of concrete triples, and their sumset
-    bitmaps: at the stage bound, and at the scan bound, each built on first
-    use.  The tails under the pair read the staged bitmap, and every triple
-    (pair, third) is scanned against the pair's bitmaps: a sumset does not
-    depend on which two of its streams are summed first."""
+    bitmaps, one per bound read, each built on first use.  The tails under
+    the pair and the staged pass of each triple (pair, third) read the
+    pair's sumset on prefixes that grow up to the stage bound
+    (``first_outside``), and the triples that pass their stage read it once
+    at the scan bound: a sumset does not depend on which two of its streams
+    are summed first."""
 
-    def __init__(self, keys: tuple[TermKey, ...], domain: SumDomain,
-                 stage: int, bound: int):
+    def __init__(self, keys: tuple[TermKey, ...], domain: SumDomain):
         self.keys = keys
         self.domain = domain
-        self.stage = stage
-        self.bound = bound
+        self._bits: dict[int, np.ndarray] = {}
 
-    def _sieve(self, bound: int) -> RangeBitset:
-        return range_sieve([Term(a, m) for a, m in self.keys], self.domain,
-                           bound)
+    def bits(self, bound: int) -> np.ndarray:
+        """The pair's bool sumset bitmap over [0, bound]."""
+        bits = self._bits.get(bound)
+        if bits is None:
+            bits = self._bits[bound] = range_sieve(
+                [Term(a, m) for a, m in self.keys], self.domain, bound).bits
+        return bits
 
-    @cached_property
-    def staged(self) -> RangeBitset:
-        return self._sieve(self.stage)
-
-    @cached_property
-    def full(self) -> RangeBitset:
-        return self.staged if self.stage == self.bound else self._sieve(self.bound)
+    def first_outside(self, values: Callable[[int], Sequence[int]], want: int,
+                      top: int) -> list[int]:
+        """The first ``want`` n in [0, top] outside the pair's sumset plus
+        ``values(limit)`` (fewer if there are fewer), read on [0, limit] for
+        limit = _PREFIX_START - 1, then each time _PREFIX_GROWTH times as
+        many entries, up to top.  Whether n is outside depends only on
+        entries and values up to n, so the gaps a prefix finds are the first
+        gaps on [0, top] as well."""
+        limit = min(_PREFIX_START - 1, top)
+        while True:
+            found = outside(self.bits(limit), values(limit))
+            if found.size >= want or limit == top:
+                return found[:want].tolist()
+            limit = min((limit + 1) * _PREFIX_GROWTH - 1, top)
 
 
 def _scan_concrete(triple: Sequence[TermKey], domain: SumDomain, bound: int,
                    stage: int, want: int, pair: _FixedPair,
                    third: TermKey) -> list[int]:
     """Up to `want` exceptions within [0, bound] of the triple, the pair's
-    terms plus ``third``; a staged pass up to `stage` short-circuits triples
-    that fail early.  The first five parameters describe the scan for
-    ``perfbench/spans.py``; the work reads the pair and ``third``."""
-    if stage < bound:
-        quick = outside(pair.staged.bits, _stream(third, domain, stage))
-        if quick.size >= want:
-            return quick[:want].tolist()
-    found = outside(pair.full.bits, _stream(third, domain, bound))
-    return found[:want].tolist()
+    terms plus ``third``; a staged pass on prefixes up to `stage`
+    short-circuits triples that fail early.  The first five parameters
+    describe the scan for ``perfbench/spans.py``; the work reads the pair
+    and ``third``."""
+    def stream(limit: int) -> Sequence[int]:
+        return _stream(third, domain, limit)
+
+    found = pair.first_outside(stream, want, stage)
+    if len(found) < want and stage < bound:
+        found = outside(pair.bits(bound), stream(bound))[:want].tolist()
+    return found
 
 
 class _Collector:
@@ -518,7 +578,7 @@ def _screen_fixed_orders(space: CandidateSpace, bound: int, search_bound: int,
                 for coef in range(lo, limit + 1):
                     close(prefix + [coef])
                 return
-            pair = _FixedPair(fixed, domain, search_bound, bound)
+            pair = _FixedPair(fixed, domain)
             for coef in range(lo, limit + 1):
                 col.concrete(pair, (coef, orders[s]))
 
@@ -580,9 +640,10 @@ def _screen_term_multisets(space: CandidateSpace, bound: int, search_bound: int,
             if _term_sort_key(t2) < _term_sort_key(t1):
                 continue
             term2 = Term(*t2)
-            pair = _FixedPair((t1, t2), domain, search_bound, bound)
+            pair = _FixedPair((t1, t2), domain)
             # level 2: coefficient tail for the last slot
-            coef_wit, C = _closed(_coefficient_tail(pair.staged, gap_count),
+            coef_wit, C = _closed(_coefficient_tail(pair.first_outside(
+                lambda q: (0,), gap_count, search_bound), gap_count),
                 f"{space.name}: coefficient tail after {term1}+{term2}",
                 search_bound)
             if cap is None or C < cap:
@@ -592,7 +653,9 @@ def _screen_term_multisets(space: CandidateSpace, bound: int, search_bound: int,
                     gap_count=gap_count))
             for a3 in range(1, (min(C, cap) if cap else C) + 1):
                 # level 3: order tail for the last slot
-                wit, K = _closed(_order_tail(pair.staged, a3, gap_count),
+                wit, K = _closed(_order_tail(pair.first_outside(
+                    lambda q: _open_values(a3, q), gap_count, search_bound),
+                    a3, gap_count),
                     f"{space.name}: order tail after {term1}+{term2}+{a3}p_k",
                     search_bound)
                 col.elims.append(EliminationCertificate(

@@ -643,7 +643,8 @@ def test_prime_mod_at_sieve_limit_runs(capsys):
 
 @pytest.mark.parametrize("argv, search_bound", [
     (["--preset", "liouville", "--bound", "0"], 0),
-    (["--preset", "liouville", "--bound", "-5"], -5),
+    # an order tail whose gaps lie past a search bound below the stage
+    (["--preset", "thm-1.4", "--search-bound", "40"], 40),
     (["--preset", "thm-1.3", "--search-bound", "2"], 2),
     (["--preset", "unique-29", "--bound", "0"], 0),
 ])
@@ -654,6 +655,24 @@ def test_unclosable_search_bound_is_usage_error(capsys, argv, search_bound):
     (line,) = captured.err.splitlines()
     assert line.startswith("error: ")
     assert line.endswith(f"not closable at search bound {search_bound}")
+
+
+@pytest.mark.parametrize("preset", ["thm-1.3", "liouville", "unique-29"])
+@pytest.mark.parametrize("flag, value", [("--bound", "-5"),
+                                         ("--search-bound", "-1")])
+def test_negative_screen_bound_is_usage_error(capsys, monkeypatch, preset,
+                                              flag, value):
+    # refused before any screening starts
+    def unreachable(*args, **kwargs):
+        raise AssertionError("screened")
+
+    monkeypatch.setattr(cli, "screen", unreachable)
+    monkeypatch.setattr(cli, "unique_exception_scan", unreachable)
+    status = cli.main(["screen", "--preset", preset, flag, value])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {flag} must be >= 0, got {value}"]
 
 
 def test_clean_prime_scan_runs_no_witness_search(capsys, monkeypatch):

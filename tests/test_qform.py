@@ -233,6 +233,24 @@ def test_variable_values_of_a_coefficient_above_top():
         assert found.dtype == np.int64 and found.tolist() == values, cond
 
 
+@pytest.mark.parametrize("lower", [None, -9, 0, 4])
+def test_variable_values_match_brute_force(lower):
+    # every modulus 1..60 with a few residue sets each, the empty and the
+    # full set among them
+    for q in range(1, 61):
+        for residues in [(), tuple(range(q)), (q - 1,), (0, q // 2),
+                         tuple(range(1, q, 3))]:
+            cond = CongruenceCondition(q, tuple(sorted(set(residues))),
+                                       lower)
+            for coef, top in [(1, 700), (3, 250), (5, 4), (2, 0)]:
+                ymax = isqrt(top // coef)
+                want = sorted({coef * y * y for y in range(-ymax, ymax + 1)
+                               if cond.allows(y)})
+                found = _variable_values(coef, cond, top)
+                assert found.dtype == np.int64, (cond, coef, top)
+                assert found.tolist() == want, (cond, coef, top)
+
+
 def test_value_grid_above_limit_is_refused_before_allocation():
     form = DiagonalTernaryForm((1, 1, 1))
     tracemalloc.start()

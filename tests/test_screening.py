@@ -1,17 +1,22 @@
 import dataclasses
+import hashlib
 from itertools import product
 from typing import Iterable, Sequence
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from polysum import catalog
+from polysum import catalog, screening
 from polysum.polycore import SumDomain, Term, poly_values_upto
-from polysum.sumset import range_sieve
+from polysum.sumset import outside, range_sieve
 from polysum.screening import (
     DEFAULT_SEARCH_BOUND,
     PRESETS,
     EliminationCertificate,
+    _FixedPair,
     _frontier_slots,
+    _open_values,
+    _scan_concrete,
     _screen,
     _sibling_slots,
     _worst_gaps,
@@ -261,6 +266,116 @@ def test_worst_gaps_matches_the_product_reference(fixed, slots):
                 (bound, gap_count)
             outcomes.add(want is None)
     assert outcomes == {True, False}
+
+
+_VALUE_SETS = st.lists(st.integers(0, 70), min_size=1, max_size=5,
+                       unique=True).map(sorted)
+
+
+@st.composite
+def _gap_cases(draw):
+    """Fixed value sets, and up to three slots of candidate value sets, a
+    slot often repeating the list of the slot before it; values reach past
+    the bound, and a slot may have no set to choose."""
+    sets = draw(st.lists(_VALUE_SETS, max_size=2))
+    slots: list = []
+    for _ in range(draw(st.integers(0, 3))):
+        if slots and draw(st.booleans()):
+            slots.append(slots[-1])
+        else:
+            slots.append(draw(st.lists(_VALUE_SETS, max_size=4)))
+    return sets, slots, draw(st.integers(0, 64)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gap_cases())
+@example(([[0, 1]], [[[0, 3], [0, 5]]] * 3, 40, 2))
+@example(([], [[[0, 2]], []], 10, 1))
+def test_worst_gaps_matches_the_product_model_on_random_sets(case):
+    sets, slots, bound, gap_count = case
+    assert _worst_gaps(sets, slots, bound, gap_count) == \
+        _product_worst_gaps(sets, slots, bound, gap_count)
+
+
+_TERM_KEYS = st.tuples(st.integers(1, 6), st.integers(3, 14))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_TERM_KEYS, min_size=2, max_size=2), _TERM_KEYS,
+       st.sampled_from([N, Z]), st.integers(0, 2500), st.integers(0, 3000),
+       st.integers(1, 60))
+@example([(1, 3), (1, 5)], (1, 32), N, 2000, 2500, 2)   # gap 31
+@example([(1, 4), (1, 5)], (1, 8), N, 2000, 2500, 2)    # gap 19
+@example([(1, 3), (1, 3)], (1, 3), N, 1000, 1000, 1)    # no gap at all
+@example([(2, 5), (3, 7)], (1, 9), N, 511, 700, 60)     # a prefix at the stage
+def test_prefix_reads_equal_the_full_staged_read(keys, third, domain, stage,
+                                                 extra, want):
+    """The pair's prefix-first reads give the first gaps that one read of
+    the whole staged bitmap gives, for a third stream and for the {0, c} of
+    an order tail; a scan that passes its stage reads the scan bound."""
+    bound = stage + extra
+    pair = _FixedPair(tuple(keys), domain)
+
+    def stream(limit):
+        return poly_values_upto(Term(*third), domain, limit)
+
+    def whole(limit, values):
+        bits = range_sieve([Term(a, m) for a, m in keys], domain, limit).bits
+        return outside(bits, values)[:want].tolist()
+
+    staged = whole(stage, stream(stage))
+    assert pair.first_outside(stream, want, stage) == staged
+    c = third[0]
+    assert pair.first_outside(lambda q: _open_values(c, q), want, stage) == \
+        whole(stage, _open_values(c, stage))
+    scanned = staged if len(staged) >= want else whole(bound, stream(bound))
+    triple = canonical_triple([*keys, third])
+    assert _scan_concrete(triple, domain, bound, stage, want, pair, third) == \
+        scanned
+
+
+def test_weighted_screen_builds_few_pair_bitmaps_at_the_stage_bound(
+        monkeypatch):
+    # 540 pairs, most of which find every gap they need below 512
+    built = []
+    inner = screening.range_sieve
+
+    def counted(terms, domain, bound):
+        built.append((len(terms), bound))
+        return inner(terms, domain, bound)
+
+    monkeypatch.setattr(screening, "range_sieve", counted)
+    screen("thm-1.4")
+    assert built.count((2, DEFAULT_SEARCH_BOUND)) <= 40
+
+
+# The five catalog presets at their default bounds, and unique-29's scan
+# with two gaps per region: (preset, gap count).
+DIGEST_SCREENS = (("liouville", 1), ("thm-1.1i", 1), ("mixed-34-list", 1),
+                  ("thm-1.3", 1), ("thm-1.4", 1), ("unique-29", 2))
+SCREENS_DIGEST = \
+    "08fd31627082748d2baec35e857c8338d91c2ded496d5da2a3bbe2820e5a04da"
+
+
+def screens_digest() -> str:
+    """SHA-256 over every field of every certificate of DIGEST_SCREENS, in
+    order, then each screen's survivors and unique entries."""
+    digest = hashlib.sha256()
+    for preset, gap_count in DIGEST_SCREENS:
+        report = _screen(preset, None, DEFAULT_SEARCH_BOUND, gap_count)
+        digest.update(f"{preset} {gap_count}\n".encode())
+        for cert in report.eliminations:
+            fields = [getattr(cert, f.name) for f in dataclasses.fields(cert)]
+            fields = [v.value if isinstance(v, SumDomain) else v
+                      for v in fields]
+            digest.update(f"{fields!r}\n".encode())
+        digest.update(f"{report.survivors!r}\n"
+                      f"{report.unique_exceptions!r}\n".encode())
+    return digest.hexdigest()
+
+
+def test_every_certificate_is_pinned():
+    assert screens_digest() == SCREENS_DIGEST
 
 
 def test_worst_gaps_with_no_value_set_to_choose():
