@@ -420,7 +420,8 @@ def verify_reduction(entry: ReductionEntry, bound: int
     """Check both directions of the equivalence for all n <= bound."""
     right = _progression_bitmap(entry.form, entry.multiplier, entry.constant,
                                 bound)
-    left = range_sieve(entry.source.terms, entry.source.domain, bound).bits
+    left = unpack(range_sieve(entry.source.terms, entry.source.domain,
+                              bound).bits, bound + 1)
     diff = np.flatnonzero(left != right)
     if len(diff) == 0:
         return True, None

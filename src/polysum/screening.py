@@ -37,17 +37,14 @@ enumeration closes.  A region still open at the search bound raises
 never through ``sumset``.
 
 Each concrete triple is scanned beside a fixed pair of its terms
-(``_FixedPair``), whose sumset bitmaps are built on first use.  The pair's
-coefficient tail, its order tails and the staged pass of each of its
-triples read the first gaps they need on a prefix of the pair's sumset,
-[0, 64) first and then eight times wider, up to the search bound; most
-witnesses are small, so most pairs never build a bitmap at the search bound.
-The triples that pass their stage read the pair's bitmap at the scan bound.
-A triple's exceptions, and an order tail's gaps, are the n outside the
-pair's sumset plus one more stream, read by ``sumset.outside``; whether n is
-outside depends only on the entries and values up to n, so a prefix's gaps
-are the first gaps on the whole range.  A sumset does not depend on which
-two of its streams are summed first, so each scan is exact for the triple.
+(``_FixedPair``), whose sumset is built once as a Python int over [0, search
+bound] by ``sumset.int_fold``.  The pair's coefficient tail, its order tails
+and the staged pass of each of its triples add {0}, {0, c} or the third
+stream to that int and read the first gaps they need as its lowest clear
+bits (``sumset.int_gaps``).  The triples that pass their stage read the
+pair's packed sieve at the scan bound, built on first use, through
+``sumset.outside``.  A sumset does not depend on which two of its streams
+are summed first, so each scan is exact for the triple.
 
 Tail thresholds come from the smallest checked witness, which may be looser
 than a hand-optimized cutoff; certificates are validated against their own
@@ -59,12 +56,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .polycore import SumDomain, Term, TripleSum, _values_upto
-from .sumset import outside, range_sieve
+from .sumset import int_fold, int_gaps, outside, range_sieve
 
 DEFAULT_SEARCH_BOUND = 2000
 DEFAULT_SCAN_BOUND = 100_000
@@ -230,6 +227,8 @@ def verify_certificate(cert: EliminationCertificate) -> bool:
     if cert.kind in ("direct", "order-tail", "coefficient-tail"):
         # the witnesses must be the first gaps of the fixed streams plus the
         # open slots' value sets below the last witness
+        if not cert.witnesses:
+            return False
         top = max(cert.witnesses)
         open_sets: list[tuple[int, ...]] = []
         if cert.kind == "order-tail":
@@ -304,6 +303,7 @@ def order_tail_cutoff(fixed_terms: Sequence[Term], third_coefficient: int,
     if third_coefficient < 1:
         raise ValueError("coefficient must be >= 1")
     found = outside(range_sieve(fixed_terms, domain, search_bound).bits,
+                    search_bound + 1,
                     _open_values(third_coefficient, search_bound))
     return _order_tail(found[:gap_count].tolist(), third_coefficient,
                        gap_count)
@@ -433,72 +433,52 @@ def format_triple(triple: Sequence[TermKey]) -> str:
 # shared scanning helpers
 # ---------------------------------------------------------------------------
 
-# A pair's reads start on the prefix [0, _PREFIX_START) and grow it
-# _PREFIX_GROWTH times until they find their gaps or reach the stage bound.
-# Most first gaps are small: of the 4313 certificates with witnesses in the
-# six screens (the five catalog presets and unique-29), the median last
-# witness is 8, 160 lie at or above 64 and 2 at or above 512; thm-1.4 builds
-# 15 of its 540 pair bitmaps at the stage bound 2000.  The six screens took
-# a median 137 ms at 64 and 8, against 141-143 ms at start 32 or 128 and
-# growth 4 or 16, and 171 ms with no prefix (15 fresh processes each, 2-vCPU
-# VM); starts of 16 to 256 with growth 4 to 16 all read 140-156 ms in a
-# coarser sweep.
-_PREFIX_START = 64
-_PREFIX_GROWTH = 8
-
-
 class _FixedPair:
-    """The fixed terms shared by a run of concrete triples, and their sumset
-    bitmaps, one per bound read, each built on first use.  The tails under
-    the pair and the staged pass of each triple (pair, third) read the
-    pair's sumset on prefixes that grow up to the stage bound
-    (``first_outside``), and the triples that pass their stage read it once
-    at the scan bound: a sumset does not depend on which two of its streams
-    are summed first."""
+    """The fixed terms shared by a run of concrete triples, and their
+    sumset: a Python int over [0, stage], built at once, from which the
+    tails under the pair and the staged pass of each triple (pair, third)
+    read their first gaps, and a packed sieve at the scan bound, built on
+    first use, for the triples that pass their stage.  A sumset does not
+    depend on which two of its streams are summed first."""
 
-    def __init__(self, keys: tuple[TermKey, ...], domain: SumDomain):
+    def __init__(self, keys: tuple[TermKey, ...], domain: SumDomain,
+                 stage: int, bound: int):
         self.keys = keys
         self.domain = domain
-        self._bits: dict[int, np.ndarray] = {}
+        self.stage = stage
+        self.bound = bound
+        self.sums = 1
+        for key in keys:
+            self.sums = int_fold(_stream(key, domain, stage), stage + 1,
+                                 self.sums)
+        self._packed: np.ndarray | None = None
 
-    def bits(self, bound: int) -> np.ndarray:
-        """The pair's bool sumset bitmap over [0, bound]."""
-        bits = self._bits.get(bound)
-        if bits is None:
-            bits = self._bits[bound] = range_sieve(
-                [Term(a, m) for a, m in self.keys], self.domain, bound).bits
-        return bits
+    def first_outside(self, values: Sequence[int], want: int) -> list[int]:
+        """The first ``want`` n in [0, stage] outside the pair's sumset plus
+        ``values`` (fewer if there are fewer)."""
+        size = self.stage + 1
+        return int_gaps(int_fold(values, size, self.sums), size, want)
 
-    def first_outside(self, values: Callable[[int], Sequence[int]], want: int,
-                      top: int) -> list[int]:
-        """The first ``want`` n in [0, top] outside the pair's sumset plus
-        ``values(limit)`` (fewer if there are fewer), read on [0, limit] for
-        limit = _PREFIX_START - 1, then each time _PREFIX_GROWTH times as
-        many entries, up to top.  Whether n is outside depends only on
-        entries and values up to n, so the gaps a prefix finds are the first
-        gaps on [0, top] as well."""
-        limit = min(_PREFIX_START - 1, top)
-        while True:
-            found = outside(self.bits(limit), values(limit))
-            if found.size >= want or limit == top:
-                return found[:want].tolist()
-            limit = min((limit + 1) * _PREFIX_GROWTH - 1, top)
+    def scan(self, values: Sequence[int]) -> np.ndarray:
+        """The n in [0, bound] outside the pair's sumset plus ``values``,
+        read on a copy of its packed sieve at the scan bound."""
+        if self._packed is None:
+            self._packed = range_sieve([Term(a, m) for a, m in self.keys],
+                                       self.domain, self.bound).bits
+        return outside(self._packed.copy(), self.bound + 1, values)
 
 
 def _scan_concrete(triple: Sequence[TermKey], domain: SumDomain, bound: int,
                    stage: int, want: int, pair: _FixedPair,
                    third: TermKey) -> list[int]:
     """Up to `want` exceptions within [0, bound] of the triple, the pair's
-    terms plus ``third``; a staged pass on prefixes up to `stage`
+    terms plus ``third``; a staged pass on the pair's int up to `stage`
     short-circuits triples that fail early.  The first five parameters
     describe the scan for ``perfbench/spans.py``; the work reads the pair
     and ``third``."""
-    def stream(limit: int) -> Sequence[int]:
-        return _stream(third, domain, limit)
-
-    found = pair.first_outside(stream, want, stage)
+    found = pair.first_outside(_stream(third, domain, stage), want)
     if len(found) < want and stage < bound:
-        found = outside(pair.bits(bound), stream(bound))[:want].tolist()
+        found = pair.scan(_stream(third, domain, bound))[:want].tolist()
     return found
 
 
@@ -578,7 +558,7 @@ def _screen_fixed_orders(space: CandidateSpace, bound: int, search_bound: int,
                 for coef in range(lo, limit + 1):
                     close(prefix + [coef])
                 return
-            pair = _FixedPair(fixed, domain)
+            pair = _FixedPair(fixed, domain, search_bound, bound)
             for coef in range(lo, limit + 1):
                 col.concrete(pair, (coef, orders[s]))
 
@@ -640,10 +620,10 @@ def _screen_term_multisets(space: CandidateSpace, bound: int, search_bound: int,
             if _term_sort_key(t2) < _term_sort_key(t1):
                 continue
             term2 = Term(*t2)
-            pair = _FixedPair((t1, t2), domain)
+            pair = _FixedPair((t1, t2), domain, search_bound, bound)
             # level 2: coefficient tail for the last slot
-            coef_wit, C = _closed(_coefficient_tail(pair.first_outside(
-                lambda q: (0,), gap_count, search_bound), gap_count),
+            coef_wit, C = _closed(_coefficient_tail(
+                pair.first_outside((0,), gap_count), gap_count),
                 f"{space.name}: coefficient tail after {term1}+{term2}",
                 search_bound)
             if cap is None or C < cap:
@@ -654,8 +634,7 @@ def _screen_term_multisets(space: CandidateSpace, bound: int, search_bound: int,
             for a3 in range(1, (min(C, cap) if cap else C) + 1):
                 # level 3: order tail for the last slot
                 wit, K = _closed(_order_tail(pair.first_outside(
-                    lambda q: _open_values(a3, q), gap_count, search_bound),
-                    a3, gap_count),
+                    _open_values(a3, search_bound), gap_count), a3, gap_count),
                     f"{space.name}: order tail after {term1}+{term2}+{a3}p_k",
                     search_bound)
                 col.elims.append(EliminationCertificate(

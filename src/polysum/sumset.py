@@ -1,22 +1,28 @@
 """Range sieves and membership tests for sums of weighted polygonal terms.
 
-A sieve scatters the sums of the two longest value streams into a packed
-bitmap over [0, bound] (``_pair_bits``): tile by tile into a bool window of
-two tiles that stays in cache, each finished tile packed at once, so no
-bool bitmap over [0, bound] is made.  It then folds in each further stream
-with ``outside``: the n outside the sumset of a bitmap and a stream, found
-by candidate elimination (``eliminate``), so a stream without 0 is exact
-too.  ``eliminate`` takes the packed complement of the hit set, ``miss``:
-its dense passes AND a shifted ``miss`` into the packed alive bitmap, and
-its sparse phase tests bits of ``miss`` for a block of values at once.
+A bitmap has two layouts, chosen by size.  A short sumset is one Python
+int, bit n set for a reached n: ``int_fold`` adds a stream to it as an OR
+of shifts, masked once, and ``int_gaps`` reads its lowest clear bits.  A
+sieve over fewer than _INT_BELOW entries is built so, and so are the
+screens' pair sumsets up to their stage bound.  A longer sieve scatters the
+sums of the two longest value streams into a packed bitmap over [0, bound]
+(``_pair_bits``): tile by tile into a bool window of two tiles that stays
+in cache, each finished tile packed at once, so no bool bitmap over
+[0, bound] is made.  It then folds in each further stream with ``outside``:
+the n outside the sumset of a packed bitmap and a stream, found by
+candidate elimination (``eliminate``), so a stream without 0 is exact too.
+``eliminate`` takes the packed complement of the hit set, ``miss``: its
+dense passes AND a shifted ``miss`` into the packed alive bitmap, and its
+sparse phase tests bits of ``miss`` for a block of values at once.
 An exception list is the survivors of one last ``outside``: the shortest
 stream shifted by every offset walks the packed sieve of the other terms,
 inverted in place as ``miss``, or for one or two terms the offsets alone
 walk the pair bitmap.  ``inside``, the OR twin of ``outside``, takes a
 packed bitmap and returns the packed sumset itself, for the form grids,
-filling it one cache-sized window at a time.  ``unpack`` is the one way
-back to bool, for ``range_sieve``'s ``RangeBitset``, whose short bitmaps
-the screens fold by bool passes.
+filling it one cache-sized window at a time.  ``range_sieve``'s
+``RangeBitset`` holds the packed sieve; an int sieve is stored as its
+little-endian bytes, which are the packed layout.  ``unpack`` is the one
+way back to bool, for the form checks in ``qform``.
 Only this module knows the packed layout and the memory maps (``bitmap``).
 
 Every exception list is re-verified at construction; the screens'
@@ -48,8 +54,7 @@ from .polycore import (
 )
 
 # Largest bound a sieve takes; its packed bitmap then holds 12.5 MB, and so
-# does each elimination's alive bitmap.  ``range_sieve``'s bool bitmap
-# holds 100 MB.
+# does each elimination's alive bitmap.
 MAX_RANGE_BOUND = 100_000_000
 
 # Most pair sums one outer product of the pair step holds (int64, 512 KiB).
@@ -83,14 +88,10 @@ _FOLD_WINDOW = 1 << 18
 # per n; a gather moves a few tens of bytes per value and survivor at or
 # above it, and each block of values costs a handful of numpy calls.  Shares
 # from 256 to 1024 timed alike on the prime scans and the large sieves
-# (2-vCPU VM).  ``outside`` folds a bitmap shorter than _DENSE_ONLY_BELOW
-# by one bool pass per value, and never counts it: the 3808 screen
-# eliminations of under 2^11 entries took 0.27-0.31 s packed against
-# 0.10-0.13 s as bool passes.  A count of a packed bitmap costs about three
-# passes, so the bitmap is counted before the first pass and then only
-# before every _COUNT_EVERY-th.
+# (2-vCPU VM).  A count of a packed bitmap costs about three passes, so the
+# bitmap is counted before the first pass and then only before every
+# _COUNT_EVERY-th.
 _SPARSE_SHARE = 512
-_DENSE_ONLY_BELOW = 1 << 15
 _COUNT_EVERY = 16
 
 # Most cells (values times survivors) of one sparse gather of ``eliminate``.
@@ -113,6 +114,21 @@ _GATHER_CELLS = 1 << 14
 #   dense     6.98  5.04  4.70  4.36  4.55  5.08  6.29      5.76
 #   peak      1.03  1.04  1.05  1.09  1.16  1.30  1.58      2.03
 _UNPACK_WORDS = 1 << 10
+
+# Sieves over [0, bound] for bound below this are one Python int
+# (``int_fold``): each value of each stream costs one OR of the whole int,
+# while the packed steps pay numpy calls per tile, value and pass.  _sieve,
+# ms, int / packed, best of 15, 2-vCPU VM shared with other jobs:
+#   bound        4095        8191       10000       12287       16383
+#   p3+p5      .023/.025   .050/.035   .060/.040   .074/.046   .105/.057
+#   p4+p5+p8   .030/.091   .072/.119   .089/.125   .110/.109   .151/.122
+#   p3+p3+p3   .053/.128   .133/.152   .164/.165   .203/.179   .287/.198
+#   p4+p4+p4   .038/.135   .095/.190   .120/.219   .147/.238   .206/.275
+#   p5+p5+p5/Z .060/.089   .155/.138   .200/.163   .239/.177   .329/.203
+# The int wins every sum below 4096 (by 2-9 times at 511) and every
+# three-term sum but one at 10^4, the screens' and ``verify-reduction``'s
+# usual scan bound; pairs cross over near 5000.
+_INT_BELOW = 1 << 14
 
 # Bitmaps of at least this many entries lie on memory maps (``bitmap``).
 _MAPPED_FROM = 1 << 20
@@ -382,34 +398,12 @@ def eliminate(alive: np.ndarray, miss: np.ndarray,
     return alive
 
 
-def outside(bits: np.ndarray, stream: Sequence[int]) -> np.ndarray:
-    """Sorted int64 n in [0, len - 1] outside the sumset ``bits`` + ``stream``
-    for a bool bitmap ``bits``: every n starts alive, and each value v of
-    ``stream``, all in [0, len - 1], kills the n with bits[n - v] set.
-
-    A bitmap shorter than _DENSE_ONLY_BELOW takes one bool pass per value,
-    which costs less there than the packed set-up; a longer one is packed
-    for ``_outside_packed``."""
-    size = bits.size
-    if size >= _DENSE_ONLY_BELOW:
-        return _outside_packed(pack(bits), size, stream)
-    alive = np.ones(size, dtype=bool)
-    for v in stream:
-        # alive[v:] &= ~bits[:...] in place: for booleans a > b is a and
-        # not b.  A positional ``out`` skips the keyword parsing, about
-        # 0.7 of the 1.7 us a call takes on these short bitmaps.
-        tail = alive[v:]
-        np.greater(tail, bits[: size - v], tail)
-    return np.flatnonzero(alive)
-
-
-def _outside_packed(packed: np.ndarray, size: int,
-                    stream: Sequence[int]) -> np.ndarray:
-    """``outside`` of a packed bitmap from ``bitmap`` of ``size`` entries,
-    which it overwrites: inverted in place, it is ``eliminate``'s ``miss``.
-    Below _DENSE_ONLY_BELOW entries it is unpacked for the bool passes."""
-    if size < _DENSE_ONLY_BELOW:
-        return outside(unpack(packed, size), stream)
+def outside(packed: np.ndarray, size: int,
+            stream: Sequence[int]) -> np.ndarray:
+    """Sorted int64 n in [0, size - 1] outside the sumset ``packed`` +
+    ``stream``, for a packed bitmap from ``bitmap`` of ``size`` entries,
+    which it overwrites, and values in [0, size - 1]: inverted in place, the
+    bitmap is ``eliminate``'s ``miss``, and every n starts alive."""
     np.invert(packed, out=packed)
     return eliminate(bitmap(size, True, packed=True), packed, stream)
 
@@ -602,34 +596,57 @@ def take_every(packed: np.ndarray, start: int, step: int,
     return out
 
 
+def int_fold(values: Iterable[int], size: int, start: int = 1) -> int:
+    """The sumset ``start`` + ``values`` over [0, size - 1] as a Python-int
+    bitmask, for a bitmask ``start`` over [0, size - 1] ({0} by default)
+    and values >= 0: the OR of ``start`` shifted by each value, masked once.
+    Bit n is entry n, the little bit order of a packed bitmap, so
+    ``to_bytes(..., "little")`` gives its bytes."""
+    out = 0
+    for v in values:
+        out |= start << v
+    return out & ((1 << size) - 1)
+
+
+def int_gaps(bits: int, size: int, count: int) -> list[int]:
+    """The first ``count`` clear entries of a Python-int bitmask over
+    [0, size - 1] (fewer if it has fewer): its lowest clear bits."""
+    free, found = ~bits & ((1 << size) - 1), []
+    while free and len(found) < count:
+        low = free & -free
+        found.append(low.bit_length() - 1)
+        free ^= low
+    return found
+
+
 @dataclass(frozen=True)
 class RangeBitset:
-    """Membership bitmap of a sumset restricted to [0, bound]."""
+    """Membership bitmap of a sumset restricted to [0, bound], a packed
+    bitmap from ``bitmap`` with its padding bits clear."""
 
     bound: int
     bits: np.ndarray
 
     def __contains__(self, n: int) -> bool:
-        return 0 <= n <= self.bound and bool(self.bits[n])
+        return 0 <= n <= self.bound and is_set(self.bits, n)
 
     def count(self) -> int:
-        return int(np.count_nonzero(self.bits))
+        return count_bits(self.bits)
+
+    def _unset(self) -> np.ndarray:
+        """A packed bitmap of the positions with the bit unset."""
+        unset = self.bits.copy()
+        invert(unset, self.bound + 1)
+        return unset
 
     def missing(self) -> np.ndarray:
         """Sorted int64 positions in [0, bound] with the bit unset."""
-        return outside(self.bits, [0])
+        return set_bits(self._unset())
 
     def first_missing(self, count: int = 1) -> list[int]:
         """The first ``count`` positions with the bit unset (fewer if the
-        bitmap has fewer), scanned _PAIR_CHUNK entries at a time up to the
-        chunk where the last of them lies."""
-        found: list[int] = []
-        for i in range(0, self.bits.size, _PAIR_CHUNK):
-            if len(found) >= count:
-                break
-            chunk = np.flatnonzero(~self.bits[i : i + _PAIR_CHUNK])
-            found += (chunk[: count - len(found)] + i).tolist()
-        return found
+        bitmap has fewer), read by ``first_bits``."""
+        return first_bits(self._unset(), count).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -671,7 +688,7 @@ def _pair_bits(first: Sequence[int], second: Sequence[int],
     packed = bitmap(size, False, packed=True)
     row = np.asarray(first, dtype=np.int64)
     col = np.asarray(second, dtype=np.int64)
-    rows, cols = [row], [col]  # one tile, as for every screen's sieve
+    rows, cols = [row], [col]  # one tile below _PAIR_TILE
     if bound >= _PAIR_TILE:
         # tile t holds the values in [tW, (t + 1)W)
         cuts = np.arange(_PAIR_TILE, size, _PAIR_TILE)
@@ -705,18 +722,27 @@ def _pair_bits(first: Sequence[int], second: Sequence[int],
 
 def _sieve(terms: Sequence[Term], domain: SumDomain,
            bound: int) -> np.ndarray:
-    """Packed bitmap over [0, bound] of {sum of one value per term}: the
-    two longest streams by ``_pair_bits``, then each further stream by
-    ``_outside_packed``, whose survivors are the clear entries."""
+    """Packed bitmap over [0, bound] of {sum of one value per term}, its
+    padding bits clear.  Below _INT_BELOW every stream is folded into one
+    Python int by ``int_fold``; from there the two longest streams are
+    summed by ``_pair_bits``, then each further stream by ``outside``,
+    whose survivors are the clear entries."""
     check_bound(bound)
     if not terms:
         raise ValueError("range_sieve takes at least one term")
     streams = sorted((poly_values_upto(t, domain, bound) for t in terms),
                      key=len, reverse=True)
+    if bound < _INT_BELOW:
+        sums = 1
+        for stream in streams:
+            sums = int_fold(stream, bound + 1, sums)
+        bits = bitmap(bound + 1, False, packed=True)
+        bits[:] = np.frombuffer(sums.to_bytes(bits.size, "little"), np.uint8)
+        return bits
     bits = _pair_bits(streams[0], streams[1] if len(streams) > 1 else [0],
                       bound)
     for stream in streams[2:]:
-        survivors = _outside_packed(bits, bound + 1, stream)
+        survivors = outside(bits, bound + 1, stream)
         bits = bitmap(bound + 1, True, packed=True)
         clear_bits(bits, survivors)
     return bits
@@ -725,7 +751,7 @@ def _sieve(terms: Sequence[Term], domain: SumDomain,
 def range_sieve(terms: Sequence[Term], domain: SumDomain,
                 bound: int) -> RangeBitset:
     """Exact membership bitmap of {sum of one value per term} on [0, bound]."""
-    return RangeBitset(bound, unpack(_sieve(terms, domain, bound), bound + 1))
+    return RangeBitset(bound, _sieve(terms, domain, bound))
 
 
 def _verify_non_representable(terms: Sequence[Term], domain: SumDomain,
@@ -766,8 +792,8 @@ def _report(sum_: TripleSum, offsets: tuple, bound: int) -> ExceptionReport:
     if len(terms) > 2:
         walk = sorted_distinct(np.add.outer(
             poly_values_upto(terms.pop(0), domain, bound), walk).ravel())
-    missing = _outside_packed(_sieve(terms, domain, bound), bound + 1,
-                              walk[walk <= bound].tolist())
+    missing = outside(_sieve(terms, domain, bound), bound + 1,
+                      walk[walk <= bound].tolist())
     _verify_non_representable(sum_.terms, domain, missing, offsets)
     return ExceptionReport(sum_, bound, missing, offsets)
 

@@ -354,17 +354,19 @@ def test_prime_scan_reverify_failure(capsys, monkeypatch):
 
 
 def test_sum_reverify_failure(capsys, monkeypatch):
-    # a kernel that drops the representable 20 from the sumset of p4+p5+p8
+    # a kernel that drops the representable 20 from the sumset of p4+p5+p8,
+    # caught below and above the size where the sieve turns packed
     real_outside = sumset.outside
-    monkeypatch.setattr(sumset, "outside", lambda bits, stream:
-                        np.union1d(real_outside(bits, stream), [20]))
-    status = cli.main(["except", "--sum", "p4+p5+p8", "--bound", "10000"])
-    captured = capsys.readouterr()
-    assert status == 1
-    assert captured.out == ""
-    assert captured.err.startswith("kind=reverify-failed ")
-    assert "n=20" in captured.err and "sum=p4+p5+p8" in captured.err
-    assert "Traceback" not in captured.err
+    monkeypatch.setattr(sumset, "outside", lambda packed, size, stream:
+                        np.union1d(real_outside(packed, size, stream), [20]))
+    for bound in ("10000", "40000"):
+        status = cli.main(["except", "--sum", "p4+p5+p8", "--bound", bound])
+        captured = capsys.readouterr()
+        assert status == 1, bound
+        assert captured.out == ""
+        assert captured.err.startswith("kind=reverify-failed ")
+        assert "n=20" in captured.err and "sum=p4+p5+p8" in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_bound_above_sieve_limit_is_usage_error(capsys):

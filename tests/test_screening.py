@@ -2,11 +2,12 @@ import dataclasses
 import hashlib
 from itertools import product
 from typing import Iterable, Sequence
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polysum import catalog, screening
+from polysum import catalog, screening, sumset
 from polysum.polycore import SumDomain, Term, poly_values_upto
 from polysum.sumset import outside, range_sieve
 from polysum.screening import (
@@ -307,46 +308,58 @@ _TERM_KEYS = st.tuples(st.integers(1, 6), st.integers(3, 14))
 @example([(1, 3), (1, 5)], (1, 32), N, 2000, 2500, 2)   # gap 31
 @example([(1, 4), (1, 5)], (1, 8), N, 2000, 2500, 2)    # gap 19
 @example([(1, 3), (1, 3)], (1, 3), N, 1000, 1000, 1)    # no gap at all
-@example([(2, 5), (3, 7)], (1, 9), N, 511, 700, 60)     # a prefix at the stage
-def test_prefix_reads_equal_the_full_staged_read(keys, third, domain, stage,
-                                                 extra, want):
-    """The pair's prefix-first reads give the first gaps that one read of
-    the whole staged bitmap gives, for a third stream and for the {0, c} of
-    an order tail; a scan that passes its stage reads the scan bound."""
+@example([(2, 5), (3, 7)], (1, 9), N, 511, 700, 60)     # gaps up to the stage
+def test_int_reads_equal_the_full_staged_read(keys, third, domain, stage,
+                                              extra, want):
+    """The pair's int reads give the first gaps that ``outside`` gives on
+    the packed staged sieve, for a third stream, for the {0, c} of an order
+    tail and for the {0} of a coefficient tail; a scan that passes its stage
+    reads the scan bound."""
     bound = stage + extra
-    pair = _FixedPair(tuple(keys), domain)
+    pair = _FixedPair(tuple(keys), domain, stage, bound)
 
     def stream(limit):
         return poly_values_upto(Term(*third), domain, limit)
 
     def whole(limit, values):
-        bits = range_sieve([Term(a, m) for a, m in keys], domain, limit).bits
-        return outside(bits, values)[:want].tolist()
+        with mock.patch.object(sumset, "_INT_BELOW", 0):  # the packed steps
+            bits = range_sieve([Term(a, m) for a, m in keys], domain, limit)
+        return outside(bits.bits, limit + 1, values)[:want].tolist()
 
     staged = whole(stage, stream(stage))
-    assert pair.first_outside(stream, want, stage) == staged
+    assert pair.first_outside(stream(stage), want) == staged
     c = third[0]
-    assert pair.first_outside(lambda q: _open_values(c, q), want, stage) == \
+    assert pair.first_outside(_open_values(c, stage), want) == \
         whole(stage, _open_values(c, stage))
+    assert pair.first_outside((0,), want) == whole(stage, (0,))
     scanned = staged if len(staged) >= want else whole(bound, stream(bound))
     triple = canonical_triple([*keys, third])
     assert _scan_concrete(triple, domain, bound, stage, want, pair, third) == \
         scanned
 
 
-def test_weighted_screen_builds_few_pair_bitmaps_at_the_stage_bound(
+def test_weighted_screen_builds_one_int_per_pair_and_few_packed_sieves(
         monkeypatch):
-    # 540 pairs, most of which find every gap they need below 512
-    built = []
-    inner = screening.range_sieve
+    # each of the 540 pairs builds its sumset once, as an int over the
+    # stage bound; only the 15 with a triple that passes its stage sieve
+    # the pair packed at the scan bound
+    ints, sieves = [], []
+    fold, sieve = screening.int_fold, screening.range_sieve
 
-    def counted(terms, domain, bound):
-        built.append((len(terms), bound))
-        return inner(terms, domain, bound)
+    def counted_fold(values, size, start=1):
+        if start == 1:  # a fold from {0} starts a sumset
+            ints.append(size)
+        return fold(values, size, start)
 
-    monkeypatch.setattr(screening, "range_sieve", counted)
+    def counted_sieve(terms, domain, bound):
+        sieves.append((len(terms), bound))
+        return sieve(terms, domain, bound)
+
+    monkeypatch.setattr(screening, "int_fold", counted_fold)
+    monkeypatch.setattr(screening, "range_sieve", counted_sieve)
     screen("thm-1.4")
-    assert built.count((2, DEFAULT_SEARCH_BOUND)) <= 40
+    assert ints == [DEFAULT_SEARCH_BOUND + 1] * 540
+    assert sieves == [(2, PRESETS["thm-1.4"].scan_bound)] * 15
 
 
 # The five catalog presets at their default bounds, and unique-29's scan
@@ -638,6 +651,12 @@ _ALTERED = {
     "coefficient-tail threshold lowered": (
         "thm-1.4", "coefficient-tail", {},
         lambda c: {"threshold": c.witnesses[-1] - 1}),
+    "direct witnesses dropped": (
+        "thm-1.4", "direct", {}, lambda c: {"witnesses": ()}),
+    "order-tail witnesses dropped": (
+        "thm-1.4", "order-tail", {}, lambda c: {"witnesses": ()}),
+    "coefficient-tail witnesses dropped": (
+        "thm-1.4", "coefficient-tail", {}, lambda c: {"witnesses": ()}),
     "frontier-tail threshold lowered": (
         "thm-1.4", "frontier-tail", {"fixed": ()},
         lambda c: {"threshold": c.threshold - 1}),

@@ -158,10 +158,10 @@ _TERMS = st.lists(st.builds(Term, st.integers(1, 30), st.integers(3, 40)),
                   min_size=1, max_size=6)
 
 
-# A dense-only size of 0 sends every fold through the packed passes, and
-# 2**40 through the bool passes.  With no dense-only size, the share decides
-# when elimination leaves whole-bitmap passes for a candidate array: 1
-# switches before the first value, 2**40 never switches.
+# Every example runs with an int size of 0, which sends every sieve through
+# the packed steps, and of 2**40, which folds every sieve into one int.  The
+# share decides when elimination leaves whole-bitmap passes for a candidate
+# array: 1 switches before the first value, 2**40 never switches.
 # A pair chunk of 1 sum scatters one row per value.  The examples give an
 # offsets stream longer than every term's stream ({0, 30, 1200} and
 # {0, 25, 950, 2775}), and offsets that all lie above the bound.
@@ -170,31 +170,34 @@ _TERMS = st.lists(st.builds(Term, st.integers(1, 30), st.integers(3, 40)),
        st.sets(st.integers(0, 40) | st.integers(0, 3500), min_size=1,
                max_size=4),
        st.sampled_from([1, sumset._SPARSE_SHARE, 1 << 40]),
-       st.sampled_from([1, 64, sumset._PAIR_CHUNK]),
-       st.sampled_from([0, 1 << 40]))
+       st.sampled_from([1, 64, sumset._PAIR_CHUNK]))
 @example([Term(30, 40), Term(25, 38)], N, 3000, {1, 2, 5, 7, 30},
-         sumset._SPARSE_SHARE, sumset._PAIR_CHUNK, 0)
-@example([Term(1, 5), Term(2, 7)], Z, 100, {101, 3500}, 1 << 40, 64, 0)
-@example([Term(1, 5), Term(2, 7)], Z, 100, {0, 3, 101}, 1, 64, 1 << 40)
+         sumset._SPARSE_SHARE, sumset._PAIR_CHUNK)
+@example([Term(1, 5), Term(2, 7)], Z, 100, {101, 3500}, 1 << 40, 64)
+@example([Term(1, 5), Term(2, 7)], Z, 100, {0, 3, 101}, 1, 64)
 def test_kernel_equals_brute_sumset(terms_, domain, bound, offsets, share,
-                                    chunk, dense_only_below):
+                                    chunk):
     sums = _brute_sumset(terms_, domain, bound)
     missing = [n for n in range(bound + 1) if n not in sums]
     offset_missing = [n for n in range(bound + 1)
                       if all(n - r not in sums for r in offsets)]
-    with mock.patch.object(sumset, "_SPARSE_SHARE", share), \
-            mock.patch.object(sumset, "_DENSE_ONLY_BELOW", dense_only_below), \
-            mock.patch.object(sumset, "_PAIR_CHUNK", chunk):
-        bits = range_sieve(terms_, domain, bound)
-        report = offset_universal_check(terms_, domain, offsets, bound)
-        plain = exceptions(TripleSum(terms_, domain), bound)
-    assert plain.exceptions.dtype == np.int64
-    assert plain.exceptions.tolist() == missing
-    assert bits.bits.shape == (bound + 1,)
-    assert bits.missing().tolist() == missing
-    assert bits.first_missing(2) == missing[:2]
-    assert bits.count() == len(sums)
-    assert report.exceptions.tolist() == offset_missing
+    for int_below in (0, 1 << 40):
+        with mock.patch.object(sumset, "_SPARSE_SHARE", share), \
+                mock.patch.object(sumset, "_INT_BELOW", int_below), \
+                mock.patch.object(sumset, "_PAIR_CHUNK", chunk):
+            bits = range_sieve(terms_, domain, bound)
+            report = offset_universal_check(terms_, domain, offsets, bound)
+            plain = exceptions(TripleSum(terms_, domain), bound)
+        assert plain.exceptions.dtype == np.int64
+        assert plain.exceptions.tolist() == missing
+        # packed, with the padding bits clear
+        assert bits.bits.size == sumset.bitmap(bound + 1, False,
+                                               packed=True).size
+        assert sumset.set_bits(bits.bits).tolist() == sorted(sums)
+        assert bits.missing().tolist() == missing
+        assert bits.first_missing(2) == missing[:2]
+        assert bits.count() == len(sums)
+        assert report.exceptions.tolist() == offset_missing
 
 
 def _packed(alive):
@@ -612,6 +615,17 @@ def test_sieve_memory_per_integer():
     assert peak < 3 * bound
 
 
+def test_range_sieve_holds_no_bool_bitmap():
+    # a bool copy of the sieve alone would be 9.5 MiB at 10^7
+    tracemalloc.start()
+    try:
+        range_sieve(terms("p4+p5+p8"), N, 10 ** 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
+
+
 def test_bitmap_sizes_and_fills():
     for size in (0, 1, 5, sumset._MAPPED_FROM - 1, sumset._MAPPED_FROM,
                  sumset._MAPPED_FROM + 3):
@@ -646,27 +660,32 @@ def test_bitmap_is_traced_under_tracemalloc():
     assert bits.flags.owndata and traced >= sumset._MAPPED_FROM
 
 
+def _bitset(bits):
+    """A ``RangeBitset`` of the bool bitmap ``bits``."""
+    return sumset.RangeBitset(bits.size - 1, sumset.pack(bits))
+
+
+# A chunk is the 8 * _UNPACK_WORDS bytes that ``first_bits`` reads at a time
 def test_missing_across_chunk_edges():
-    chunk = sumset._PAIR_CHUNK
+    chunk = 64 * sumset._UNPACK_WORDS
     bits = np.ones(2 * chunk + 5, dtype=bool)
     unset = [0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, 2 * chunk + 4]
     bits[unset] = False
-    assert sumset.RangeBitset(bits.size - 1, bits).missing().tolist() == unset
+    assert _bitset(bits).missing().tolist() == unset
 
 
 def test_first_missing_across_chunk_edges():
-    chunk = sumset._PAIR_CHUNK
+    chunk = 64 * sumset._UNPACK_WORDS
     bits = np.ones(3 * chunk + 5, dtype=bool)
     unset = [chunk - 1, chunk, 2 * chunk - 1, 3 * chunk, 3 * chunk + 4]
     bits[unset] = False
-    bitset = sumset.RangeBitset(bits.size - 1, bits)
     for count in range(len(unset) + 2):
-        assert bitset.first_missing(count) == unset[:count]
+        assert _bitset(bits).first_missing(count) == unset[:count]
     # a chunk with no unset bit in the middle of the scan
     bits[[chunk - 1, chunk, 2 * chunk - 1]] = True
-    assert bitset.first_missing(2) == [3 * chunk, 3 * chunk + 4]
+    assert _bitset(bits).first_missing(2) == [3 * chunk, 3 * chunk + 4]
     bits[:] = True
-    assert bitset.first_missing(3) == []
+    assert _bitset(bits).first_missing(3) == []
 
 
 def test_bound_above_limit_is_refused_before_allocation():
