@@ -435,37 +435,36 @@ def format_triple(triple: Sequence[TermKey]) -> str:
 
 class _FixedPair:
     """The fixed terms shared by a run of concrete triples, and their
-    sumset: a Python int over [0, stage], built at once, from which the
-    tails under the pair and the staged pass of each triple (pair, third)
-    read their first gaps, and a packed sieve at the scan bound, built on
-    first use, for the triples that pass their stage.  A sumset does not
-    depend on which two of its streams are summed first."""
+    sumset, each built once on first use: a Python int over [0, stage],
+    from which the tails under the pair and the staged pass of each triple
+    (pair, third) read their first gaps, and a packed sieve at the scan
+    bound for the triples that pass their stage.  A sumset does not depend
+    on which two of its streams are summed first."""
 
-    def __init__(self, keys: tuple[TermKey, ...], domain: SumDomain,
-                 stage: int, bound: int):
-        self.keys = keys
-        self.domain = domain
-        self.stage = stage
-        self.bound = bound
-        self.sums = 1
-        for key in keys:
-            self.sums = int_fold(_stream(key, domain, stage), stage + 1,
-                                 self.sums)
-        self._packed: np.ndarray | None = None
+    def __init__(self, keys: tuple[TermKey, ...], domain: SumDomain):
+        self.keys, self.domain = keys, domain
+        self._sums: dict[int, int] = {}
+        self._packed: dict[int, np.ndarray] = {}
 
-    def first_outside(self, values: Sequence[int], want: int) -> list[int]:
+    def first_outside(self, values: Sequence[int], stage: int,
+                      want: int) -> list[int]:
         """The first ``want`` n in [0, stage] outside the pair's sumset plus
         ``values`` (fewer if there are fewer)."""
-        size = self.stage + 1
-        return int_gaps(int_fold(values, size, self.sums), size, want)
+        size = stage + 1
+        if stage not in self._sums:
+            sums = 1
+            for key in self.keys:
+                sums = int_fold(_stream(key, self.domain, stage), size, sums)
+            self._sums[stage] = sums
+        return int_gaps(int_fold(values, size, self._sums[stage]), size, want)
 
-    def scan(self, values: Sequence[int]) -> np.ndarray:
+    def scan(self, values: Sequence[int], bound: int) -> np.ndarray:
         """The n in [0, bound] outside the pair's sumset plus ``values``,
-        read on a copy of its packed sieve at the scan bound."""
-        if self._packed is None:
-            self._packed = range_sieve([Term(a, m) for a, m in self.keys],
-                                       self.domain, self.bound).bits
-        return outside(self._packed.copy(), self.bound + 1, values)
+        read on a copy of its packed sieve at ``bound``."""
+        if bound not in self._packed:
+            self._packed[bound] = range_sieve(
+                [Term(a, m) for a, m in self.keys], self.domain, bound).bits
+        return outside(self._packed[bound].copy(), bound + 1, values)
 
 
 def _scan_concrete(triple: Sequence[TermKey], domain: SumDomain, bound: int,
@@ -476,9 +475,9 @@ def _scan_concrete(triple: Sequence[TermKey], domain: SumDomain, bound: int,
     short-circuits triples that fail early.  The first five parameters
     describe the scan for ``perfbench/spans.py``; the work reads the pair
     and ``third``."""
-    found = pair.first_outside(_stream(third, domain, stage), want)
+    found = pair.first_outside(_stream(third, domain, stage), stage, want)
     if len(found) < want and stage < bound:
-        found = pair.scan(_stream(third, domain, bound))[:want].tolist()
+        found = pair.scan(_stream(third, domain, bound), bound)[:want].tolist()
     return found
 
 
@@ -558,7 +557,7 @@ def _screen_fixed_orders(space: CandidateSpace, bound: int, search_bound: int,
                 for coef in range(lo, limit + 1):
                     close(prefix + [coef])
                 return
-            pair = _FixedPair(fixed, domain, search_bound, bound)
+            pair = _FixedPair(fixed, domain)
             for coef in range(lo, limit + 1):
                 col.concrete(pair, (coef, orders[s]))
 
@@ -620,10 +619,10 @@ def _screen_term_multisets(space: CandidateSpace, bound: int, search_bound: int,
             if _term_sort_key(t2) < _term_sort_key(t1):
                 continue
             term2 = Term(*t2)
-            pair = _FixedPair((t1, t2), domain, search_bound, bound)
+            pair = _FixedPair((t1, t2), domain)
             # level 2: coefficient tail for the last slot
             coef_wit, C = _closed(_coefficient_tail(
-                pair.first_outside((0,), gap_count), gap_count),
+                pair.first_outside((0,), search_bound, gap_count), gap_count),
                 f"{space.name}: coefficient tail after {term1}+{term2}",
                 search_bound)
             if cap is None or C < cap:
@@ -634,7 +633,8 @@ def _screen_term_multisets(space: CandidateSpace, bound: int, search_bound: int,
             for a3 in range(1, (min(C, cap) if cap else C) + 1):
                 # level 3: order tail for the last slot
                 wit, K = _closed(_order_tail(pair.first_outside(
-                    _open_values(a3, search_bound), gap_count), a3, gap_count),
+                    _open_values(a3, search_bound), search_bound, gap_count),
+                    a3, gap_count),
                     f"{space.name}: order tail after {term1}+{term2}+{a3}p_k",
                     search_bound)
                 col.elims.append(EliminationCertificate(

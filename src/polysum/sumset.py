@@ -3,8 +3,9 @@
 A bitmap has two layouts, chosen by size.  A short sumset is one Python
 int, bit n set for a reached n: ``int_fold`` adds a stream to it as an OR
 of shifts, masked once, and ``int_gaps`` reads its lowest clear bits.  A
-sieve over fewer than _INT_BELOW entries is built so, and so are the
-screens' pair sumsets up to their stage bound.  A longer sieve scatters the
+sieve of three or more terms over fewer than _INT_BELOW entries, or of one
+or two over fewer than _INT_BELOW / 4, is built so, and so are the screens'
+pair sumsets up to their stage bound.  A longer sieve scatters the
 sums of the two longest value streams into a packed bitmap over [0, bound]
 (``_pair_bits``): tile by tile into a bool window of two tiles that stays
 in cache, each finished tile packed at once, so no bool bitmap over
@@ -127,7 +128,8 @@ _UNPACK_WORDS = 1 << 10
 #   p5+p5+p5/Z .060/.089   .155/.138   .200/.163   .239/.177   .329/.203
 # The int wins every sum below 4096 (by 2-9 times at 511) and every
 # three-term sum but one at 10^4, the screens' and ``verify-reduction``'s
-# usual scan bound; pairs cross over near 5000.
+# usual scan bound; pairs cross over near 5000, so sieves of one or two
+# streams use the int only below _INT_BELOW / 4 = 4096.
 _INT_BELOW = 1 << 14
 
 # Bitmaps of at least this many entries lie on memory maps (``bitmap``).
@@ -723,16 +725,17 @@ def _pair_bits(first: Sequence[int], second: Sequence[int],
 def _sieve(terms: Sequence[Term], domain: SumDomain,
            bound: int) -> np.ndarray:
     """Packed bitmap over [0, bound] of {sum of one value per term}, its
-    padding bits clear.  Below _INT_BELOW every stream is folded into one
-    Python int by ``int_fold``; from there the two longest streams are
-    summed by ``_pair_bits``, then each further stream by ``outside``,
-    whose survivors are the clear entries."""
+    padding bits clear.  Below _INT_BELOW for three or more streams, or
+    _INT_BELOW / 4 for one or two, every stream is folded into one Python
+    int by ``int_fold``; from there the two longest streams are summed by
+    ``_pair_bits``, then each further stream by ``outside``, whose
+    survivors are the clear entries."""
     check_bound(bound)
     if not terms:
         raise ValueError("range_sieve takes at least one term")
     streams = sorted((poly_values_upto(t, domain, bound) for t in terms),
                      key=len, reverse=True)
-    if bound < _INT_BELOW:
+    if bound < (_INT_BELOW if len(streams) > 2 else _INT_BELOW >> 2):
         sums = 1
         for stream in streams:
             sums = int_fold(stream, bound + 1, sums)

@@ -316,7 +316,7 @@ def test_int_reads_equal_the_full_staged_read(keys, third, domain, stage,
     tail and for the {0} of a coefficient tail; a scan that passes its stage
     reads the scan bound."""
     bound = stage + extra
-    pair = _FixedPair(tuple(keys), domain, stage, bound)
+    pair = _FixedPair(tuple(keys), domain)
 
     def stream(limit):
         return poly_values_upto(Term(*third), domain, limit)
@@ -327,11 +327,11 @@ def test_int_reads_equal_the_full_staged_read(keys, third, domain, stage,
         return outside(bits.bits, limit + 1, values)[:want].tolist()
 
     staged = whole(stage, stream(stage))
-    assert pair.first_outside(stream(stage), want) == staged
+    assert pair.first_outside(stream(stage), stage, want) == staged
     c = third[0]
-    assert pair.first_outside(_open_values(c, stage), want) == \
+    assert pair.first_outside(_open_values(c, stage), stage, want) == \
         whole(stage, _open_values(c, stage))
-    assert pair.first_outside((0,), want) == whole(stage, (0,))
+    assert pair.first_outside((0,), stage, want) == whole(stage, (0,))
     scanned = staged if len(staged) >= want else whole(bound, stream(bound))
     triple = canonical_triple([*keys, third])
     assert _scan_concrete(triple, domain, bound, stage, want, pair, third) == \
