@@ -134,9 +134,9 @@ class PrimePolyQuery:
 
 @lru_cache(maxsize=4)
 def sieve_primes(bound: int) -> np.ndarray:
-    """Read-only packed bitmap (``bitmap(..., packed=True)``) of the odd
-    n <= bound, bit j standing for n = 2j + 1: whether n is prime.  The
-    prime 2 is left to the readers.
+    """Read-only packed bitmap (``bitmap``) of the odd n <= bound, bit j
+    standing for n = 2j + 1: whether n is prime.  The prime 2 is left to the
+    readers.
 
     A segmented sieve of Eratosthenes over the odd n alone: the odd
     multiples p*p, p*p + 2p, ... of an odd prime p are every p-th odd n, so
@@ -149,7 +149,7 @@ def sieve_primes(bound: int) -> np.ndarray:
     if bound > MAX_SIEVE_BOUND:
         raise ValueError(f"bound {bound} above supported {MAX_SIEVE_BOUND}")
     size = (bound + 1) // 2
-    odd = bitmap(size, False, packed=True)
+    odd = bitmap(size, False)
     root = math.isqrt(bound)
     base = np.ones(root + 1, dtype=bool)
     base[:2] = False
@@ -207,14 +207,14 @@ def _universe_classes(query: PrimePolyQuery, period: int,
 
 def _class_alive(query: PrimePolyQuery, c: int, period: int, bound: int,
                  scattered: np.ndarray) -> np.ndarray:
-    """Packed bitmap (``bitmap(..., packed=True)``) over i in
-    [0, bound // period] of whether n = c + period*i is a universe n in
-    [2, bound], for a class c from ``_universe_classes``, that is not in
-    ``scattered`` (n that ``exception_scan`` kills by a scatter).  Every
-    class has the length of the class-s prime bitmap, as ``eliminate``
-    needs; with c = 0 and period 1 it is the universe over [0, bound]."""
+    """Packed bitmap (``bitmap``) over i in [0, bound // period] of whether
+    n = c + period*i is a universe n in [2, bound], for a class c from
+    ``_universe_classes``, that is not in ``scattered`` (n that
+    ``exception_scan`` kills by a scatter).  Every class has the length of
+    the class-s prime bitmap, as ``eliminate`` needs; with c = 0 and period
+    1 it is the universe over [0, bound]."""
     size = bound // period + 1
-    alive = bitmap(size, True, packed=True)
+    alive = bitmap(size, True)
     for d in _universe_primes(query):
         if period % d:
             # c + period*i = 0 (mod d) at i = -c / period (mod d)
@@ -237,12 +237,12 @@ def _odd_class(q: int, r: int) -> int | None:
 
 
 def _prime_class(bound: int, s: int, period: int) -> np.ndarray:
-    """Packed bitmap (``bitmap(..., packed=True)``) over i in
-    [0, bound // period] of whether s + period*i is a prime up to bound, for
-    an odd class s of an even period: every (period / 2)-th bit of the odd
-    table from bit (s - 1) / 2 on (``sumset.take_every``), so that no bool
-    array over the range is built.  It has the length of every class of n
-    (``_class_alive``): the class of primes may hold one entry fewer."""
+    """Packed bitmap (``bitmap``) over i in [0, bound // period] of whether
+    s + period*i is a prime up to bound, for an odd class s of an even
+    period: every (period / 2)-th bit of the odd table from bit (s - 1) / 2
+    on (``sumset.take_every``), so that no bool array over the range is
+    built.  It has the length of every class of n (``_class_alive``): the
+    class of primes may hold one entry fewer."""
     return take_every(sieve_primes(bound), (s - 1) // 2, period // 2,
                       bound // period + 1)
 
@@ -317,7 +317,7 @@ def exception_scan(query: PrimePolyQuery, bound: int) -> np.ndarray:
             # the lists would outgrow a packed bitmap over [0, bound]: the
             # classes are disjoint, so each list is marked in one and freed
             if marks is None:
-                marks = bitmap(bound + 1, False, packed=True)
+                marks = bitmap(bound + 1, False)
             while held:
                 mark_bits(marks, held.pop())
     if marks is not None:

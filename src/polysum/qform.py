@@ -12,14 +12,14 @@ its set bits and reads only the listed head from it, and
 ``sumset.MAX_RANGE_BOUND``.  A progression M*n + C is checked without a
 bitmap over [0, M*bound + C]: each value stream is split by residue mod M,
 and every three classes whose residues sum to C mod M take the same pair
-step and fold on their quotients by M, in a frame of bound + ceil(C / M) + 1
-entries.  That frame is the progression's only cap, and
-``check_reduction_bound`` gives its refusal before any entry of a batch is
-verified.
+step and fold on their quotients by M, in a frame of bound + F + 1 entries,
+F = ceil(C / M) rounded up to a multiple of 64.  The frame with the exact F
+is the progression's only cap, and ``check_reduction_bound`` gives its
+refusal before any entry of a batch is verified.
 Geometric-arithmetic family sets give the closed descriptions the sieves are
-compared against, as bitmaps built from strided slices.  The reduction
-machinery converts polygonal sums into arithmetic progressions represented
-by a conditioned form, via the square completion of each term.
+compared against, as packed bitmaps built from strided slices.  The
+reduction machinery converts polygonal sums into arithmetic progressions
+represented by a conditioned form, via the square completion of each term.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .polycore import SumDomain, TripleSum, square_completion
-from .sumset import (MAX_RANGE_BOUND, _pair_bits, bitmap, check_bound, inside,
-                     invert, range_sieve, reached, set_bits, sorted_distinct,
-                     sum_table, unpack)
+from .sumset import (MAX_RANGE_BOUND, _pair_bits, bitmap, check_bound,
+                     first_bits, inside, invert, pack, range_sieve, reached,
+                     set_bits, sorted_distinct, sum_table, view_from)
 
 # Each canonical reduction is verified on [0, this bound] when it is built.
 _REDUCTION_CHECK_BOUND = 500
@@ -131,8 +131,9 @@ class FamilySet:
         return any(f.contains(n) for f in self.families)
 
     def bitmap(self, bound: int) -> np.ndarray:
-        """Bool bitmap over [0, bound] of the members of any family: one
-        strided slice per family and per power of its ratio."""
+        """Packed bitmap over [0, bound] of the members of any family: one
+        strided slice per family and per power of its ratio, set in a bool
+        array that ``sumset.pack`` packs once."""
         bits = np.zeros(max(bound + 1, 0), dtype=bool)
         for f in self.families:
             if f.residue == 0 and bound >= 0:
@@ -143,7 +144,7 @@ class FamilySet:
                 if f.ratio == 1:
                     break
                 base *= f.ratio
-        return bits
+        return pack(bits)
 
 
 @dataclass(frozen=True)
@@ -162,22 +163,21 @@ class ReductionEntry:
 
 def _variable_values(coef: int, cond: CongruenceCondition | None,
                      top: int) -> np.ndarray:
-    """Sorted distinct values coef * y^2 <= top over allowed y.  A coef
-    above top admits only y = 0, and may not fit in int64."""
+    """Sorted distinct values coef * y^2 <= top over allowed y, each class
+    of allowed y stepped through from its lower bound.  A coef above top
+    admits only y = 0, and may not fit in int64."""
     if top < 0:
         return np.empty(0, dtype=np.int64)
     ymax = isqrt(top // coef)
-    ys = np.arange(-ymax, ymax + 1, dtype=np.int64)
-    if cond is not None:
-        allowed = np.zeros(cond.modulus, dtype=bool)
-        allowed[np.asarray(cond.residues, dtype=np.intp)] = True
-        keep = allowed[np.mod(ys, cond.modulus)]
-        if cond.lower is not None:
-            keep &= ys >= cond.lower
-        ys = ys[keep]
-    mark = np.zeros(ymax + 1, dtype=bool)
-    mark[np.abs(ys)] = True  # flatnonzero is then sorted and distinct
-    squares = np.flatnonzero(mark) ** 2
+    if cond is None:
+        ys = np.arange(ymax + 1, dtype=np.int64)
+    else:
+        lo = -ymax if cond.lower is None else max(cond.lower, -ymax)
+        q = cond.modulus
+        ys = sorted_distinct(np.abs(np.concatenate([
+            np.arange(lo + (r - lo) % q, ymax + 1, q, dtype=np.int64)
+            for r in cond.residues] or [np.empty(0, dtype=np.int64)])))
+    squares = ys * ys
     return coef * squares if ymax else squares
 
 
@@ -190,10 +190,10 @@ def _streams(form: DiagonalTernaryForm, top: int) -> list[np.ndarray]:
 
 
 def _reachable(form: DiagonalTernaryForm, top: int) -> np.ndarray:
-    """Packed bitmap (``sumset.bitmap(..., packed=True)``) over [0, top] of
-    the values represented by the form, by the pair rule of
-    ``sumset.range_sieve``: the sums of the two longest value streams are
-    scattered, and the shortest is folded in by ``sumset.inside``."""
+    """Packed bitmap (``sumset.bitmap``) over [0, top] of the values
+    represented by the form, by the pair rule of ``sumset.range_sieve``: the
+    sums of the two longest value streams are scattered, and the shortest
+    is folded in by ``sumset.inside``."""
     check_bound(top)
     s = sorted(_streams(form, top), key=len, reverse=True)
     return inside(_pair_bits(s[0], s[1], top), top + 1, s[2].tolist())
@@ -237,10 +237,10 @@ def qf_represents(form: DiagonalTernaryForm, n: int) -> tuple[int, int, int] | N
 
 
 def qf_exception_bits(form: DiagonalTernaryForm, bound: int) -> np.ndarray:
-    """Packed bitmap (``sumset.bitmap(..., packed=True)``) over [0, bound]
-    of the n not represented by the form: the value grid, inverted in
-    place.  ``sumset.count_bits`` counts it and ``sumset.first_bits`` reads
-    its head without listing every n."""
+    """Packed bitmap (``sumset.bitmap``) over [0, bound] of the n not
+    represented by the form: the value grid, inverted in place.
+    ``sumset.count_bits`` counts it and ``sumset.first_bits`` reads its head
+    without listing every n."""
     missed = _reachable(form, bound)
     invert(missed, bound + 1)
     return missed
@@ -274,12 +274,12 @@ def verify_catalog_form(form: DiagonalTernaryForm, families: FamilySet,
     """Compare sieved exceptions with the family description on [0, bound].
 
     Returns (equal, sieve-only, family-only), the n listed by one side only
-    as sorted int64 arrays.
+    as sorted int64 arrays, read from packed bitmaps by ``sumset.set_bits``.
     """
-    missed = unpack(qf_exception_bits(form, bound), bound + 1)
+    missed = qf_exception_bits(form, bound)
     listed = families.bitmap(bound)
-    sieve_only = np.flatnonzero(missed & ~listed)
-    family_only = np.flatnonzero(listed & ~missed)
+    sieve_only = set_bits(missed & ~listed)
+    family_only = set_bits(listed & ~missed)
     return (sieve_only.size == 0 and family_only.size == 0, sieve_only,
             family_only)
 
@@ -343,10 +343,10 @@ def canonical_reduction(sum_: TripleSum) -> ReductionEntry:
 
 def _frame_shift(multiplier: int, constant: int, bound: int) -> int:
     """The shift F = max(0, ceil(constant / multiplier)) of the frame
-    [0, bound + F] that ``_progression_bitmap`` folds into, or a ValueError
-    when the frame is above ``sumset.MAX_RANGE_BOUND``: the only cap of a
-    progression, which ``check_reduction_bound`` gives before anything is
-    built."""
+    [0, bound + F] that ``_progression_bitmap`` folds into (with F rounded
+    up to a multiple of 64), or a ValueError when that frame is above
+    ``sumset.MAX_RANGE_BOUND``: the only cap of a progression, which
+    ``check_reduction_bound`` gives before anything is built."""
     check_bound(bound)
     shift = max(0, -(-constant // multiplier))
     if bound + shift > MAX_RANGE_BOUND:
@@ -377,7 +377,8 @@ def _by_residue(values: np.ndarray, modulus: int) -> dict[int, np.ndarray]:
 
 def _progression_bitmap(form: DiagonalTernaryForm, multiplier: int,
                         constant: int, bound: int) -> np.ndarray:
-    """bitmap[n] = (multiplier*n + constant is represented by the form).
+    """Packed bitmap (``sumset.bitmap``) over [0, bound] of whether
+    multiplier*n + constant is represented by the form.
 
     With M = multiplier and C = constant, each value of a stream is
     u = M*u' + r with r = u mod M.  Values u, v, w of the three streams sum
@@ -386,19 +387,20 @@ def _progression_bitmap(form: DiagonalTernaryForm, multiplier: int,
     whose r2 = (C - r0 - r1) mod M occurs in the third stream, the two
     longest quotient classes are paired by ``sumset._pair_bits`` and the
     shortest, shifted by e + F, is folded in by ``sumset.inside``, all in
-    the frame [0, bound + F] of ``_frame_shift``, whose entry n + F is n:
-    e >= -C/M >= -F keeps every shift at or above 0, and no quotient is
-    above (M*bound + C) // M <= bound + F.  The packed results
-    are ORed, and entries F to bound + F are returned as a bool array.  A
-    canonical reduction has one residue per stream, since c*y^2 is
-    c*(m - 4)^2 mod M: one pair step and one fold.
+    the frame [0, bound + F], whose entry n + F is n, for F the shift of
+    ``_frame_shift`` rounded up to a multiple of 64: e >= -C/M >= -F keeps
+    every shift at or above 0, and no quotient is above
+    (M*bound + C) // M <= bound + F.  The packed results are ORed, and the
+    entries from F on are returned as a word-aligned view of the frame
+    (``sumset.view_from``).  A canonical reduction has one residue per
+    stream, since c*y^2 is c*(m - 4)^2 mod M: one pair step and one fold.
     """
-    shift = _frame_shift(multiplier, constant, bound)
+    shift = -(-_frame_shift(multiplier, constant, bound) // 64) * 64
     size = bound + shift + 1
     top = multiplier * bound + constant
     first, second, third = (_by_residue(s, multiplier)
                             for s in _streams(form, top))
-    out = bitmap(size, False, packed=True)
+    out = bitmap(size, False)
     for r0, q0 in first.items():
         for r1, q1 in second.items():
             r2 = (constant - r0 - r1) % multiplier
@@ -412,18 +414,19 @@ def _progression_bitmap(form: DiagonalTernaryForm, multiplier: int,
             if folded.size:
                 out |= inside(_pair_bits(*pair, size - 1), size,
                               folded.tolist())
-    return unpack(out, size)[shift:]
+    return view_from(out, shift)
 
 
 def verify_reduction(entry: ReductionEntry, bound: int
                      ) -> tuple[bool, int | None]:
-    """Check both directions of the equivalence for all n <= bound."""
+    """Check both directions of the equivalence for all n <= bound: the
+    first set bit of the XOR of the sum's sieve and the progression's
+    bitmap is the first n where they disagree."""
     right = _progression_bitmap(entry.form, entry.multiplier, entry.constant,
                                 bound)
-    left = unpack(range_sieve(entry.source.terms, entry.source.domain,
-                              bound).bits, bound + 1)
-    diff = np.flatnonzero(left != right)
-    if len(diff) == 0:
+    left = range_sieve(entry.source.terms, entry.source.domain, bound).bits
+    diff = first_bits(left ^ right, 1)
+    if diff.size == 0:
         return True, None
     return False, int(diff[0])
 
@@ -435,7 +438,8 @@ def mapped_exception_scan(form: DiagonalTernaryForm, multiplier: int,
     if multiplier < 1:
         raise ValueError("multiplier must be >= 1")
     hit = _progression_bitmap(form, multiplier, constant, bound)
-    return np.flatnonzero(~hit)
+    invert(hit, bound + 1)
+    return set_bits(hit)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ walk the pair bitmap.  ``inside``, the OR twin of ``outside``, takes a
 packed bitmap and returns the packed sumset itself, for the form grids,
 filling it one cache-sized window at a time.  ``range_sieve``'s
 ``RangeBitset`` holds the packed sieve; an int sieve is stored as its
-little-endian bytes, which are the packed layout.  ``unpack`` is the one
-way back to bool, for the form checks in ``qform``.
+little-endian bytes, which are the packed layout.  No packed bitmap is
+unpacked to bool: ``qform``'s form checks read packed bitmaps too.
 Only this module knows the packed layout and the memory maps (``bitmap``).
 
 Every exception list is re-verified at construction; the screens'
@@ -136,30 +136,28 @@ _INT_BELOW = 1 << 14
 _MAPPED_FROM = 1 << 20
 
 
-def _buffer(length: int, dtype) -> np.ndarray:
-    """A zeroed bool or uint8 array of ``length`` entries for ``bitmap``, on
-    an anonymous memory map of its own when it holds _MAPPED_FROM bitmap
-    entries or more."""
-    if length * (8 if dtype is np.uint8 else 1) < _MAPPED_FROM \
-            or not hasattr(mmap, "MAP_POPULATE") or tracemalloc.is_tracing():
-        return np.zeros(length, dtype=dtype)
+def _buffer(length: int) -> np.ndarray:
+    """A zeroed uint8 array of ``length`` bytes for ``bitmap``, on an
+    anonymous memory map of its own when it holds _MAPPED_FROM bitmap entries
+    or more."""
+    if 8 * length < _MAPPED_FROM or not hasattr(mmap, "MAP_POPULATE") \
+            or tracemalloc.is_tracing():
+        return np.zeros(length, dtype=np.uint8)
     return np.frombuffer(mmap.mmap(-1, length, mmap.MAP_PRIVATE
-                                   | mmap.MAP_POPULATE), dtype=dtype)
+                                   | mmap.MAP_POPULATE), dtype=np.uint8)
 
 
-def bitmap(size: int, fill: bool, packed: bool = False) -> np.ndarray:
-    """Bitmap of ``size`` entries, all ``fill``.
-
-    It is a bool array, or with ``packed`` a uint8 array holding eight
-    entries per byte in little bit order (entry n is bit n % 8 of byte
+def bitmap(size: int, fill: bool) -> np.ndarray:
+    """Packed bitmap of ``size`` entries, all ``fill``: a uint8 array holding
+    eight entries per byte in little bit order (entry n is bit n % 8 of byte
     n // 8), padded with at least seven clear bits to whole 64-bit words, so
     that ``shift_up`` and ``eliminate`` can work on it a word at a time and
     a shift by fewer than 8 bits drops no entry.
 
-    A bitmap of _MAPPED_FROM entries or more, packed or not, lies on an
-    anonymous memory map of its own, resident in full from the start and
-    unmapped as soon as the last array on it is freed, so that the peak RSS
-    is the sum of the bitmaps alive at once.
+    A bitmap of _MAPPED_FROM entries or more lies on an anonymous memory map
+    of its own, resident in full from the start and unmapped as soon as the
+    last array on it is freed, so that the peak RSS is the sum of the
+    bitmaps alive at once.
     From malloc, whether a freed bitmap's memory stays resident, and
     whether the next bitmap reuses it, turns on the layout of the whole
     heap: the peak RSS of two runs differed by 2-3 MB for bounds a few
@@ -167,14 +165,11 @@ def bitmap(size: int, fill: bool, packed: bool = False) -> np.ndarray:
     pages cost about 0.3 ms per MB (2-vCPU VM).  tracemalloc cannot see a
     memory map, so while it traces, numpy allocates the bitmap.
     """
-    bits = (_buffer(-(-(size + 7) // 64) * 8, np.uint8) if packed
-            else _buffer(size, bool))
-    if fill and packed:
+    bits = _buffer(-(-(size + 7) // 64) * 8)
+    if fill:
         bits[: size // 8] = 0xFF
         if size % 8:
             bits[size // 8] = (1 << size % 8) - 1
-    elif fill:
-        bits.fill(True)
     return bits
 
 
@@ -182,7 +177,7 @@ def pack(bits: np.ndarray, size: int | None = None) -> np.ndarray:
     """The 1-D bool array ``bits`` as a packed bitmap from ``bitmap`` of
     ``size`` >= len(bits) entries, len(bits) by default, the entries past
     ``bits`` clear, packed _PAIR_CHUNK bytes at a time."""
-    packed = bitmap(bits.size if size is None else size, False, packed=True)
+    packed = bitmap(bits.size if size is None else size, False)
     step = 8 * _PAIR_CHUNK
     for i in range(0, bits.size, step):
         pack_into(packed, bits[i : i + step], i)
@@ -363,7 +358,7 @@ def eliminate(alive: np.ndarray, miss: np.ndarray,
                 break
         if v & 7 != r:
             if not miss.flags.writeable:
-                work = _buffer(miss.size, np.uint8)
+                work = _buffer(miss.size)
                 work[:] = miss
                 miss = work
             shift_up(miss, (v & 7) - r)
@@ -407,7 +402,7 @@ def outside(packed: np.ndarray, size: int,
     which it overwrites, and values in [0, size - 1]: inverted in place, the
     bitmap is ``eliminate``'s ``miss``, and every n starts alive."""
     np.invert(packed, out=packed)
-    return eliminate(bitmap(size, True, packed=True), packed, stream)
+    return eliminate(bitmap(size, True), packed, stream)
 
 
 def inside(packed: np.ndarray, size: int,
@@ -426,7 +421,7 @@ def inside(packed: np.ndarray, size: int,
     x^2 + y^2 + z^2 at 10^7 took 0.10-0.13 s here, 0.16-0.18 s as one pass
     over the whole result per value, and 0.22-0.26 s through ``outside``
     (2-vCPU VM)."""
-    acc = bitmap(size, False, packed=True)
+    acc = bitmap(size, False)
     classes: list[list[int]] = [[] for _ in range(8)]
     for v in sorted(stream):
         classes[v & 7].append(v)
@@ -468,17 +463,10 @@ def invert(packed: np.ndarray, size: int) -> None:
     _clear_padding(packed, size)
 
 
-def unpack(packed: np.ndarray, size: int) -> np.ndarray:
-    """The first ``size`` entries of a packed bitmap as a bool bitmap from
-    ``bitmap``, unpacked _PAIR_CHUNK bytes at a time; the only way from a
-    packed bitmap back to bool."""
-    bits = bitmap(size, False)
-    step = 8 * _PAIR_CHUNK
-    for i in range(0, size, step):
-        part = np.unpackbits(packed[i >> 3 : (i >> 3) + _PAIR_CHUNK],
-                             count=min(step, size - i), bitorder="little")
-        bits[i : i + step] = part.view(bool)
-    return bits
+def view_from(packed: np.ndarray, start: int) -> np.ndarray:
+    """The entries from ``start`` on, a multiple of 64, of a packed bitmap
+    from ``bitmap``, as a view that is a packed bitmap of whole words."""
+    return packed[start >> 3 :]
 
 
 def count_bits(packed: np.ndarray) -> int:
@@ -564,7 +552,7 @@ def take_every(packed: np.ndarray, start: int, step: int,
     to 10^7, steps 2, 3 and 13 took 0.58, 0.47 and 0.20 ms so, where a
     strided pack of a bool table's class took 1.12, 0.81 and 0.44 ms, and
     step 1003 took 0.04 ms against 0.02 (2-vCPU VM)."""
-    out = bitmap(count, False, packed=True)
+    out = bitmap(count, False)
     if step == 1:
         n = min(out.size, packed.size)
         out[:n] = packed[:n]
@@ -673,9 +661,9 @@ def check_bound(bound: int) -> None:
 
 def _pair_bits(first: Sequence[int], second: Sequence[int],
                bound: int) -> np.ndarray:
-    """Packed bitmap (``bitmap(..., packed=True)``) over [0, bound] of
-    first + second, sorted streams of values in [0, bound].  Both are cut
-    into tiles of value width W = _PAIR_TILE, and the tile pairs (k, l) are
+    """Packed bitmap from ``bitmap`` over [0, bound] of first + second,
+    sorted streams of values in [0, bound].  Both are cut into tiles of
+    value width W = _PAIR_TILE, and the tile pairs (k, l) are
     walked by the anti-diagonal d = k + l, whose sums lie in
     [dW, (d + 2)W - 1): they are scattered into a bool window of two tiles
     and a byte, which starts at the first entry not yet packed.  Later
@@ -687,7 +675,7 @@ def _pair_bits(first: Sequence[int], second: Sequence[int],
     bound, and only its entries up to bound are packed.  A mask made a
     temporary of up to 512 KiB and saved no time (2-vCPU VM)."""
     size = bound + 1
-    packed = bitmap(size, False, packed=True)
+    packed = bitmap(size, False)
     row = np.asarray(first, dtype=np.int64)
     col = np.asarray(second, dtype=np.int64)
     rows, cols = [row], [col]  # one tile below _PAIR_TILE
@@ -739,14 +727,14 @@ def _sieve(terms: Sequence[Term], domain: SumDomain,
         sums = 1
         for stream in streams:
             sums = int_fold(stream, bound + 1, sums)
-        bits = bitmap(bound + 1, False, packed=True)
+        bits = bitmap(bound + 1, False)
         bits[:] = np.frombuffer(sums.to_bytes(bits.size, "little"), np.uint8)
         return bits
     bits = _pair_bits(streams[0], streams[1] if len(streams) > 1 else [0],
                       bound)
     for stream in streams[2:]:
         survivors = outside(bits, bound + 1, stream)
-        bits = bitmap(bound + 1, True, packed=True)
+        bits = bitmap(bound + 1, True)
         clear_bits(bits, survivors)
     return bits
 

@@ -187,6 +187,10 @@ GOLDEN = [
      "8173e250f00775b69533c13714139e45fd398ba549fe937d99e0e9012d82c647"),
     ("verify-reduction --sum p11+p13+p19 --domain Z --bound 300000", 0,
      "23689511747dad806401bc362fd3aabf69991951b402ac1a721851a97f159eeb"),
+    # a large order over N: the third variable's values are stepped through
+    # one residue class mod 5999996 from its lower bound
+    ("verify-reduction --sum p3+p3+p3000000 --domain N --bound 100", 0,
+     "2f6b1569b423d90ed8bc586e1e93891806691e5c498662d968cf0812654317df"),
 ]
 
 

@@ -38,7 +38,7 @@ def test_sieve_small():
     # bit j stands for n = 2j + 1: 1 and 9 are clear, and 2 is no bit
     odd = sieve_primes(10)
     assert (2 * sumset.set_bits(odd) + 1).tolist() == [3, 5, 7]
-    assert odd.size == sumset.bitmap(5, False, packed=True).size
+    assert odd.size == sumset.bitmap(5, False).size
     assert not sumset.is_set(odd, 0) and not odd.flags.writeable
     assert decomposition_witness(PrimePolyQuery(1), 2, 10) == (2, 0)
     assert decomposition_witness(PrimePolyQuery(1), 9, 10) == (5, 2)
@@ -74,7 +74,7 @@ _SEAM = 2 * primepoly._SEGMENT + 1
 def test_sieve_equals_reference(bound):
     odd = sieve_primes(bound)
     size = (bound + 1) // 2
-    assert odd.size == sumset.bitmap(size, False, packed=True).size
+    assert odd.size == sumset.bitmap(size, False).size
     bits = _odd_bits(odd, 8 * odd.size)
     assert np.array_equal(bits[:size], _reference_sieve(bound)[1::2])
     assert not bits[size:].any()  # the padding is clear
@@ -250,7 +250,7 @@ def test_scans_leave_a_cached_class_unchanged():
     # the class 1 mod 2 is the odd table inverted, entry i being n = 2i + 1
     primes = _reference_sieve(bound)[1::2]
     assert np.array_equal(_odd_bits(miss, primes.size), ~primes)
-    assert miss.size == sumset.bitmap(bound // 2 + 1, False, packed=True).size
+    assert miss.size == sumset.bitmap(bound // 2 + 1, False).size
 
 
 # The classes of primes against the plain sieve, bit by bit: periods 2, 4,
@@ -266,7 +266,7 @@ def test_scans_leave_a_cached_class_unchanged():
 def test_class_miss_equals_reference(bound, period):
     prime = _reference_sieve(bound)
     count = bound // period + 1
-    size = sumset.bitmap(count, False, packed=True).size
+    size = sumset.bitmap(count, False).size
     for s in list(range(1, period, 2))[:12]:
         n = s + period * np.arange(8 * size)
         expected = np.zeros(n.size, dtype=bool)
@@ -482,7 +482,7 @@ def test_scan_where_the_class_of_primes_is_one_entry_short(query, bound, s,
                                                             period):
     assert len(range(s, bound + 1, period)) == bound // period
     assert primepoly._class_miss(bound, s, period).size == sumset.bitmap(
-        bound // period + 1, False, packed=True).size
+        bound // period + 1, False).size
     with _scan_path("walk"):
         assert exception_scan(query, bound).tolist() == \
             _witness_sweep(query, bound)
@@ -507,7 +507,7 @@ def test_filter_with_many_classes_scatters():
         assert np.array_equal(exception_scan(query, bound), walked)
     assert spy.call_count == 1
     assert spy.call_args.args[0].size == sumset.bitmap(
-        bound + 1, False, packed=True).size
+        bound + 1, False).size
     assert spy.call_args.args[2] == [0]
     for prime_filter in [(4, 1), (4, 3), (6, 1), (6, 5)]:
         query = PrimePolyQuery(2, "polygonal", 5, "odd", prime_filter)

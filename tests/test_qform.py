@@ -28,12 +28,18 @@ from polysum.qform import (
     verify_catalog_form,
     verify_reduction,
 )
+from polysum.sumset import member_with_witness
 
 N, Z = SumDomain.NATURALS, SumDomain.INTEGERS
 
 
+def _entries(packed, size):
+    """The first ``size`` entries of a packed bitmap as a bool array."""
+    return np.unpackbits(packed, count=size, bitorder="little").view(bool)
+
+
 def _members(families, bound):
-    return np.flatnonzero(FamilySet(tuple(families)).bitmap(bound)).tolist()
+    return sumset.set_bits(FamilySet(tuple(families)).bitmap(bound)).tolist()
 
 
 def test_qf_represents_examples():
@@ -91,8 +97,12 @@ _FAMILY = st.integers(1, 40).flatmap(lambda modulus: st.builds(
 def test_family_bitmap_equals_contains(families, bound):
     fam = FamilySet(tuple(families))
     bits = fam.bitmap(bound)
-    assert bits.shape == (bound + 1,)
-    assert bits.tolist() == [fam.contains(n) for n in range(bound + 1)]
+    # packed, with the padding bits clear
+    assert bits.dtype == np.uint8
+    assert bits.size == sumset.bitmap(bound + 1, False).size
+    assert not _entries(bits, 8 * bits.size)[bound + 1 :].any()
+    assert _entries(bits, bound + 1).tolist() == [
+        fam.contains(n) for n in range(bound + 1)]
     for f in families:
         assert _members([f], bound) == [
             n for n in range(bound + 1) if f.contains(n)]
@@ -162,7 +172,7 @@ def test_reachable_equals_brute_sumset(coeffs, conds, top, chunk, window):
         bits = _reachable(form, top)
     # set_bits would list a set padding bit as an entry above top
     assert bits.dtype == np.uint8
-    assert bits.size == sumset.bitmap(top + 1, False, packed=True).size
+    assert bits.size == sumset.bitmap(top + 1, False).size
     assert sumset.set_bits(bits).tolist() == _brute_reachable(form, top)
 
 
@@ -275,7 +285,8 @@ def test_value_grid_above_limit_is_refused_before_allocation():
     # top near 10^8 with 456 square residues mod 8880 per stream: the frame
     # holds only bound + 2 entries
     for bound in (sumset.MAX_RANGE_BOUND // 8880 + 1, 10_000):
-        assert _progression_bitmap(form, 8880, 3, bound).tolist() == [
+        assert _entries(_progression_bitmap(form, 8880, 3, bound),
+                        bound + 1).tolist() == [
             not three_square_excluded(8880 * n + 3)
             for n in range(bound + 1)]
 
@@ -312,8 +323,11 @@ def test_progression_bitmap_equals_per_n_search(coeffs, conds, multiplier,
                                                 constant, bound):
     form = DiagonalTernaryForm(coeffs, conds)
     bits = _progression_bitmap(form, multiplier, constant, bound)
-    assert bits.dtype == bool and bits.shape == (bound + 1,)
-    assert bits.tolist() == [
+    # packed, with the padding bits clear: a word-aligned view of the frame
+    assert bits.dtype == np.uint8
+    assert bits.size == sumset.bitmap(bound + 1, False).size
+    assert not _entries(bits, 8 * bits.size)[bound + 1 :].any()
+    assert _entries(bits, bound + 1).tolist() == [
         multiplier * n + constant >= 0
         and qf_represents(form, multiplier * n + constant) is not None
         for n in range(bound + 1)]
@@ -380,6 +394,44 @@ def test_broken_reduction_fails_at_zero():
     assert not ok and counterexample == 0
 
 
+def _first_disagreement(entry, bound):
+    """The first n <= bound at which the source and the form at
+    multiplier*n + constant disagree, by the exhaustive searches, or None."""
+    for n in range(bound + 1):
+        value = entry.multiplier * n + entry.constant
+        if (member_with_witness(entry.source, n) is None) != (
+                value < 0 or qf_represents(entry.form, value) is None):
+            return n
+    return None
+
+
+_SMALL_SUM = st.lists(st.tuples(st.integers(1, 2), st.integers(3, 8)),
+                      min_size=3, max_size=3).map(
+    lambda terms: "+".join(f"{a}p{m}" for a, m in terms))
+
+
+# The source of one sum against the canonical reduction of another sum, or
+# of itself, with the constant moved or not: entries that hold, fail at 0 or
+# fail later.  A chunk of one word makes ``first_bits`` read the XOR 64
+# entries at a time, so that p3+p3+p3 against the reduction of
+# 1p3+1p5+2p8, which first disagree at 124, is read past its first chunk.
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([N, Z]), _SMALL_SUM, st.none() | _SMALL_SUM,
+       st.just(0) | st.integers(-40, 40), st.integers(0, 150),
+       st.sampled_from([1, sumset._UNPACK_WORDS]))
+@example(N, "1p3+1p5+2p8", "1p3+1p3+1p3", 0, 150, 1)
+def test_verify_reduction_reports_the_first_disagreement(
+        domain, target, source, shift, bound, words):
+    entry = canonical_reduction(parse_sum(target, domain))
+    entry = ReductionEntry(parse_sum(source or target, domain),
+                           entry.multiplier, entry.constant + shift,
+                           entry.form)
+    with mock.patch.object(sumset, "_UNPACK_WORDS", words):
+        ok, counterexample = verify_reduction(entry, bound)
+    expected = _first_disagreement(entry, bound)
+    assert (ok, counterexample) == (expected is None, expected)
+
+
 def test_naturals_reduction_round_trip():
     # naturals-domain conditions carry the one-sided variable bound
     entry = canonical_reduction(parse_sum("p3+p4+p17", N))
@@ -439,8 +491,8 @@ def test_progressions_of_theorem_instances():
 
     # 12n+5 = x^2 + y^2 + (6z)^2
     top = 12 * 10_000 + 5
-    reach = sumset.unpack(_reachable(DiagonalTernaryForm((1, 1, 36)), top),
-                          top + 1)
+    reach = _entries(_reachable(DiagonalTernaryForm((1, 1, 36)), top),
+                     top + 1)
     assert all(reach[12 * n + 5] for n in range(10_001))
     # 12n+4 = x^2 + 3y^2 + 3z^2 with x odd
     from polysum.qform import rep_parity_counts
@@ -449,8 +501,8 @@ def test_progressions_of_theorem_instances():
     # non-square 20n+r = 5x^2 + 5y^2 + 4z^2 for r in {1, 9}
     from math import isqrt
     top = 20 * 10_000 + 9
-    reach = sumset.unpack(_reachable(DiagonalTernaryForm((5, 5, 4)), top),
-                          top + 1)
+    reach = _entries(_reachable(DiagonalTernaryForm((5, 5, 4)), top),
+                     top + 1)
     for n in range(10_001):
         for r in (1, 9):
             v = 20 * n + r
@@ -470,7 +522,7 @@ def test_squarefull_7n_plus_4_split():
     while d * d <= top:
         squarefree[d * d :: d * d] = False
         d += 1
-    reach = sumset.unpack(
+    reach = _entries(
         _reachable(DiagonalTernaryForm((1, 7, 56)), 56 * limit + 32),
         56 * limit + 33)
     for n in range(limit + 1):

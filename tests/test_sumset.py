@@ -191,8 +191,7 @@ def test_kernel_equals_brute_sumset(terms_, domain, bound, offsets, share,
         assert plain.exceptions.dtype == np.int64
         assert plain.exceptions.tolist() == missing
         # packed, with the padding bits clear
-        assert bits.bits.size == sumset.bitmap(bound + 1, False,
-                                               packed=True).size
+        assert bits.bits.size == sumset.bitmap(bound + 1, False).size
         assert sumset.set_bits(bits.bits).tolist() == sorted(sums)
         assert bits.missing().tolist() == missing
         assert bits.first_missing(2) == missing[:2]
@@ -202,10 +201,15 @@ def test_kernel_equals_brute_sumset(terms_, domain, bound, offsets, share,
 
 def _packed(alive):
     """A bool bitmap as the packed bitmap ``sumset.bitmap`` makes."""
-    packed = sumset.bitmap(alive.size, False, packed=True)
+    packed = sumset.bitmap(alive.size, False)
     part = np.packbits(alive, bitorder="little")
     packed[: part.size] = part
     return packed
+
+
+def _entries(packed, size):
+    """The first ``size`` entries of a packed bitmap as a bool array."""
+    return np.unpackbits(packed, count=size, bitorder="little").view(bool)
 
 
 @st.composite
@@ -261,7 +265,7 @@ def test_eliminate_equals_set_model(case, share, every, cells, frozen):
 def test_packed_bitmap_layout():
     for size in (0, 1, 7, 8, 9, 63, 64, 65, sumset._MAPPED_FROM + 3):
         for fill in (False, True):
-            packed = sumset.bitmap(size, fill, packed=True)
+            packed = sumset.bitmap(size, fill)
             assert packed.dtype == np.uint8 and packed.size % 8 == 0
             assert packed.size * 8 - size in range(7, 71)
             bits = np.unpackbits(packed, bitorder="little")
@@ -306,7 +310,7 @@ def test_pack_of_a_strided_view_equals_packbits_of_its_copy(case, extra):
                   else sumset.pack(bits, size))
     expected = np.packbits(before, bitorder="little")
     assert packed.dtype == np.uint8
-    assert packed.size == sumset.bitmap(size, False, packed=True).size
+    assert packed.size == sumset.bitmap(size, False).size
     assert packed[: expected.size].tobytes() == expected.tobytes()
     assert not packed[expected.size :].any()
     assert np.array_equal(bits, before)
@@ -324,18 +328,21 @@ def test_packed_layout_stays_in_sumset():
     assert found == []
 
 
-# ``unpack`` of ``pack`` gives the bool bitmap back, with chunks of 1 and 7
-# bytes cutting it into many pieces, and reads no padding bit.
+# ``pack`` of a bool bitmap is ``np.packbits`` of it in little bit order,
+# padded with clear bytes to the size ``bitmap`` gives, with chunks of 1 and
+# 7 bytes cutting it into many pieces.
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.booleans(), max_size=300),
        st.sampled_from([1, 7, sumset._PAIR_CHUNK]))
-def test_unpack_of_pack_is_the_bitmap(bits, chunk):
+def test_pack_is_packbits_of_the_bitmap(bits, chunk):
     bits = np.array(bits, dtype=bool)
     with mock.patch.object(sumset, "_PAIR_CHUNK", chunk):
         packed = sumset.pack(bits)
-        packed[-1] |= 0x80  # a set padding bit
-        found = sumset.unpack(packed, bits.size)
-    assert found.dtype == bool and np.array_equal(found, bits)
+    model = np.zeros(-(-(bits.size + 7) // 64) * 8, dtype=np.uint8)
+    part = np.packbits(bits, bitorder="little")
+    model[: part.size] = part
+    assert packed.dtype == np.uint8 and np.array_equal(packed, model)
+    assert np.array_equal(_entries(packed, bits.size), bits)
 
 
 # ``invert`` keeps the padding clear, so ``count_bits`` counts the clear
@@ -406,7 +413,7 @@ def test_take_every_equals_a_bool_model(size, step, data, chunk):
     expected = np.zeros(count, dtype=bool)
     part = bits[start::step][:count]
     expected[: part.size] = part
-    assert taken.size == sumset.bitmap(count, False, packed=True).size
+    assert taken.size == sumset.bitmap(count, False).size
     assert np.array_equal(taken, sumset.pack(expected, count))
 
 
@@ -470,7 +477,7 @@ def test_inside_equals_set_model(case, chunk, window):
             mock.patch.object(sumset, "_FOLD_WINDOW", window):
         found = sumset.inside(_packed(bits), bits.size, list(values))
     assert found.dtype == np.uint8
-    assert found.size == sumset.bitmap(bits.size, False, packed=True).size
+    assert found.size == sumset.bitmap(bits.size, False).size
     # set_bits would list a set padding bit as an entry past the bitmap
     assert sumset.set_bits(found).tolist() == expected
 
@@ -521,8 +528,8 @@ def test_pair_bits_equals_set_model(case, chunk):
             mock.patch.object(sumset, "_PAIR_CHUNK", chunk):
         bits = sumset._pair_bits(first, second, bound)
     assert bits.dtype == np.uint8
-    assert bits.size == sumset.bitmap(bound + 1, False, packed=True).size
-    assert np.flatnonzero(sumset.unpack(bits, bound + 1)).tolist() == expected
+    assert bits.size == sumset.bitmap(bound + 1, False).size
+    assert np.flatnonzero(_entries(bits, bound + 1)).tolist() == expected
     # the padding bits stay clear
     assert not np.unpackbits(bits, bitorder="little")[bound + 1 :].any()
 
@@ -627,14 +634,21 @@ def test_range_sieve_holds_no_bool_bitmap():
 
 
 def test_bitmap_sizes_and_fills():
+    # packed, in whole words with at least seven clear padding bits, mapped
+    # or not, and writable
     for size in (0, 1, 5, sumset._MAPPED_FROM - 1, sumset._MAPPED_FROM,
                  sumset._MAPPED_FROM + 3):
         for fill in (False, True):
             bits = sumset.bitmap(size, fill)
-            assert bits.dtype == bool and bits.shape == (size,)
-            assert bits.all() if fill else not bits.any()
-            bits[-1:] = not fill
-            assert np.count_nonzero(bits != fill) == min(size, 1)
+            assert bits.dtype == np.uint8
+            assert bits.size == -(-(size + 7) // 64) * 8
+            entries = _entries(bits, 8 * bits.size)
+            assert entries[:size].all() if fill else not entries[:size].any()
+            assert not entries[size:].any()
+            if size:
+                bits[(size - 1) // 8] ^= 1 << (size - 1) % 8
+            assert np.count_nonzero(_entries(bits, size) != fill) == \
+                min(size, 1)
 
 
 @pytest.mark.skipif(not hasattr(mmap, "MAP_POPULATE"),
@@ -651,13 +665,15 @@ def test_large_bitmap_is_unmapped_with_its_last_array():
 
 
 def test_bitmap_is_traced_under_tracemalloc():
+    # a bitmap of _MAPPED_FROM entries, which would be mapped, holds
+    # _MAPPED_FROM / 8 bytes
     tracemalloc.start()
     try:
         bits = sumset.bitmap(sumset._MAPPED_FROM, False)
         traced = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert bits.flags.owndata and traced >= sumset._MAPPED_FROM
+    assert bits.flags.owndata and traced >= sumset._MAPPED_FROM // 8
 
 
 def _bitset(bits):
