@@ -13,18 +13,20 @@ class c of n is eliminated on its own against the class-s primes, and a
 term value costs one pass over the B/Q entries of the one class it reaches;
 ``sumset``'s layout helpers clear its packed alive bitmap.  The class-s
 primes are every (Q/2)-th bit of the odd table (``_prime_class``), taken
-once per (bound, s, Q) by ``sumset.take_every``, inverted and cached
-read-only (``_class_miss``).  The classes' short lists are merged by one
+once per scan by ``sumset.take_every`` and inverted (``_class_miss``);
+``sumset.eliminate`` overwrites the table it is given, so every class but
+the last walks a copy.  The classes' short lists are merged by one
 sort; lists that would outgrow a packed bitmap over [0, bound] are marked
 in one as each class finishes and freed, and the bitmap is listed once.
 The n = 2 + v, whose prime is 2, are killed by one scatter when 2 passes the
 filter.  A filter with few candidates k = r (mod q) up to the bound for the
 bound and its number of classes, such as a modulus above the bound, which
 leaves r alone, and a filter with q and r both even, which no odd prime
-passes, go through the sieve's pair step instead: ``sumset._pair_bits``
+passes, go through the sieve's pair step instead: ``sumset.sumset_bits``
 packs the sums of the passing primes, 2 and the same class s, and the term
-values over [0, bound], and one elimination of the universe against their
-complement lists the exceptions, so that the cost no longer grows with Q.
+values over [0, bound], as it packs a sum of two terms, and one elimination
+of the universe against their complement lists the exceptions, so that the
+cost no longer grows with Q.
 The re-check ``decomposed_among`` walks the same one odd class of primes:
 it picks out the listed n of the classes that the term values reach, a
 slice of the list at a time, and tests bits of the same odd table, but
@@ -45,9 +47,9 @@ from typing import Sequence
 import numpy as np
 
 from .polycore import SumDomain, Term, poly_values_upto
-from .sumset import (_pair_bits, bitmap, clear_bits, clear_every, eliminate,
+from .sumset import (bitmap, clear_bits, clear_every, copy_bits, eliminate,
                      invert, is_set, mark_bits, pack_into, reached, set_bits,
-                     sorted_distinct, take_every)
+                     sorted_distinct, sumset_bits, take_every)
 
 # Odd n per segment of the prime sieve, a multiple of 8, so that each
 # segment packs into whole bytes: a bool buffer of 512 KiB, which stays in
@@ -247,14 +249,12 @@ def _prime_class(bound: int, s: int, period: int) -> np.ndarray:
                       bound // period + 1)
 
 
-@lru_cache(maxsize=4)
 def _class_miss(bound: int, s: int, period: int) -> np.ndarray:
-    """Read-only complement of ``_prime_class``, as ``eliminate`` takes it;
-    for the class 1 mod 2 an inverted copy of the odd table.  No code
-    writes to it: ``eliminate`` shifts a copy."""
+    """Complement of ``_prime_class``, as ``eliminate`` takes it, in a fresh
+    table that ``eliminate`` may overwrite; for the class 1 mod 2 an
+    inverted copy of the odd table."""
     miss = _prime_class(bound, s, period)
     np.invert(miss, out=miss)
-    miss.flags.writeable = False
     return miss
 
 
@@ -266,7 +266,7 @@ def exception_scan(query: PrimePolyQuery, bound: int) -> np.ndarray:
     With Q = lcm(2, q) for a prime filter (q, r), or Q = 2 without one,
     every odd prime that passes lies in the one odd class s = r (mod q) mod
     Q.  Each class c of n is eliminated on its own against that class of
-    primes (``_class_miss``, cached), walking only the term values
+    primes (``_class_miss``), walking only the term values
     v = c - s (mod Q) as shifts (v - c + s) / Q; n = 2 + v, whose prime is
     2, is killed by one scatter when 2 passes the filter.
 
@@ -275,7 +275,7 @@ def exception_scan(query: PrimePolyQuery, bound: int) -> np.ndarray:
     (_INTEGER_CELLS, _CLASS_CELLS), such as a modulus above the bound, which
     leaves r alone, and a filter with q and r both even, which no odd prime
     passes, skip the classes mod Q: the sums p + v of the passing primes p
-    are the pair step ``_pair_bits``, and one elimination of the universe
+    are one ``sumset.sumset_bits``, and one elimination of the universe
     over [0, bound] against their complement lists the exceptions."""
     if bound < 2:
         raise ValueError("bound must be >= 2")
@@ -292,11 +292,11 @@ def exception_scan(query: PrimePolyQuery, bound: int) -> np.ndarray:
             odd *= period
             odd += s
             passing = np.concatenate((passing, odd))
-        miss = _pair_bits(passing, values, bound)
+        miss = sumset_bits([passing, values], bound)
         invert(miss, bound + 1)
         return eliminate(_class_alive(query, 0, 1, bound, values[:0]), miss,
                          [0])
-    miss = _class_miss(bound, s, period)
+    table = _class_miss(bound, s, period)
     # the n = 2 + v, whose prime is 2
     scattered = values + 2 if 2 % q == r else values[:0]
     values = values[values <= bound - s]
@@ -305,9 +305,11 @@ def exception_scan(query: PrimePolyQuery, bound: int) -> np.ndarray:
     for c in classes:
         shifts = values[(values - c + s) % period == 0]
         # the alive bitmap is passed inline, so that eliminate holds its
-        # only reference and frees it once the class turns sparse
+        # only reference and frees it once the class turns sparse; eliminate
+        # overwrites its miss, so every class but the last takes a copy
         found = eliminate(_class_alive(query, c, period, bound, scattered),
-                          miss, ((shifts - c + s) // period).tolist())
+                          table if c == classes[-1] else copy_bits(table),
+                          ((shifts - c + s) // period).tolist())
         found *= period
         found += c
         held.append(found)

@@ -1,21 +1,22 @@
 """Diagonal ternary quadratic forms with per-variable congruence conditions.
 
 Exception sets are computed by explicit value-grid sieves (numpy), never by
-local or genus reasoning.  The sums of the two longest value streams are
-scattered into a packed bitmap in tiles, as ``sumset.range_sieve`` scatters
-its pair; the shortest is folded in by ``sumset.inside``, packed shift-ors
-into one cache-sized window of the result at a time.  The grid stays packed
-to the answer: ``qf_exception_bits`` inverts it in place, the CLI counts
-its set bits and reads only the listed head from it, and
-``qf_exception_set`` lists every n for library callers.  A bitmap over
-[0, top] is refused before allocating when top exceeds
-``sumset.MAX_RANGE_BOUND``.  A progression M*n + C is checked without a
-bitmap over [0, M*bound + C]: each value stream is split by residue mod M,
-and every three classes whose residues sum to C mod M take the same pair
-step and fold on their quotients by M, in a frame of bound + F + 1 entries,
-F = ceil(C / M) rounded up to a multiple of 64.  The frame with the exact F
-is the progression's only cap, and ``check_reduction_bound`` gives its
-refusal before any entry of a batch is verified.
+local or genus reasoning.  Every sumset here is built by
+``sumset.sumset_bits``, which sums a polygonal sieve too: a form grid is
+the sumset of its two longest value streams, with the shortest folded in
+by ``sumset.inside``, packed shift-ors into one cache-sized window of the
+result at a time.  The grid stays packed to the answer:
+``qf_exception_bits`` inverts it in place, the CLI counts its set bits and
+reads only the listed head from it, and ``qf_exception_set`` lists every n
+for library callers.  A bitmap over [0, top] is refused before allocating
+when top exceeds ``sumset.MAX_RANGE_BOUND``.  A progression M*n + C is
+checked without a bitmap over [0, M*bound + C]: each value stream is split
+by residue mod M, and every three classes whose residues sum to C mod M
+give their quotients by M to ``sumset.sumset_bits``, in a frame of
+bound + F + 1 entries, F = ceil(C / M) rounded up to a multiple of 64.
+The frame with the exact F and the int64 values up to M*bound + C are the
+progression's caps, and ``check_reduction_bound`` gives their refusal
+before any entry of a batch is verified.
 Geometric-arithmetic family sets give the closed descriptions the sieves are
 compared against, as packed bitmaps built from strided slices.  The
 reduction machinery converts polygonal sums into arithmetic progressions
@@ -31,9 +32,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .polycore import SumDomain, TripleSum, square_completion
-from .sumset import (MAX_RANGE_BOUND, _pair_bits, bitmap, check_bound,
-                     first_bits, inside, invert, pack, range_sieve, reached,
-                     set_bits, sorted_distinct, sum_table, view_from)
+from .sumset import (MAX_RANGE_BOUND, bitmap, check_bound, first_bits,
+                     inside, invert, pack, range_sieve, reached, set_bits,
+                     sorted_distinct, sum_table, sumset_bits, view_from)
 
 # Each canonical reduction is verified on [0, this bound] when it is built.
 _REDUCTION_CHECK_BOUND = 500
@@ -189,16 +190,6 @@ def _streams(form: DiagonalTernaryForm, top: int) -> list[np.ndarray]:
             for i in order]
 
 
-def _reachable(form: DiagonalTernaryForm, top: int) -> np.ndarray:
-    """Packed bitmap (``sumset.bitmap``) over [0, top] of the values
-    represented by the form, by the pair rule of ``sumset.range_sieve``: the
-    sums of the two longest value streams are scattered, and the shortest
-    is folded in by ``sumset.inside``."""
-    check_bound(top)
-    s = sorted(_streams(form, top), key=len, reverse=True)
-    return inside(_pair_bits(s[0], s[1], top), top + 1, s[2].tolist())
-
-
 # ---------------------------------------------------------------------------
 # representation and exception sets
 # ---------------------------------------------------------------------------
@@ -238,10 +229,13 @@ def qf_represents(form: DiagonalTernaryForm, n: int) -> tuple[int, int, int] | N
 
 def qf_exception_bits(form: DiagonalTernaryForm, bound: int) -> np.ndarray:
     """Packed bitmap (``sumset.bitmap``) over [0, bound] of the n not
-    represented by the form: the value grid, inverted in place.
-    ``sumset.count_bits`` counts it and ``sumset.first_bits`` reads its head
-    without listing every n."""
-    missed = _reachable(form, bound)
+    represented by the form: the value grid, inverted in place.  The grid
+    is ``sumset.sumset_bits`` of the two longest value streams with the
+    shortest folded in by ``sumset.inside``.  ``sumset.count_bits`` counts
+    it and ``sumset.first_bits`` reads its head without listing every n."""
+    check_bound(bound)
+    *pair, shortest = sorted(_streams(form, bound), key=len, reverse=True)
+    missed = inside(sumset_bits(pair, bound), bound + 1, shortest.tolist())
     invert(missed, bound + 1)
     return missed
 
@@ -256,7 +250,7 @@ def represented_among(form: DiagonalTernaryForm,
     """The n in ns (an int sequence or array, as ``sumset.sorted_distinct``
     takes) that the form represents, as a sorted int64 array.
 
-    Independent of ``_reachable``: the values of the two smaller
+    Independent of ``qf_exception_bits``: the values of the two smaller
     coefficients go into a ``sum_table`` up to max(ns), and the values of
     the largest are walked against it by ``reached``.
     """
@@ -345,9 +339,15 @@ def _frame_shift(multiplier: int, constant: int, bound: int) -> int:
     """The shift F = max(0, ceil(constant / multiplier)) of the frame
     [0, bound + F] that ``_progression_bitmap`` folds into (with F rounded
     up to a multiple of 64), or a ValueError when that frame is above
-    ``sumset.MAX_RANGE_BOUND``: the only cap of a progression, which
+    ``sumset.MAX_RANGE_BOUND`` or the progression's top
+    multiplier*bound + constant, its largest value, is above int64: the
+    caps of a progression, all in one place, which
     ``check_reduction_bound`` gives before anything is built."""
     check_bound(bound)
+    top = multiplier * bound + constant
+    if top >= 1 << 63:
+        raise ValueError(f"progression top {multiplier}*{bound} + {constant}"
+                         f" = {top} above int64")
     shift = max(0, -(-constant // multiplier))
     if bound + shift > MAX_RANGE_BOUND:
         raise ValueError(f"progression frame over [0, {bound + shift}] "
@@ -384,16 +384,18 @@ def _progression_bitmap(form: DiagonalTernaryForm, multiplier: int,
     u = M*u' + r with r = u mod M.  Values u, v, w of the three streams sum
     to M*n + C exactly when their residues sum to C + M*e for an integer
     e, and then n = u' + v' + w' + e.  So for each residue pair (r0, r1)
-    whose r2 = (C - r0 - r1) mod M occurs in the third stream, the two
-    longest quotient classes are paired by ``sumset._pair_bits`` and the
-    shortest, shifted by e + F, is folded in by ``sumset.inside``, all in
-    the frame [0, bound + F], whose entry n + F is n, for F the shift of
+    whose r2 = (C - r0 - r1) mod M occurs in the third stream, the
+    quotient classes of r0 and r1 and the class of r2 shifted by e + F go
+    to ``sumset.sumset_bits``, as the terms of a sum do, in the frame
+    [0, bound + F], whose entry n + F is n, for F the shift of
     ``_frame_shift`` rounded up to a multiple of 64: e >= -C/M >= -F keeps
     every shift at or above 0, and no quotient is above
-    (M*bound + C) // M <= bound + F.  The packed results are ORed, and the
-    entries from F on are returned as a word-aligned view of the frame
+    (M*bound + C) // M <= bound + F.  When the reduction holds, the
+    progression's complement is the sum's exception list, so it takes the
+    fold the sum takes.  The packed results are ORed, and the entries from
+    F on are returned as a word-aligned view of the frame
     (``sumset.view_from``).  A canonical reduction has one residue per
-    stream, since c*y^2 is c*(m - 4)^2 mod M: one pair step and one fold.
+    stream, since c*y^2 is c*(m - 4)^2 mod M: one sumset.
     """
     shift = -(-_frame_shift(multiplier, constant, bound) // 64) * 64
     size = bound + shift + 1
@@ -407,13 +409,8 @@ def _progression_bitmap(form: DiagonalTernaryForm, multiplier: int,
             if r2 not in third:
                 continue
             e = (r0 + r1 + r2 - constant) // multiplier
-            *pair, shortest = sorted((q0, q1, third[r2]), key=len,
-                                     reverse=True)
-            folded = shortest + (e + shift)
-            folded = folded[folded < size]
-            if folded.size:
-                out |= inside(_pair_bits(*pair, size - 1), size,
-                              folded.tolist())
+            shifted = third[r2] + (e + shift)
+            out |= sumset_bits([q0, q1, shifted[shifted < size]], size - 1)
     return view_from(out, shift)
 
 

@@ -1,18 +1,22 @@
 """Range sieves and membership tests for sums of weighted polygonal terms.
 
-A bitmap has two layouts, chosen by size.  A short sumset is one Python
-int, bit n set for a reached n: ``int_fold`` adds a stream to it as an OR
-of shifts, masked once, and ``int_gaps`` reads its lowest clear bits.  A
-sieve of three or more terms over fewer than _INT_BELOW entries, or of one
-or two over fewer than _INT_BELOW / 4, is built so, and so are the screens'
-pair sumsets up to their stage bound.  A longer sieve scatters the
-sums of the two longest value streams into a packed bitmap over [0, bound]
-(``_pair_bits``): tile by tile into a bool window of two tiles that stays
-in cache, each finished tile packed at once, so no bool bitmap over
-[0, bound] is made.  It then folds in each further stream with ``outside``:
-the n outside the sumset of a packed bitmap and a stream, found by
-candidate elimination (``eliminate``), so a stream without 0 is exact too.
-``eliminate`` takes the packed complement of the hit set, ``miss``: its
+One function, ``sumset_bits``, turns sorted value streams into the packed
+bitmap of their sumset: the sieves of ``range_sieve``, ``qform``'s
+progressions and the pairs of its form grids, and ``primepoly``'s pair step
+all go through it, and only it knows the pair rule.  A bitmap has two
+layouts, chosen by size.  A short sumset is one Python int, bit n set for a
+reached n: ``int_fold`` adds a stream to it as an OR of shifts, masked
+once, and ``int_gaps`` reads its lowest clear bits.  A sumset of three or
+more streams over fewer than _INT_BELOW entries, or of one or two over
+fewer than _INT_BELOW / 4, is built so, and so are the screens' pair
+sumsets up to their stage bound.  A longer sumset scatters the sums of the
+two longest streams into a packed bitmap over [0, bound] (``_pair_bits``):
+tile by tile into a bool window of two tiles that stays in cache, each
+finished tile packed at once, so no bool bitmap over [0, bound] is made.
+It then folds in each further stream with ``outside``: the n outside the
+sumset of a packed bitmap and a stream, found by candidate elimination
+(``eliminate``), so a stream without 0 is exact too.  ``eliminate`` takes
+the packed complement of the hit set, ``miss``, and overwrites it: its
 dense passes AND a shifted ``miss`` into the packed alive bitmap, and its
 sparse phase tests bits of ``miss`` for a block of values at once.
 An exception list is the survivors of one last ``outside``: the shortest
@@ -21,7 +25,7 @@ inverted in place as ``miss``, or for one or two terms the offsets alone
 walk the pair bitmap.  ``inside``, the OR twin of ``outside``, takes a
 packed bitmap and returns the packed sumset itself, for the form grids,
 filling it one cache-sized window at a time.  ``range_sieve``'s
-``RangeBitset`` holds the packed sieve; an int sieve is stored as its
+``RangeBitset`` holds the packed sieve; an int sumset is stored as its
 little-endian bytes, which are the packed layout.  No packed bitmap is
 unpacked to bool: ``qform``'s form checks read packed bitmaps too.
 Only this module knows the packed layout and the memory maps (``bitmap``).
@@ -116,9 +120,9 @@ _GATHER_CELLS = 1 << 14
 #   peak      1.03  1.04  1.05  1.09  1.16  1.30  1.58      2.03
 _UNPACK_WORDS = 1 << 10
 
-# Sieves over [0, bound] for bound below this are one Python int
+# Sumsets over [0, bound] for bound below this are one Python int
 # (``int_fold``): each value of each stream costs one OR of the whole int,
-# while the packed steps pay numpy calls per tile, value and pass.  _sieve,
+# while the packed steps pay numpy calls per tile, value and pass.  The sieve,
 # ms, int / packed, best of 15, 2-vCPU VM shared with other jobs:
 #   bound        4095        8191       10000       12287       16383
 #   p3+p5      .023/.025   .050/.035   .060/.040   .074/.046   .105/.057
@@ -171,6 +175,14 @@ def bitmap(size: int, fill: bool) -> np.ndarray:
         if size % 8:
             bits[size // 8] = (1 << size % 8) - 1
     return bits
+
+
+def copy_bits(packed: np.ndarray) -> np.ndarray:
+    """A copy of a packed bitmap from ``bitmap``, placed as ``bitmap`` places
+    one of its size."""
+    out = _buffer(packed.size)
+    out[:] = packed
+    return out
 
 
 def pack(bits: np.ndarray, size: int | None = None) -> np.ndarray:
@@ -329,13 +341,13 @@ def eliminate(alive: np.ndarray, miss: np.ndarray,
     ``alive`` and ``miss`` are packed bitmaps of one length from ``bitmap``,
     ``alive``'s padding bits clear; ``miss`` is the complement of the hit
     set, and its padding bits do not matter.  Every value lies in
-    [0, 8 * alive.size).  ``alive`` is overwritten, and so is ``miss``
-    unless it is read-only, as a cached bitmap is: it is then copied before
-    its first shift.  While many n are alive, a value v = 8q + r costs one
-    byte-aligned pass ``alive[q:] &= miss[:...]`` with ``miss`` shifted up
-    by r bits.  The values are walked by residue r, so ``miss`` moves up at
-    most seven times; elimination does not depend on the order of the
-    values.  Once at most 1/_SPARSE_SHARE of the n are alive, the survivors
+    [0, 8 * alive.size).  Both are overwritten: a caller that reads
+    ``miss`` again passes a copy (``copy_bits``).  While many n are alive,
+    a value v = 8q + r costs one byte-aligned pass
+    ``alive[q:] &= miss[:...]`` with ``miss`` shifted up by r bits.  The
+    values are walked by residue r, so ``miss`` moves up at most seven
+    times; elimination does not depend on the order of the values.  Once
+    at most 1/_SPARSE_SHARE of the n are alive, the survivors
     are unpacked, and the remaining values, smallest first, are tested in
     blocks: one 2-D gather of bits n - v + r of the shifted ``miss`` over
     the survivors n at or above the block's smallest v, for as many values
@@ -357,10 +369,6 @@ def eliminate(alive: np.ndarray, miss: np.ndarray,
                 rest = i
                 break
         if v & 7 != r:
-            if not miss.flags.writeable:
-                work = _buffer(miss.size)
-                work[:] = miss
-                miss = work
             shift_up(miss, (v & 7) - r)
             r = v & 7
             miss[0] |= (1 << r) - 1  # n < v is never hit
@@ -710,39 +718,48 @@ def _pair_bits(first: Sequence[int], second: Sequence[int],
     return packed
 
 
-def _sieve(terms: Sequence[Term], domain: SumDomain,
-           bound: int) -> np.ndarray:
-    """Packed bitmap over [0, bound] of {sum of one value per term}, its
-    padding bits clear.  Below _INT_BELOW for three or more streams, or
-    _INT_BELOW / 4 for one or two, every stream is folded into one Python
-    int by ``int_fold``; from there the two longest streams are summed by
-    ``_pair_bits``, then each further stream by ``outside``, whose
-    survivors are the clear entries."""
-    check_bound(bound)
-    if not terms:
-        raise ValueError("range_sieve takes at least one term")
-    streams = sorted((poly_values_upto(t, domain, bound) for t in terms),
-                     key=len, reverse=True)
+def sumset_bits(streams: Sequence[Sequence[int]], bound: int) -> np.ndarray:
+    """Packed bitmap from ``bitmap`` over [0, bound] of {sum of one value
+    per stream}, its padding bits clear, for one or more sorted streams of
+    values in [0, bound], lists or int64 arrays.  Below _INT_BELOW for
+    three or more streams, or _INT_BELOW / 4 for one or two, every stream
+    is folded into one Python int by ``int_fold``; from there the two
+    longest streams are summed by ``_pair_bits``, then each further stream
+    by ``outside``, whose survivors are the clear entries."""
+    streams = sorted(streams, key=len, reverse=True)
     if bound < (_INT_BELOW if len(streams) > 2 else _INT_BELOW >> 2):
         sums = 1
         for stream in streams:
-            sums = int_fold(stream, bound + 1, sums)
+            sums = int_fold(_ints(stream), bound + 1, sums)
         bits = bitmap(bound + 1, False)
         bits[:] = np.frombuffer(sums.to_bytes(bits.size, "little"), np.uint8)
         return bits
     bits = _pair_bits(streams[0], streams[1] if len(streams) > 1 else [0],
                       bound)
     for stream in streams[2:]:
-        survivors = outside(bits, bound + 1, stream)
+        survivors = outside(bits, bound + 1, _ints(stream))
         bits = bitmap(bound + 1, True)
         clear_bits(bits, survivors)
     return bits
 
 
+def _ints(stream: Sequence[int]) -> Sequence[int]:
+    """A stream of values, a list or an int64 array, as Python ints, which
+    ``int_fold`` and ``outside`` take: an int64 value would overflow
+    ``int_fold``'s shifts, and ``shift_up`` refuses an int64 bit count.
+    ``_pair_bits`` takes either."""
+    return stream.tolist() if isinstance(stream, np.ndarray) else stream
+
+
 def range_sieve(terms: Sequence[Term], domain: SumDomain,
                 bound: int) -> RangeBitset:
-    """Exact membership bitmap of {sum of one value per term} on [0, bound]."""
-    return RangeBitset(bound, _sieve(terms, domain, bound))
+    """Exact membership bitmap of {sum of one value per term} on [0, bound]
+    (``sumset_bits`` of the terms' value streams)."""
+    check_bound(bound)
+    if not terms:
+        raise ValueError("range_sieve takes at least one term")
+    return RangeBitset(bound, sumset_bits(
+        [poly_values_upto(t, domain, bound) for t in terms], bound))
 
 
 def _verify_non_representable(terms: Sequence[Term], domain: SumDomain,
@@ -783,7 +800,7 @@ def _report(sum_: TripleSum, offsets: tuple, bound: int) -> ExceptionReport:
     if len(terms) > 2:
         walk = sorted_distinct(np.add.outer(
             poly_values_upto(terms.pop(0), domain, bound), walk).ravel())
-    missing = outside(_sieve(terms, domain, bound), bound + 1,
+    missing = outside(range_sieve(terms, domain, bound).bits, bound + 1,
                       walk[walk <= bound].tolist())
     _verify_non_representable(sum_.terms, domain, missing, offsets)
     return ExceptionReport(sum_, bound, missing, offsets)

@@ -169,10 +169,12 @@ def test_verify_reduction_refuses_a_bound_before_verifying(capsys,
 
 
 # The check builds nothing; it refuses exactly where the progression itself
-# does, before its first pair step, for the explicit reductions and six
+# does, before its first sumset, for the explicit reductions and seven
 # canonical ones (F from 1 to 10), from bounds that pass every frame to
-# bounds that refuse every one.
-@pytest.mark.parametrize("bound", [-1, 0, 10_000, 1_000_000, 2_000_000,
+# bounds that refuse every one.  The values M*bound + C of
+# p3+p1000003+p1000033 over N fit int64 up to bound 902881 and no further.
+@pytest.mark.parametrize("bound", [-1, 0, 10_000, 902_881, 902_882,
+                                   1_000_000, 2_000_000,
                                    3_000_000, 10_000_000,
                                    sumset.MAX_RANGE_BOUND - 10,
                                    sumset.MAX_RANGE_BOUND - 2,
@@ -188,8 +190,9 @@ def test_check_reduction_bound_refuses_as_the_grid_does(bound, monkeypatch):
             "p8+p8+2p8", "p3+2p4+p9"]
     entries = [e for _, e in catalog.explicit_reductions()] + [
         qform.canonical_reduction(parse_sum(s, SumDomain.INTEGERS))
-        for s in sums]
-    monkeypatch.setattr(qform, "_pair_bits", built)
+        for s in sums] + [qform.canonical_reduction(
+            parse_sum("p3+p1000003+p1000033", SumDomain.NATURALS))]
+    monkeypatch.setattr(qform, "sumset_bits", built)
     for entry in entries:
         outcomes = []
         for check in (lambda: qform.check_reduction_bound(entry, bound),
@@ -377,14 +380,14 @@ def test_bound_above_sieve_limit_is_usage_error(capsys):
 
 def test_qform_except_reverify_failure(capsys, monkeypatch):
     # a value grid that drops the representable 3 = 1 + 1 + 1
-    real_reachable = qform._reachable
+    real_inside = qform.inside
 
-    def dropped(form, top):
-        bits = real_reachable(form, top)
+    def dropped(packed, size, stream):
+        bits = real_inside(packed, size, stream)
         sumset.clear_bits(bits, np.array([3]))
         return bits
 
-    monkeypatch.setattr(qform, "_reachable", dropped)
+    monkeypatch.setattr(qform, "inside", dropped)
     status = cli.main(["qform-except", "--form", "1,1,1", "--bound", "1000"])
     captured = capsys.readouterr()
     assert status == 1
@@ -610,6 +613,38 @@ def test_large_multiplier_reductions_run(capsys, argv):
     # allocated
     status, out = run(capsys, *argv)
     assert status == 0 and "holds=false" not in out
+
+
+# p3+p1000003+p1000033 over N maps n to M*n + C with M near 8*10^12 and C
+# near 2*10^18: at bound 902881 the largest value fits int64, and the sum
+# represents 1152921 = p3(1518), which a wrapped progression denied.  One
+# bound further, the values would pass int64, and the bound is refused.
+# p300001+p300007+p300017 passes it at the construction check's bound of
+# 500, so its reduction is refused by both commands.
+def test_progression_at_the_int64_edge_holds(capsys):
+    status, out = run(capsys, "verify-reduction", "--sum",
+                      "p3+p1000003+p1000033", "--domain", "N", "--bound",
+                      "902881")
+    assert status == 0 and " holds=true " in out
+    sum_ = parse_sum("p3+p1000003+p1000033", SumDomain.NATURALS)
+    assert sumset.member_with_witness(sum_, 1152921) is not None
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-reduction", "--sum", "p3+p1000003+p1000033", "--domain", "N",
+     "--bound", "902882"],
+    ["verify-reduction", "--sum", "p3+p1000003+p1000033", "--domain", "N",
+     "--bound", "1200000"],
+    ["reduce", "--sum", "p300001+p300007+p300017"],
+    ["verify-reduction", "--sum", "p300001+p300007+p300017"],
+])
+def test_progression_past_int64_is_usage_error(capsys, argv):
+    status = cli.main(argv)
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err.startswith("error: progression top ")
+    assert captured.err.endswith(" above int64\n")
+    assert "Traceback" not in captured.err
 
 
 def test_qform_bound_above_grid_limit_is_usage_error(capsys):

@@ -191,6 +191,13 @@ GOLDEN = [
     # one residue class mod 5999996 from its lower bound
     ("verify-reduction --sum p3+p3+p3000000 --domain N --bound 100", 0,
      "2f6b1569b423d90ed8bc586e1e93891806691e5c498662d968cf0812654317df"),
+    # the prime filter's pair step below 4096, one Python int
+    ("prime-scan --a 2 --prime-mod 10007 --prime-residue 1 --bound 4000", 0,
+     "13cf8a3fb57604a50d511ebfaebc2ccd555702baa5c7f99c4c2d243a2a9f9c86"),
+    # a progression whose values M*bound + C would pass int64: refused,
+    # with nothing on stdout
+    ("verify-reduction --sum p3+p1000003+p1000033 --domain N --bound 902882",
+     2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
 

@@ -180,14 +180,15 @@ def _in_universe(query, n):
 @contextlib.contextmanager
 def _scan_path(path, tile=8):
     """Send every prime filter to the class walk or to the scatter, whose
-    pair step then runs on tiles of ``tile`` values and outer products of
-    2 sums, or leave the choice to the scan."""
+    pair step then runs packed at every bound, on tiles of ``tile`` values
+    and outer products of 2 sums, or leave the choice to the scan."""
     with mock.patch.multiple(primepoly, **{
             "walk": {"_INTEGER_CELLS": 0, "_CLASS_CELLS": 0},
             "scatter": {"_CLASS_CELLS": 1 << 40},
             "choice": {"_CLASS_CELLS": primepoly._CLASS_CELLS}}[path]):
         if path == "scatter":
-            with mock.patch.multiple(sumset, _PAIR_TILE=tile, _PAIR_CHUNK=2):
+            with mock.patch.multiple(sumset, _PAIR_TILE=tile, _PAIR_CHUNK=2,
+                                     _INT_BELOW=0):
                 yield
         else:
             yield
@@ -235,22 +236,25 @@ def test_scan_equals_witness_sweep(query, bound, share, cells, path):
         assert exception_scan(query, bound).tolist() == brute
 
 
-def test_scans_leave_a_cached_class_unchanged():
-    # each elimination shifts its own copy of the class-1 primes mod 2; the
-    # cached class is read-only and keeps its bytes from scan to scan
+def test_repeated_scans_agree_and_each_class_miss_is_fresh():
+    # eliminate overwrites the table it is given: every class but the last
+    # walks a copy, and each call builds a new, writable table, so a second
+    # scan reads the same classes of primes as the first
     bound = 100_000
     query = PrimePolyQuery(3, universe="all")
     first = exception_scan(query, bound)
-    miss = primepoly._class_miss(bound, 1, 2)
-    before = miss.tobytes()
-    assert not miss.flags.writeable
     assert np.array_equal(exception_scan(query, bound), first)
-    assert primepoly._class_miss(bound, 1, 2) is miss
-    assert miss.tobytes() == before
+    miss = primepoly._class_miss(bound, 1, 2)
+    again = primepoly._class_miss(bound, 1, 2)
+    assert miss is not again and not np.shares_memory(miss, again)
+    assert miss.flags.writeable and miss.tobytes() == again.tobytes()
+    sumset.eliminate(sumset.bitmap(bound // 2 + 1, True), miss, [1, 2, 3])
+    assert miss.tobytes() != again.tobytes()
+    assert primepoly._class_miss(bound, 1, 2).tobytes() == again.tobytes()
     # the class 1 mod 2 is the odd table inverted, entry i being n = 2i + 1
     primes = _reference_sieve(bound)[1::2]
-    assert np.array_equal(_odd_bits(miss, primes.size), ~primes)
-    assert miss.size == sumset.bitmap(bound // 2 + 1, False).size
+    assert np.array_equal(_odd_bits(again, primes.size), ~primes)
+    assert again.size == sumset.bitmap(bound // 2 + 1, False).size
 
 
 # The classes of primes against the plain sieve, bit by bit: periods 2, 4,
@@ -276,7 +280,7 @@ def test_class_miss_equals_reference(bound, period):
         assert primes.size == size
         assert np.array_equal(_odd_bits(primes, n.size), expected)
         miss = primepoly._class_miss(bound, s, period)
-        assert miss.size == size and not miss.flags.writeable
+        assert miss.size == size
         assert np.array_equal(_odd_bits(miss, count), ~expected[:count])
 
 
@@ -315,7 +319,6 @@ def test_class_merge_memory_per_integer():
     bound = 2_000_000
     query = PrimePolyQuery(2, universe="all")
     sieve_primes(bound)
-    primepoly._class_miss(bound, 1, 2)
     tracemalloc.start()
     try:
         found = exception_scan(query, bound)
@@ -412,6 +415,31 @@ def test_scatter_equals_witness_sweep(a, order, universe, prime_filter,
         found = exception_scan(query, bound).tolist()
     assert found == _witness_sweep(query, bound)
     assert 0 not in found and 1 not in found
+
+
+# The pair step below 4096, where ``sumset.sumset_bits`` sums a pair as one
+# Python int, against the witness sweep: through (10007, 1), whose one
+# candidate below the bound is 1, and (6, 4) no prime passes, so that the
+# pair's first stream is empty, and through (3, 2) pass 2 and the primes
+# 5 mod 6.  An int size of 0 sends the same scans through the packed pair
+# step, and 2**40 keeps them ints.
+@pytest.mark.parametrize("prime_filter", [(10007, 1), (6, 4), (3, 2)])
+@pytest.mark.parametrize("bound", [100, 4000])
+def test_pair_step_on_both_sides_of_the_int_cutoff(prime_filter, bound):
+    assert bound < sumset._INT_BELOW >> 2
+    query = PrimePolyQuery(2, prime_filter=prime_filter)
+    brute = _witness_sweep(query, bound)
+    for int_below, packed in [(None, False), (0, True), (1 << 40, False)]:
+        with mock.patch.object(sumset, "_pair_bits",
+                               wraps=sumset._pair_bits) as spy, \
+                mock.patch.object(primepoly, "_class_miss") as walk:
+            if int_below is None:
+                found = exception_scan(query, bound)
+            else:
+                with mock.patch.object(sumset, "_INT_BELOW", int_below):
+                    found = exception_scan(query, bound)
+        assert found.tolist() == brute, int_below
+        assert spy.called == packed and not walk.called, int_below
 
 
 def test_odd_class_equals_linear_search():

@@ -15,11 +15,11 @@ from polysum.qform import (
     FamilySet,
     ReductionEntry,
     _progression_bitmap,
-    _reachable,
     _streams,
     _variable_values,
     canonical_reduction,
     mapped_exception_scan,
+    qf_exception_bits,
     qf_exception_set,
     qf_represents,
     represented_among,
@@ -130,6 +130,14 @@ def _brute_values(coef, cond, top):
     return {coef * y * y for y in ys}
 
 
+def _reachable(form, top):
+    """The form's value grid over [0, top], a packed bitmap: its exception
+    bitmap inverted back."""
+    bits = qf_exception_bits(form, top)
+    sumset.invert(bits, top + 1)
+    return bits
+
+
 def _brute_reachable(form, top):
     first, second, third = (_brute_values(c, cond, top) for c, cond in
                             zip(form.coefficients, form.conditions))
@@ -153,10 +161,12 @@ def _conditions(draw):
 
 # The third value is the one with the smallest coefficient; across
 # coefficients 1-30 its values fall in every residue class mod 8, and the
-# tops in every class too.  A pair chunk of 1 sum scatters one row per value,
-# and a fold window of 8 bytes cuts a top of 3000 into 47 windows.
+# tops in every class too.  An int size of 0 sends the pair through the
+# packed pair step, where a pair chunk of 1 sum scatters one row per value,
+# and 2**40 makes it one Python int; a fold window of 8 bytes cuts a top of
+# 3000 into 47 windows.
 # A condition with no residues empties its variable's stream; with the
-# coefficients falling by slot, slot i is the i-th stream of _reachable.
+# coefficients falling by slot, slot i is the i-th stream of the grid.
 @settings(max_examples=150, deadline=None)
 @given(st.tuples(*[st.integers(1, 30)] * 3), st.tuples(*[_conditions()] * 3),
        st.integers(0, 3000), st.sampled_from([1, 64, sumset._PAIR_CHUNK]),
@@ -167,13 +177,16 @@ def _conditions(draw):
          sumset._FOLD_WINDOW)
 def test_reachable_equals_brute_sumset(coeffs, conds, top, chunk, window):
     form = DiagonalTernaryForm(coeffs, conds)
-    with mock.patch.object(sumset, "_PAIR_CHUNK", chunk), \
-            mock.patch.object(sumset, "_FOLD_WINDOW", window):
-        bits = _reachable(form, top)
-    # set_bits would list a set padding bit as an entry above top
-    assert bits.dtype == np.uint8
-    assert bits.size == sumset.bitmap(top + 1, False).size
-    assert sumset.set_bits(bits).tolist() == _brute_reachable(form, top)
+    brute = _brute_reachable(form, top)
+    for int_below in (0, 1 << 40):
+        with mock.patch.object(sumset, "_PAIR_CHUNK", chunk), \
+                mock.patch.object(sumset, "_INT_BELOW", int_below), \
+                mock.patch.object(sumset, "_FOLD_WINDOW", window):
+            bits = _reachable(form, top)
+        # set_bits would list a set padding bit as an entry above top
+        assert bits.dtype == np.uint8
+        assert bits.size == sumset.bitmap(top + 1, False).size
+        assert sumset.set_bits(bits).tolist() == brute, int_below
 
 
 def test_reachable_every_shift_and_top_residue():
@@ -314,7 +327,8 @@ def test_represented_among_equals_per_n_search(coeffs, conds, ns):
 
 # Constants from -2000 to 2000 against multipliers down to 1 and bounds
 # down to 0 give frame shifts F = ceil(C / M) up to 2000, C / M above the
-# bound, and progressions that start below 0.
+# bound, and progressions that start below 0.  Every frame is built by the
+# packed steps (an int size of 0) and as one Python int (2**40).
 @settings(max_examples=100, deadline=None)
 @given(st.tuples(*[st.integers(1, 12)] * 3), st.tuples(*[_conditions()] * 3),
        st.integers(1, 60), st.integers(-2000, 2000), st.integers(0, 300))
@@ -322,15 +336,18 @@ def test_represented_among_equals_per_n_search(coeffs, conds, ns):
 def test_progression_bitmap_equals_per_n_search(coeffs, conds, multiplier,
                                                 constant, bound):
     form = DiagonalTernaryForm(coeffs, conds)
-    bits = _progression_bitmap(form, multiplier, constant, bound)
-    # packed, with the padding bits clear: a word-aligned view of the frame
-    assert bits.dtype == np.uint8
-    assert bits.size == sumset.bitmap(bound + 1, False).size
-    assert not _entries(bits, 8 * bits.size)[bound + 1 :].any()
-    assert _entries(bits, bound + 1).tolist() == [
-        multiplier * n + constant >= 0
-        and qf_represents(form, multiplier * n + constant) is not None
-        for n in range(bound + 1)]
+    expected = [multiplier * n + constant >= 0
+                and qf_represents(form, multiplier * n + constant) is not None
+                for n in range(bound + 1)]
+    for int_below in (0, 1 << 40):
+        with mock.patch.object(sumset, "_INT_BELOW", int_below):
+            bits = _progression_bitmap(form, multiplier, constant, bound)
+        # packed, with the padding bits clear: a word-aligned view of the
+        # frame
+        assert bits.dtype == np.uint8
+        assert bits.size == sumset.bitmap(bound + 1, False).size
+        assert not _entries(bits, 8 * bits.size)[bound + 1 :].any()
+        assert _entries(bits, bound + 1).tolist() == expected, int_below
 
 
 def test_represented_among_legendre_exceptions():
@@ -487,7 +504,6 @@ def test_parity_split_existence_for_nonsquare_6n_plus_1():
 
 def test_progressions_of_theorem_instances():
     import numpy as np
-    from polysum.qform import _reachable
 
     # 12n+5 = x^2 + y^2 + (6z)^2
     top = 12 * 10_000 + 5
@@ -513,7 +529,6 @@ def test_progressions_of_theorem_instances():
 
 def test_squarefull_7n_plus_4_split():
     import numpy as np
-    from polysum.qform import _reachable
 
     limit = 10_000
     top = 7 * limit + 4
